@@ -172,20 +172,21 @@ def _dispatch(args) -> dict:
 
     if args.command == "certify-zs":
         game = _read_game(args)
-        cert = constant_sum.strong_stability_parameters(
+        if not args.well_supported:
+            cert = constant_sum.strong_stability_parameters(
+                game, args.alpha, args.seed, tol=tol
+            )
+            return serialize.certificate_to_dict(cert)
+        cert, delta_l = constant_sum.well_supported_certificate(
             game, args.alpha, args.seed, tol=tol
         )
         out = serialize.certificate_to_dict(cert)
-        if args.well_supported:
-            delta_l, delta_h = constant_sum.well_supported_stability_parameters(
-                game, args.alpha, args.seed, tol=tol
-            )
-            out["well_supported"] = {
-                "delta_l": delta_l,
-                "delta_h": delta_h,
-                "stable": {"eps": args.alpha / 2.0, "delta": 2.0 * delta_h},
-                "not_stable": {"eps": args.alpha, "delta": delta_l / 2.0},
-            }
+        out["well_supported"] = {
+            "delta_l": delta_l,
+            "delta_h": cert.delta,
+            "stable": {"eps": args.alpha / 2.0, "delta": 2.0 * cert.delta},
+            "not_stable": {"eps": args.alpha, "delta": delta_l / 2.0},
+        }
         return out
 
     if args.command == "embed":

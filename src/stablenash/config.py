@@ -42,8 +42,11 @@ LIGHT_SAMPLE_COEFF = 56.0 ** 2
 # samples far fewer reference vectors than that bound; see the probe docs.
 PROBE_REFERENCE_COEFF = 27.0
 
-# Support-pair enumeration guard: sum over k <= max_support of
-# C(rows, k) * C(cols, k) must stay at or below this budget.
+# Support-pair guard: the pairs a search visits must stay at or below this
+# budget. Enumeration visits the equal-size pairs, sum over k <= max_support
+# of C(rows, k) * C(cols, k), and on a degenerate game all size pairs,
+# (sum_a C(rows, a)) * (sum_b C(cols, b)); the well-supported search
+# visits all size pairs.
 DEFAULT_ENUM_BUDGET = 100_000
 
 # Algorithm budgets for the constant-sum stability certifier.

@@ -47,8 +47,8 @@ class StrongStabilityCertificate:
 
     ``sandwich`` states the two-sided conclusion: the game satisfies the
     (alpha/2, 2*delta) strong approximation stability condition and fails
-    (alpha, delta/2). ``max_objective`` is the raw LP objective, which is
-    twice the certified radius.
+    (alpha, delta/2). ``max_objective`` is the raw LP objective; delta is
+    half of it, capped at 1 since no variation distance exceeds 1.
     """
 
     alpha: float
@@ -211,21 +211,15 @@ def _side_radius(
     return best
 
 
-def strong_stability_parameters(
+def _certify(
     game: BimatrixGame,
     alpha: float,
-    seed=0,
-    partition_budget: int = DEFAULT_PARTITION_BUDGET,
-    anchor_multiplier: float = ANCHOR_SUPPORT_MULTIPLIER,
-    tol: Tolerances = DEFAULT_TOLS,
-) -> StrongStabilityCertificate:
-    """Certified strong approximation-stability radius of a constant-sum game.
-
-    Solves for minimax strategies, fixes a small-support alpha-Nash anchor,
-    and sweeps sign-partition LPs on each side; the certificate's delta is
-    half the largest objective, i.e. the largest variation distance any
-    near-value strategy can reach from the anchor.
-    """
+    seed,
+    partition_budget: int,
+    anchor_multiplier: float,
+    tol: Tolerances,
+) -> tuple[MinimaxSolution, StrongStabilityCertificate]:
+    """The minimax solution and the certificate built on it."""
     if not 0 < alpha < 1:
         raise ParameterError("alpha must lie in (0, 1)")
     mm = minimax_solve(game, tol)
@@ -239,8 +233,9 @@ def strong_stability_parameters(
         partition_budget, tol,
     )
     max_objective = max(obj_p, obj_q)
-    delta = max_objective / 2.0
-    return StrongStabilityCertificate(
+    # no variation distance exceeds 1; the LP optimum can, by rounding
+    delta = min(1.0, max_objective / 2.0)
+    return mm, StrongStabilityCertificate(
         alpha=alpha,
         delta=delta,
         p_prime=p_prime,
@@ -253,6 +248,53 @@ def strong_stability_parameters(
     )
 
 
+def strong_stability_parameters(
+    game: BimatrixGame,
+    alpha: float,
+    seed=0,
+    partition_budget: int = DEFAULT_PARTITION_BUDGET,
+    anchor_multiplier: float = ANCHOR_SUPPORT_MULTIPLIER,
+    tol: Tolerances = DEFAULT_TOLS,
+) -> StrongStabilityCertificate:
+    """Certified strong approximation-stability radius of a constant-sum game.
+
+    Solves for minimax strategies, fixes a small-support alpha-Nash anchor,
+    and sweeps sign-partition LPs on each side; the certificate's delta is
+    half the largest objective, i.e. the largest variation distance any
+    near-value strategy can reach from the anchor, capped at 1.
+    """
+    return _certify(game, alpha, seed, partition_budget, anchor_multiplier, tol)[1]
+
+
+def well_supported_certificate(
+    game: BimatrixGame,
+    alpha: float,
+    seed=0,
+    partition_budget: int = DEFAULT_PARTITION_BUDGET,
+    anchor_multiplier: float = ANCHOR_SUPPORT_MULTIPLIER,
+    tol: Tolerances = DEFAULT_TOLS,
+) -> tuple[StrongStabilityCertificate, float]:
+    """The plain certificate and the well-supported radius delta_l.
+
+    The certificate is that of :func:`strong_stability_parameters`, and its
+    delta is the well-supported variant's delta_h. delta_l re-runs only the
+    partition sweep, around the same anchor, with mass forbidden outside
+    the minimax supports, which is exactly the extra restriction a
+    well-supported deviation must satisfy. The added constraints shrink the
+    feasible region, so delta_l <= delta_h always.
+    """
+    mm, cert = _certify(game, alpha, seed, partition_budget, anchor_multiplier, tol)
+    obj_p = _side_radius(
+        game.R, mm.v_R, alpha, cert.p_prime, mm.p_star.support,
+        partition_budget, tol,
+    )
+    obj_q = _side_radius(
+        np.ascontiguousarray(game.C.T), mm.v_C, alpha, cert.q_prime,
+        mm.q_star.support, partition_budget, tol,
+    )
+    return cert, min(1.0, max(obj_p, obj_q) / 2.0)
+
+
 def well_supported_stability_parameters(
     game: BimatrixGame,
     alpha: float,
@@ -263,26 +305,12 @@ def well_supported_stability_parameters(
 ) -> tuple[float, float]:
     """(delta_l, delta_h) for the well-supported variant of the certifier.
 
-    delta_h is the plain radius; delta_l re-runs the partition sweep with
-    mass forbidden outside the minimax supports, which is exactly the extra
-    restriction a well-supported deviation must satisfy. Certifies strong
-    well-supported (alpha/2, 2*delta_h) stability and refutes
-    (alpha, delta_l/2). The added constraints shrink the feasible region,
-    so delta_l <= delta_h always.
+    delta_h is the plain radius and delta_l the radius with mass forbidden
+    outside the minimax supports (see :func:`well_supported_certificate`).
+    Certifies strong well-supported (alpha/2, 2*delta_h) stability and
+    refutes (alpha, delta_l/2).
     """
-    if not 0 < alpha < 1:
-        raise ParameterError("alpha must lie in (0, 1)")
-    mm = minimax_solve(game, tol)
-    p_prime, q_prime = _anchor(game, mm, alpha, seed, anchor_multiplier, tol)
-    CT = np.ascontiguousarray(game.C.T)
-    obj_p = _side_radius(game.R, mm.v_R, alpha, p_prime, None, partition_budget, tol)
-    obj_q = _side_radius(CT, mm.v_C, alpha, q_prime, None, partition_budget, tol)
-    delta_h = max(obj_p, obj_q) / 2.0
-    obj_p_l = _side_radius(
-        game.R, mm.v_R, alpha, p_prime, mm.p_star.support, partition_budget, tol
+    cert, delta_l = well_supported_certificate(
+        game, alpha, seed, partition_budget, anchor_multiplier, tol
     )
-    obj_q_l = _side_radius(
-        CT, mm.v_C, alpha, q_prime, mm.q_star.support, partition_budget, tol
-    )
-    delta_l = max(obj_p_l, obj_q_l) / 2.0
-    return delta_l, delta_h
+    return delta_l, cert.delta

@@ -1,11 +1,22 @@
 """Exact-equilibrium enumeration for small games.
 
-Support enumeration over all support pairs: for a candidate pair the
-row-player condition constrains only q (supported rows tie at the best
-payoff, unsupported rows do not exceed it) and the column-player condition
-constrains only p, so each pair decomposes into two small LPs. Maximizing
-the minimum supported probability rejects candidates whose declared support
-carries no mass.
+Support enumeration. For a support pair (S_p, S_q) of equal size k, the
+supported rows tie at the row player's best payoff u, which together with
+the mass constraint is a square (k+1)x(k+1) linear system in (q, u); the
+same holds for (p, v) with the roles swapped. The systems of every size-k
+pair are stacked and solved in one batched call, and positivity and the
+best-response inequalities are checked as array operations.
+
+In a nondegenerate game every equilibrium has equal-size supports, so that
+pass is the whole enumeration. A degeneracy witness sends the game to the
+LP loop instead, which visits every (|S_p|, |S_q|) size pair with two small
+LPs each, maximizing the minimum supported probability so that a declared
+support carries mass. The witnesses are a singular tie system that is still
+consistent, and an accepted side solution with more than k tied opponent
+actions. They catch every degenerate strategy: if x has support S of size
+k and best-response set B with |B| > k, then x solves the system of
+(B', S) for any B' in B of size k, so that system is either singular and
+consistent or has the unique solution x, with extra ties.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -20,6 +32,11 @@ from .config import DEFAULT_ENUM_BUDGET, DEFAULT_TOLS, Tolerances
 from .core import BimatrixGame, StrategyProfile, profile_distance, regrets
 from .errors import DomainError, ResourceBudgetError
 from .lp import OPTIMAL, LinearProgram, solve_lp
+
+# Support pairs per stacked solve, which bounds the stack's memory.
+_CHUNK = 2048
+# Singular-value threshold below which a tie system counts as singular.
+_RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -41,9 +58,18 @@ class EquilibriumSet:
 
 
 def enumeration_cost(rows: int, cols: int, max_support: int) -> int:
+    """Equal-size support pairs: the systems the batched pass solves."""
     return sum(
         math.comb(rows, k) * math.comb(cols, k)
         for k in range(1, max_support + 1)
+    )
+
+
+def all_pairs_cost(rows: int, cols: int, max_support: int) -> int:
+    """Support pairs of every pair of sizes up to ``max_support``."""
+    sizes = range(1, max_support + 1)
+    return sum(math.comb(rows, a) for a in sizes) * sum(
+        math.comb(cols, b) for b in sizes
     )
 
 
@@ -103,7 +129,158 @@ def _tieline_rank_deficient(
     system[: len(eq_rows), :-1] = sub
     system[: len(eq_rows), -1] = -1.0
     system[-1, :-1] = 1.0
-    return np.linalg.matrix_rank(system, tol=1e-9) < n
+    return np.linalg.matrix_rank(system, tol=_RANK_TOL) < n
+
+
+def _admit(
+    game: BimatrixGame,
+    found: list[StrategyProfile],
+    p: np.ndarray,
+    q: np.ndarray,
+    tol: Tolerances,
+) -> bool:
+    """Append (p, q) to ``found`` if it verifies and is not a near-duplicate."""
+    profile = StrategyProfile.from_vectors(p, q, tol)
+    report = regrets(game, profile, tol)
+    if max(report.max_regret, report.max_ws_gap) > tol.eq:
+        return False
+    if any(profile_distance(profile, other) <= tol.dedup for other in found):
+        return False
+    found.append(profile)
+    return True
+
+
+def _lp_pass(
+    game: BimatrixGame, max_support: int, tol: Tolerances
+) -> tuple[list[StrategyProfile], bool]:
+    """Equilibria from two LPs per support pair over every pair of sizes.
+
+    Returns the equilibria in visit order, and whether the tie system of a
+    found equilibrium is rank-deficient (which marks a component).
+    """
+    rows, cols = game.shape
+    CT = np.ascontiguousarray(game.C.T)
+    found: list[StrategyProfile] = []
+    degenerate = False
+    for kp in range(1, max_support + 1):
+        for kq in range(1, max_support + 1):
+            for S_p in itertools.combinations(range(rows), kp):
+                for S_q in itertools.combinations(range(cols), kq):
+                    q = _support_lp(game.R, S_q, S_p, tol)
+                    if q is None:
+                        continue
+                    p = _support_lp(CT, S_p, S_q, tol)
+                    if p is None:
+                        continue
+                    if not _admit(game, found, p, q, tol):
+                        continue
+                    if _tieline_rank_deficient(game.R, S_q, S_p) or (
+                        _tieline_rank_deficient(CT, S_p, S_q)
+                    ):
+                        degenerate = True
+    return found, degenerate
+
+
+def _solve_ties(
+    A: np.ndarray, tol: Tolerances
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Solutions of ``A[m] x = e_last`` for a stack of square tie systems.
+
+    Returns the solutions and a mask of the singular systems, whose rows
+    are meaningless, or None when a singular system is consistent. A
+    system is singular when its smallest singular value is at most
+    ``_RANK_TOL``. Inversion settles most systems: the spectral norm of the
+    inverse is at most its Frobenius norm, so a Frobenius norm below
+    ``1 / _RANK_TOL`` proves the system nonsingular. Only the rest, and
+    stacks holding an exactly singular system, pay for an SVD.
+    """
+    m = A.shape[0]
+    singular = np.zeros(m, dtype=bool)
+    try:
+        inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        sol = np.empty(A.shape[:2])
+        unsure = np.ones(m, dtype=bool)
+    else:
+        sol = inv[:, :, -1]
+        unsure = np.linalg.norm(inv, axis=(1, 2)) * _RANK_TOL >= 1.0
+    if unsure.any():
+        U, s, Vh = np.linalg.svd(A[unsure])
+        null = s <= _RANK_TOL
+        # e_last in the left singular basis is U's last row; its part along
+        # null directions is the least-squares residual.
+        rhs = U[:, -1, :]
+        residual = np.sqrt((np.where(null, rhs, 0.0) ** 2).sum(axis=1))
+        if np.any(null[:, -1] & (residual <= tol.lp)):
+            return None
+        coef = np.where(null, 0.0, rhs / np.where(null, 1.0, s))
+        sol[unsure] = np.einsum("mj,mji->mi", coef, Vh)
+        singular[unsure] = null[:, -1]
+    return sol, singular
+
+
+def _side_pass(
+    payoff: np.ndarray, own: np.ndarray, opp: np.ndarray, tol: Tolerances
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """One player's side of a stack of size-k support pairs.
+
+    Row m solves ``payoff[opp[m]][:, own[m]] x = u``, ``sum(x) = 1`` for a
+    distribution x on ``own[m]`` that makes the opponent actions ``opp[m]``
+    tie at level u. Returns the solutions x (m, k) and a mask of those that
+    are positive and leave no opponent action above u, or None when a
+    degeneracy witness shows.
+    """
+    m, k = own.shape
+    A = np.zeros((m, k + 1, k + 1))
+    A[:, :k, :k] = payoff[opp[:, :, None], own[:, None, :]]
+    A[:, :k, k] = -1.0
+    A[:, k, :k] = 1.0
+    solved = _solve_ties(A, tol)
+    if solved is None:
+        return None
+    sol, singular = solved
+    x, u = sol[:, :k], sol[:, k]
+    pay = np.einsum("amj,mj->ma", payoff[:, own], x)
+    ok = ~singular & (x.min(axis=1) > tol.zero)
+    ok &= pay.max(axis=1) <= u + tol.lp
+    ties = (pay >= (u - tol.lp)[:, None]).sum(axis=1)
+    if np.any(ok & (ties > k)):
+        return None
+    return x, ok
+
+
+def _batched_pass(
+    game: BimatrixGame, max_support: int, tol: Tolerances
+) -> Optional[list[StrategyProfile]]:
+    """Equilibria on equal-size supports from stacked tie systems.
+
+    Pairs are visited by size k, then row and column subset in
+    lexicographic order. Returns None on a degeneracy witness, when only
+    the LP loop is complete.
+    """
+    rows, cols = game.shape
+    CT = np.ascontiguousarray(game.C.T)
+    found: list[StrategyProfile] = []
+    for k in range(1, max_support + 1):
+        P = np.array(list(itertools.combinations(range(rows), k)))
+        Q = np.array(list(itertools.combinations(range(cols), k)))
+        n_pairs = len(P) * len(Q)
+        for start in range(0, n_pairs, _CHUNK):
+            ip, iq = np.divmod(np.arange(start, min(start + _CHUNK, n_pairs)), len(Q))
+            q_side = _side_pass(game.R, Q[iq], P[ip], tol)
+            if q_side is None:
+                return None
+            p_side = _side_pass(CT, P[ip], Q[iq], tol)
+            if p_side is None:
+                return None
+            (q_x, q_ok), (p_x, p_ok) = q_side, p_side
+            for m in np.flatnonzero(q_ok & p_ok):
+                p = np.zeros(rows)
+                p[P[ip[m]]] = p_x[m]
+                q = np.zeros(cols)
+                q[Q[iq[m]]] = q_x[m]
+                _admit(game, found, p, q, tol)
+    return found
 
 
 def enumerate_equilibria(
@@ -114,10 +291,11 @@ def enumerate_equilibria(
 ) -> EquilibriumSet:
     """All equilibria of a small game found by support enumeration.
 
-    Support pairs are visited in lexicographic order by (row size, column
-    size, row subset, column subset); near-duplicate solutions are merged.
-    Raises :class:`ResourceBudgetError` when the enumeration guard exceeds
-    ``budget``.
+    Equilibria are listed in the order (row size, column size, row subset,
+    column subset) of their supports; near-duplicate solutions are merged.
+    Raises :class:`ResourceBudgetError` when the equal-size support pairs
+    exceed ``budget``, or, in a degenerate game, when the support pairs of
+    all sizes do.
     """
     rows, cols = game.shape
     cap = min(rows, cols)
@@ -131,34 +309,15 @@ def enumerate_equilibria(
             f"support enumeration guard exceeds budget {budget}"
         )
 
-    CT = np.ascontiguousarray(game.C.T)
-    found: list[StrategyProfile] = []
+    found = _batched_pass(game, max_support, tol)
     degenerate = False
-
-    for kp in range(1, max_support + 1):
-        for kq in range(1, max_support + 1):
-            for S_p in itertools.combinations(range(rows), kp):
-                for S_q in itertools.combinations(range(cols), kq):
-                    q = _support_lp(game.R, S_q, S_p, tol)
-                    if q is None:
-                        continue
-                    p = _support_lp(CT, S_p, S_q, tol)
-                    if p is None:
-                        continue
-                    profile = StrategyProfile.from_vectors(p, q, tol)
-                    report = regrets(game, profile, tol)
-                    if max(report.max_regret, report.max_ws_gap) > tol.eq:
-                        continue
-                    if any(
-                        profile_distance(profile, other) <= tol.dedup
-                        for other in found
-                    ):
-                        continue
-                    found.append(profile)
-                    if _tieline_rank_deficient(game.R, S_q, S_p) or (
-                        _tieline_rank_deficient(CT, S_p, S_q)
-                    ):
-                        degenerate = True
+    if found is None:
+        if all_pairs_cost(rows, cols, max_support) > budget:
+            raise ResourceBudgetError(
+                f"degenerate game: support enumeration over all size pairs "
+                f"exceeds budget {budget}"
+            )
+        found, degenerate = _lp_pass(game, max_support, tol)
 
     # A strict convex combination of two listed equilibria that is itself an
     # equilibrium, yet far from every listed one, certifies a component.

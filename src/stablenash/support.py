@@ -22,7 +22,7 @@ from .config import DEFAULT_ENUM_BUDGET, DEFAULT_TOLS, LIGHT_SAMPLE_COEFF, Toler
 from .core import BimatrixGame, MixedStrategy, StrategyProfile, regrets
 from .errors import DomainError, ParameterError, ResourceBudgetError
 from .lp import OPTIMAL, LinearProgram, solve_lp
-from .oracle import enumeration_cost
+from .oracle import all_pairs_cost
 
 log = logging.getLogger(__name__)
 
@@ -149,7 +149,7 @@ def find_well_supported(
     if max_support is None:
         max_support = cap
     max_support = min(max_support, cap)
-    if enumeration_cost(rows, cols, max_support) > budget:
+    if all_pairs_cost(rows, cols, max_support) > budget:
         raise ResourceBudgetError(f"support search guard exceeds budget {budget}")
 
     tried = 0

@@ -76,6 +76,49 @@ class TestPipelines:
         assert result["delta"] == pytest.approx(0.1, abs=1e-6)
         assert result["well_supported"]["delta_l"] == pytest.approx(0.1, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "game, expected",
+        [
+            (
+                sn.matching_pennies(),
+                '{"alpha":0.1,"delta":0.09999999999999998,'
+                '"max_objective":0.19999999999999996,"p_prime":[0.5,0.5],'
+                '"q_prime":[0.5,0.5],"sandwich":{"not_stable":'
+                '{"delta":0.04999999999999999,"eps":0.1},"stable":'
+                '{"delta":0.19999999999999996,"eps":0.05}},"well_supported":'
+                '{"delta_h":0.09999999999999998,"delta_l":0.09999999999999998,'
+                '"not_stable":{"delta":0.04999999999999999,"eps":0.1},'
+                '"stable":{"delta":0.19999999999999996,"eps":0.05}}}\n',
+            ),
+            (
+                sn.random_constant_sum_game(4, 11),
+                '{"alpha":0.1,"delta":0.8009009308768142,'
+                '"max_objective":1.6018018617536285,'
+                '"p_prime":[0.19909906912318578,0.0,0.8009009308768142,0.0],'
+                '"q_prime":[0.0,0.0,0.6749116289696638,0.3250883710303362],'
+                '"sandwich":{"not_stable":{"delta":0.4004504654384071,"eps":0.1},'
+                '"stable":{"delta":1.6018018617536285,"eps":0.05}},'
+                '"well_supported":{"delta_h":0.8009009308768142,'
+                '"delta_l":0.2553348807791561,"not_stable":'
+                '{"delta":0.12766744038957806,"eps":0.1},"stable":'
+                '{"delta":1.6018018617536285,"eps":0.05}}}\n',
+            ),
+        ],
+        ids=["matching_pennies", "constant_sum4"],
+    )
+    def test_certify_zs_well_supported_bytes(self, monkeypatch, capsys, game, expected):
+        # the well-supported report reuses the plain certificate's minimax
+        # solution, anchor and radius; the bytes are those of two separate
+        # certifier calls
+        game_json = serialize.canonical_dumps(serialize.game_to_dict(game))
+        code, out, _ = run_cli(
+            monkeypatch, capsys,
+            ["certify-zs", "--alpha", "0.1", "--well-supported"],
+            stdin_text=game_json,
+        )
+        assert code == EXIT_OK
+        assert out == expected
+
     def test_certify_modes(self, monkeypatch, capsys):
         _, game_json, _ = run_cli(monkeypatch, capsys, ["generate", "--family", "mp"])
         for mode, expect_positive in (("perturb", True), ("approx", True), ("ws", True)):

@@ -181,6 +181,15 @@ class TestWellSupportedParameters:
         assert delta_l <= delta_h + 1e-9
 
 
+def test_radius_capped_at_one():
+    # the sweep's LP optimum plus the partition constant rounds to
+    # 2.000000000000003 here, while no variation distance exceeds 1
+    cert = sn.strong_stability_parameters(sn.random_constant_sum_game(14, 140), 0.1)
+    assert cert.max_objective > 2.0
+    assert cert.delta == 1.0
+    assert cert.sandwich["stable"]["delta"] == 2.0
+
+
 @settings(max_examples=15, derandomize=True, deadline=None)
 @given(st.integers(0, 5_000))
 def test_interchangeability(seed):

@@ -1,8 +1,13 @@
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablenash as sn
+from stablenash import oracle
+from stablenash.config import DEFAULT_TOLS
 from stablenash.errors import DomainError, ResourceBudgetError
 
 
@@ -153,3 +158,103 @@ def test_capped_support_marks_incomplete(matching_pennies):
     eqs = sn.enumerate_equilibria(matching_pennies, max_support=1)
     assert not eqs.complete
     assert len(eqs) == 0
+
+
+def _lp_path(game, max_support=None):
+    """The enumeration with the batched pass disabled: the LP loop alone."""
+    with mock.patch.object(oracle, "_batched_pass", lambda *args: None):
+        return sn.enumerate_equilibria(game, max_support)
+
+
+def _assert_same_census(fast, slow):
+    assert len(fast) == len(slow)
+    assert fast.complete == slow.complete
+    assert fast.method == slow.method
+    for a, b in zip(fast.equilibria, slow.equilibria):
+        assert a.row.support == b.row.support
+        assert a.col.support == b.col.support
+        assert np.abs(a.row.probs - b.row.probs).max() <= 1e-12
+        assert np.abs(a.col.probs - b.col.probs).max() <= 1e-12
+
+
+_SHAPES = st.tuples(st.integers(1, 4), st.integers(1, 4))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_SHAPES, st.integers(0, 20_000))
+def test_batched_pass_matches_lp_loop_on_random_games(shape, seed):
+    g = sn.random_game(*shape, seed)
+    _assert_same_census(sn.enumerate_equilibria(g), _lp_path(g))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_SHAPES, st.integers(0, 20_000))
+def test_batched_pass_matches_lp_loop_on_small_integer_games(shape, seed):
+    # payoffs in {0, 1/2, 1} tie often, so many of these games are degenerate
+    rng = np.random.default_rng(seed)
+    R, C = rng.integers(0, 3, size=(2, *shape)) / 2.0
+    g = sn.BimatrixGame(R, C)
+    _assert_same_census(sn.enumerate_equilibria(g), _lp_path(g))
+
+
+@pytest.mark.parametrize(
+    "game, max_support",
+    [(sn.meeting_game(n), None) for n in (3, 4, 5)]
+    + [(sn.public_goods(n), None) for n in (3, 4, 5)]
+    + [
+        (sn.BimatrixGame([[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]]), None),
+        (sn.random_game(5, 5, 3), 2),
+    ],
+    ids=["meeting3", "meeting4", "meeting5", "public_goods3", "public_goods4",
+         "public_goods5", "dominant_row", "random5_capped"],
+)
+def test_batched_pass_matches_lp_loop_on_families(game, max_support):
+    _assert_same_census(
+        sn.enumerate_equilibria(game, max_support), _lp_path(game, max_support)
+    )
+
+
+def test_chunked_stacks_give_the_same_census():
+    g = sn.random_game(6, 6, 5)
+    with mock.patch.object(oracle, "_CHUNK", 7):
+        chunked = sn.enumerate_equilibria(g)
+    _assert_same_census(chunked, sn.enumerate_equilibria(g))
+    with mock.patch.object(oracle, "_CHUNK", 7):
+        assert oracle._batched_pass(sn.meeting_game(5), 5, DEFAULT_TOLS) is None
+
+
+def test_public_goods_takes_batched_pass_meeting_falls_back():
+    # public goods has parallel payoff rows, so every mixed tie system is
+    # singular but inconsistent: infeasible, not degenerate
+    pg = sn.public_goods(4)
+    assert oracle._batched_pass(pg, 4, DEFAULT_TOLS) is not None
+    assert oracle._batched_pass(sn.meeting_game(4), 4, DEFAULT_TOLS) is None
+    with mock.patch.object(oracle, "solve_lp", side_effect=AssertionError):
+        assert len(sn.enumerate_equilibria(pg)) == 1
+
+
+def test_tie_solver_separates_singular_systems():
+    # rows (M, -1) over the mass row (1, 1, 0); equal tie rows leave a line
+    # of solutions, tie rows that differ by a constant leave none
+    consistent = [[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [1.0, 1.0, 0.0]]
+    inconsistent = [[1.0, 0.0, -1.0], [0.5, -0.5, -1.0], [1.0, 1.0, 0.0]]
+    regular = [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [1.0, 1.0, 0.0]]
+    assert oracle._solve_ties(np.array([regular, consistent]), DEFAULT_TOLS) is None
+    sol, singular = oracle._solve_ties(np.array([inconsistent, regular]), DEFAULT_TOLS)
+    assert singular.tolist() == [True, False]
+    assert sol[1] == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)
+
+
+def test_degenerate_game_over_budget_fails_fast():
+    # 48,619 equal-size pairs pass the guard, but meeting_game(9) is
+    # degenerate and its LP loop would visit (2^9 - 1)^2 = 261,121 pairs
+    start = time.perf_counter()
+    with pytest.raises(ResourceBudgetError):
+        sn.enumerate_equilibria(sn.meeting_game(9))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_nondegenerate_nine_by_nine_within_default_budget():
+    eqs = sn.enumerate_equilibria(sn.random_game(9, 9, 3))
+    assert eqs.complete
+    assert len(eqs) % 2 == 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablenash as sn
-from stablenash.errors import DomainError, ParameterError
+from stablenash.errors import DomainError, ParameterError, ResourceBudgetError
 from stablenash.support import light_sample_size
 
 from conftest import random_simplex
@@ -86,6 +86,14 @@ class TestFindWellSupported:
 
     def test_none_when_unreachable(self, matching_pennies):
         assert sn.find_well_supported(matching_pennies, 0.1, max_support=1) is None
+
+    def test_guard_counts_every_size_pair(self):
+        # at 10x10 with max_support=3 there are 16,525 equal-size pairs but
+        # 175^2 = 30,625 pairs of all sizes, and the search visits the latter
+        g = sn.random_game(10, 10, 123)
+        with pytest.raises(ResourceBudgetError):
+            sn.find_well_supported(g, 0.0, max_support=3, budget=20_000)
+        assert len(sn.enumerate_equilibria(g, max_support=3, budget=20_000)) >= 1
 
 
 class TestHeavyLightPartition:
