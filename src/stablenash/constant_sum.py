@@ -135,7 +135,7 @@ def _anchor(
         and len(mm.q_star.support) <= target
     ):
         return mm.p_star, mm.q_star
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     for _ in range(ANCHOR_RESAMPLE_LIMIT):
         p = lmm_sample(mm.p_star, target, rng)
         q = lmm_sample(mm.q_star, target, rng)

@@ -215,46 +215,41 @@ def profile_distance(a: StrategyProfile, b: StrategyProfile) -> float:
 def regrets(
     game: BimatrixGame, profile: StrategyProfile, tol: Tolerances = DEFAULT_TOLS
 ) -> RegretReport:
-    """All four deviation measures of ``profile`` in ``game``."""
+    """All four deviation measures of ``profile`` in ``game``.
+
+    The one-row view of :func:`raw_regrets`. Strategy vectors hold exact
+    zeros off their support, so the ``> 0`` mask is the support.
+    """
     _check_profile_shape(game, profile)
-    p, q = profile.row.probs, profile.col.probs
-    row_payoffs = game.R @ q
-    col_payoffs = p @ game.C
-    row_value = float(p @ row_payoffs)
-    col_value = float(col_payoffs @ q)
-    row_best = float(row_payoffs.max())
-    col_best = float(col_payoffs.max())
-    row_supported_min = float(row_payoffs[list(profile.row.support)].min())
-    col_supported_min = float(col_payoffs[list(profile.col.support)].min())
-    return RegretReport(
-        row_regret=max(0.0, row_best - row_value),
-        col_regret=max(0.0, col_best - col_value),
-        row_ws_gap=max(0.0, row_best - row_supported_min),
-        col_ws_gap=max(0.0, col_best - col_supported_min),
-    )
+    stack = raw_regrets(game.R, game.C, profile.row.probs, profile.col.probs, 0.0)
+    return RegretReport(*(float(a[0]) for a in stack))
 
 
 def raw_regrets(
     R: np.ndarray, C: np.ndarray, p: np.ndarray, q: np.ndarray, zero: float = 1e-9
-) -> RegretReport:
-    """Fast-path regrets on raw arrays; support is the > ``zero`` mask.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Regrets of a stack of profiles on raw arrays.
 
-    Used in sampling loops where constructing strategy objects per candidate
-    would dominate the cost. Matches :func:`regrets` on cleaned vectors.
+    ``p`` and ``q`` are ``(m, rows)`` and ``(m, cols)`` stacks (a single
+    vector counts as a stack of one); each profile's support is its
+    ``> zero`` mask. Returns the four measures of :class:`RegretReport`,
+    in its field order, as length-``m`` arrays.
     """
-    row_payoffs = R @ q
-    col_payoffs = p @ C
-    row_value = float(p @ row_payoffs)
-    col_value = float(col_payoffs @ q)
-    row_best = float(row_payoffs.max())
-    col_best = float(col_payoffs.max())
-    row_supported_min = float(row_payoffs[p > zero].min())
-    col_supported_min = float(col_payoffs[q > zero].min())
-    return RegretReport(
-        row_regret=max(0.0, row_best - row_value),
-        col_regret=max(0.0, col_best - col_value),
-        row_ws_gap=max(0.0, row_best - row_supported_min),
-        col_ws_gap=max(0.0, col_best - col_supported_min),
+    P = p.reshape(-1, R.shape[0])
+    Q = q.reshape(-1, R.shape[1])
+    row_payoffs = Q @ R.T
+    col_payoffs = P @ C
+    row_best = row_payoffs.max(axis=1)
+    col_best = col_payoffs.max(axis=1)
+    row_value = (P * row_payoffs).sum(axis=1)
+    col_value = (Q * col_payoffs).sum(axis=1)
+    row_supported_min = row_payoffs.min(axis=1, where=P > zero, initial=np.inf)
+    col_supported_min = col_payoffs.min(axis=1, where=Q > zero, initial=np.inf)
+    return (
+        np.maximum(0.0, row_best - row_value),
+        np.maximum(0.0, col_best - col_value),
+        np.maximum(0.0, row_best - row_supported_min),
+        np.maximum(0.0, col_best - col_supported_min),
     )
 
 

@@ -328,9 +328,8 @@ def enumerate_equilibria(
                 0.5 * (a.col.probs + b.col.probs),
                 tol,
             )
-            if regrets(game, mid, tol).max_regret > tol.eq:
-                continue
-            if regrets(game, mid, tol).max_ws_gap > tol.eq:
+            rep = regrets(game, mid, tol)
+            if rep.max_regret > tol.eq or rep.max_ws_gap > tol.eq:
                 continue
             if all(profile_distance(mid, e) > tol.dedup for e in found):
                 degenerate = True

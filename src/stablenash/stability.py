@@ -53,6 +53,8 @@ MODE_PLAIN = "approximation"
 MODE_WELL_SUPPORTED = "well_supported"
 
 _PARTITION_CAP = 18  # skip 2^k partition sweeps beyond this support size
+# Probabilities per stacked sampler pass, which bounds the stack's memory.
+_STACK_FLOATS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -75,12 +77,6 @@ class StabilityReport:
     mode: str
     trials: int
     witnesses: tuple[Witness, ...]
-
-
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _perturbed(game: BimatrixGame, dR, dC, eps: float) -> BimatrixGame:
@@ -148,7 +144,7 @@ def estimate_perturbation_stability(
         raise ParameterError("eps must be non-negative")
     base = enumerate_equilibria(game, max_support, budget, tol)
     candidates = perturbation_battery(game, eps)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     rows, cols = game.shape
     for t in range(trials):
         dR = rng.uniform(-eps, eps, size=(rows, cols))
@@ -188,6 +184,14 @@ def sample_approximate_equilibria(
     equilibrium and bisects for the farthest point along the segment that
     still passes the mode's regret predicate; every returned profile has
     its predicate re-verified, so callers receive genuine eps-equilibria.
+
+    The samples move in lockstep: the starting points and targets are drawn
+    sample by sample (p0, q0, then the target index), then one
+    :func:`raw_regrets` call checks every starting point, one call per
+    bisection step checks the midpoints of the samples that failed it, and
+    one final call verifies their repaired points. Samples are returned in
+    the order they were drawn; at most ``_STACK_FLOATS`` probabilities are
+    stacked at a time.
     """
     if eps < tol.eq:
         raise ParameterError("eps below the equilibrium verification tolerance")
@@ -195,37 +199,52 @@ def sample_approximate_equilibria(
         eqs = enumerate_equilibria(game, tol=tol)
     if len(eqs) == 0:
         raise DomainError("no exact equilibria available as repair targets")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     rows, cols = game.shape
     R, C = game.R, game.C
     well_supported = mode == MODE_WELL_SUPPORTED
+    targets_p = np.array([e.row.probs for e in eqs.equilibria])
+    targets_q = np.array([e.col.probs for e in eqs.equilibria])
 
-    def ok(p: np.ndarray, q: np.ndarray) -> bool:
-        rep = raw_regrets(R, C, p, q, tol.zero)
-        measure = rep.max_ws_gap if well_supported else rep.max_regret
-        return measure <= eps
+    def ok(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        row_regret, col_regret, row_gap, col_gap = raw_regrets(R, C, P, Q, tol.zero)
+        if well_supported:
+            return np.maximum(row_gap, col_gap) <= eps
+        return np.maximum(row_regret, col_regret) <= eps
 
     out: list[StrategyProfile] = []
-    for _ in range(count):
-        p0 = rng.dirichlet(np.ones(rows))
-        q0 = rng.dirichlet(np.ones(cols))
-        target = eqs.equilibria[int(rng.integers(len(eqs)))]
-        tp, tq = target.row.probs, target.col.probs
-        if ok(p0, q0):
-            out.append(StrategyProfile.from_vectors(p0, q0, tol))
-            continue
-        lo, hi = 0.0, 1.0
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            if ok((1 - mid) * p0 + mid * tp, (1 - mid) * q0 + mid * tq):
-                hi = mid
-            else:
-                lo = mid
-        p = (1 - hi) * p0 + hi * tp
-        q = (1 - hi) * q0 + hi * tq
-        if not ok(p, q):  # hi stayed at 1.0 and the target itself must pass
-            continue
-        out.append(StrategyProfile.from_vectors(p, q, tol))
+    chunk = max(1, _STACK_FLOATS // (rows + cols))
+    for start in range(0, count, chunk):
+        m = min(chunk, count - start)
+        P = np.empty((m, rows))
+        Q = np.empty((m, cols))
+        target = np.empty(m, dtype=np.intp)
+        for k in range(m):
+            P[k] = rng.dirichlet(np.ones(rows))
+            Q[k] = rng.dirichlet(np.ones(cols))
+            target[k] = rng.integers(len(eqs))
+        passed = ok(P, Q)
+        active = np.flatnonzero(~passed)
+        if active.size:
+            p0, q0 = P[active], Q[active]
+            tp, tq = targets_p[target[active]], targets_q[target[active]]
+            lo = np.zeros(active.size)
+            hi = np.ones(active.size)
+            for _ in range(steps):
+                mid = 0.5 * (lo + hi)
+                w = mid[:, None]
+                good = ok((1 - w) * p0 + w * tp, (1 - w) * q0 + w * tq)
+                hi = np.where(good, mid, hi)
+                lo = np.where(good, lo, mid)
+            w = hi[:, None]
+            P[active] = (1 - w) * p0 + w * tp
+            Q[active] = (1 - w) * q0 + w * tq
+            # a sample whose hi stayed at 1.0 sits on its target, which
+            # must pass too
+            passed[active] = ok(P[active], Q[active])
+        out.extend(
+            StrategyProfile.from_vectors(P[k], Q[k], tol) for k in np.flatnonzero(passed)
+        )
     return out
 
 
@@ -598,7 +617,7 @@ def random_split_deviation(
         raise PreconditionError(
             f"light mass {light_mass:.3g} below the 8*delta threshold {8 * delta:.3g}"
         )
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     for _ in range(retries):
         coins = rng.integers(0, 2, size=len(light))
         up_mass = float(light_probs[coins == 1].sum())
@@ -636,9 +655,11 @@ def random_split_probe(
 ) -> dict:
     """Monte-Carlo check of the randomized split deviation's guarantees.
 
-    For each trial and each side, partitions the strategy at sample size
-    S = coeff * (delta/eps)^2 * log(n), attempts the 3*delta split, and
-    counts violations of (a) the payoff-drift bound over every pure
+    For each side, partitions the strategy once at sample size
+    S = coeff * (delta/eps)^2 * log(n) and measures its distance to each
+    reference once; each trial then attempts the 3*delta split (its moved
+    mass checked per trial by :func:`random_split_deviation`) and counts
+    violations of (a) the payoff-drift bound over every pure
     payoff-difference direction (their maximum is the spread of the drift
     vector, so the full n^2 family is covered exactly) and (b) the distance
     floor against the reference profiles, defaulting to the enumerated
@@ -656,24 +677,26 @@ def random_split_probe(
             profile = eqs.equilibria[0]
         if references is None:
             references = list(eqs.equilibria)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     rows, cols = game.shape
 
     def side_report(strategy: MixedStrategy, payoff: np.ndarray,
                     refs: list[MixedStrategy], n: int) -> dict:
         S = max(light_sample_size(n, eps, delta, coeff), 1.0)
-        concentrated = 0
         degenerate = 0
         deviations = 0
         payoff_violations = 0
         distance_violations = 0
         max_drift = 0.0
-        for _ in range(trials):
-            split = heavy_light_partition(strategy, S, min(delta, 0.125), tol)
-            light_mass = 1.0 - split.beta
-            if not split.light or light_mass < 8.0 * delta - tol.zero:
-                concentrated += 1
-                continue
+        # The partition and the reference distances depend only on the
+        # strategy, so all trials share them; only the coins differ.
+        split = heavy_light_partition(strategy, S, min(delta, 0.125), tol)
+        light_mass = 1.0 - split.beta
+        concentrated = 0
+        if not split.light or light_mass < 8.0 * delta - tol.zero:
+            concentrated = trials
+        floors = [variation_distance(strategy, ref) for ref in refs]
+        for _ in range(trials - concentrated):
             try:
                 dev = random_split_deviation(strategy, split, delta, rng, tol)
             except DegenerateInputError:
@@ -685,10 +708,8 @@ def random_split_probe(
             max_drift = max(max_drift, drift)
             if drift > eps + tol.zero:
                 payoff_violations += 1
-            for ref in refs:
-                if variation_distance(dev, ref) <= variation_distance(
-                    strategy, ref
-                ) - delta:
+            for ref, floor in zip(refs, floors):
+                if variation_distance(dev, ref) <= floor - delta:
                     distance_violations += 1
                     break
         return {

@@ -216,12 +216,6 @@ def heavy_light_partition(
     )
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def lmm_sample(p: MixedStrategy, k: int, seed) -> MixedStrategy:
     """Empirical distribution of k i.i.d. draws from ``p``.
 
@@ -230,7 +224,7 @@ def lmm_sample(p: MixedStrategy, k: int, seed) -> MixedStrategy:
     """
     if k < 1:
         raise ParameterError("sample count must be at least 1")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     idx = rng.choice(len(p), size=k, p=p.probs)
     counts = np.bincount(idx, minlength=len(p))
     return MixedStrategy.from_probs(counts / float(k))
@@ -287,7 +281,7 @@ def small_support_approximation(
     """
     if not 0 < eps <= delta <= 1.0:
         raise ParameterError("need 0 < eps <= delta <= 1")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     row = _compress_side(eq.row, eps, delta, rng, coeff, tol)
     col = _compress_side(eq.col, eps, delta, rng, coeff, tol)
     out = StrategyProfile(row, col)

@@ -54,3 +54,41 @@ def naive_regrets(R, C, p, q, zero=1e-9):
 
 def random_simplex(rng, n):
     return rng.dirichlet(np.ones(n))
+
+
+def scalar_sampler(game, eps, count, seed, well_supported, eqs, steps=48, zero=1e-9):
+    """Reference sampler: one sample at a time, through ``naive_regrets``.
+
+    Draws p0, q0 and the target index per sample in the library's order and
+    bisects each failing sample on its own; returns (p, q) vectors before
+    cleaning, in sample order.
+    """
+    rng = np.random.default_rng(seed)
+    rows, cols = game.shape
+    key = ("row_ws_gap", "col_ws_gap") if well_supported else ("row_regret", "col_regret")
+
+    def ok(p, q):
+        rep = naive_regrets(game.R, game.C, p, q, zero)
+        return max(rep[key[0]], rep[key[1]]) <= eps
+
+    out = []
+    for _ in range(count):
+        p0 = rng.dirichlet(np.ones(rows))
+        q0 = rng.dirichlet(np.ones(cols))
+        target = eqs.equilibria[int(rng.integers(len(eqs)))]
+        tp, tq = target.row.probs, target.col.probs
+        if ok(p0, q0):
+            out.append((p0, q0))
+            continue
+        lo, hi = 0.0, 1.0
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            if ok((1 - mid) * p0 + mid * tp, (1 - mid) * q0 + mid * tq):
+                hi = mid
+            else:
+                lo = mid
+        p = (1 - hi) * p0 + hi * tp
+        q = (1 - hi) * q0 + hi * tq
+        if ok(p, q):
+            out.append((p, q))
+    return out

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablenash as sn
+from stablenash.core import raw_regrets
 from stablenash.errors import PayoffRangeWarning, ShapeError, ValidationError
 
 from conftest import naive_regrets, random_simplex
@@ -183,6 +184,68 @@ class TestRegrets:
             assert getattr(rep_scaled, name) == pytest.approx(
                 lam * getattr(rep, name), abs=1e-9
             )
+
+
+FIELDS = ("row_regret", "col_regret", "row_ws_gap", "col_ws_gap")
+
+
+def _threshold_stack(rng, m, n, zero):
+    """m strategy vectors whose entries are ordinary, exactly 0, exactly
+    ``zero`` or the next float above it; each keeps its largest entry, so
+    every vector has a support."""
+    V = rng.dirichlet(np.ones(n), size=m)
+    kind = rng.integers(0, 4, size=(m, n))
+    kind[np.arange(m), V.argmax(axis=1)] = 0
+    V[kind == 1] = 0.0
+    V[kind == 2] = zero
+    V[kind == 3] = np.nextafter(zero, 1.0)
+    return V
+
+
+class TestRawRegretsStack:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 5),
+        st.integers(1, 64),
+        st.sampled_from([1e-9, 0.0, 1e-3]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stack_matches_naive_reference(self, rows, cols, m, zero, seed):
+        rng = np.random.default_rng(seed)
+        R = rng.uniform(-1.0, 1.0, size=(rows, cols))
+        C = rng.uniform(-1.0, 1.0, size=(rows, cols))
+        P = _threshold_stack(rng, m, rows, zero)
+        Q = _threshold_stack(rng, m, cols, zero)
+        stack = raw_regrets(R, C, P, Q, zero)
+        for measure in stack:
+            assert measure.shape == (m,)
+        for k in range(m):
+            ref = naive_regrets(R, C, P[k], Q[k], zero)
+            for name, measure in zip(FIELDS, stack):
+                assert measure[k] == pytest.approx(ref[name], abs=1e-12)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 16), st.integers(0, 2**32 - 1))
+    def test_regrets_is_the_one_row_view(self, rows, cols, m, seed):
+        rng = np.random.default_rng(seed)
+        g = sn.random_game(rows, cols, seed)
+        zero = sn.DEFAULT_TOLS.zero
+        profiles = [
+            profile(p / p.sum(), q / q.sum())
+            for p, q in zip(
+                _threshold_stack(rng, m, rows, zero), _threshold_stack(rng, m, cols, zero)
+            )
+        ]
+        P = np.array([pr.row.probs for pr in profiles])
+        Q = np.array([pr.col.probs for pr in profiles])
+        stack = raw_regrets(g.R, g.C, P, Q, zero)
+        for k, pr in enumerate(profiles):
+            rep = sn.regrets(g, pr)
+            ref = naive_regrets(g.R, g.C, pr.row.probs, pr.col.probs, 0.0)
+            for name, measure in zip(FIELDS, stack):
+                assert getattr(rep, name) == pytest.approx(measure[k], abs=1e-12)
+                assert getattr(rep, name) == pytest.approx(ref[name], abs=1e-12)
 
 
 class TestCloseToEquilibriumIsApproximate:

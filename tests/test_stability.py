@@ -9,7 +9,11 @@ from stablenash.errors import (
     ParameterError,
     PreconditionError,
 )
+from stablenash import stability
 from stablenash.stability import MODE_PLAIN, MODE_WELL_SUPPORTED, perturbation_battery
+from stablenash.support import heavy_light_partition, light_sample_size
+
+from conftest import scalar_sampler
 
 
 class TestPerturbationStability:
@@ -106,6 +110,78 @@ class TestSampler:
         b = sn.sample_approximate_equilibria(meeting3, 0.05, 10, seed=8)
         for x, y in zip(a, b):
             assert np.array_equal(x.row.probs, y.row.probs)
+
+
+def _dominant_row():
+    R = np.array([[1.0, 1.0], [0.0, 0.0]])
+    return sn.BimatrixGame(R, 1.0 - R)
+
+
+SAMPLER_GAMES = {
+    "meeting3": (lambda: sn.meeting_game(3), 0.05),
+    "gap": (lambda: sn.dominance_gap_game(0.1), 0.05),
+    "dominant_row": (_dominant_row, 0.05),
+    **{
+        f"mmp{s}": (lambda s=s: sn.random_modified_matching_pennies(3, 0.1, s), 0.01)
+        for s in range(4)
+    },
+}
+
+
+class TestLockstepSampler:
+    @pytest.mark.parametrize("mode", [MODE_PLAIN, MODE_WELL_SUPPORTED])
+    @pytest.mark.parametrize("name", sorted(SAMPLER_GAMES))
+    def test_matches_scalar_reference(self, name, mode):
+        make, eps = SAMPLER_GAMES[name]
+        g = make()
+        eqs = sn.enumerate_equilibria(g)
+        for seed in (0, 1):
+            samples = sn.sample_approximate_equilibria(g, eps, 40, seed, mode=mode, eqs=eqs)
+            ref = scalar_sampler(g, eps, 40, seed, mode == MODE_WELL_SUPPORTED, eqs)
+            assert len(samples) == len(ref)
+            for s, (p, q) in zip(samples, ref):
+                want = sn.StrategyProfile.from_vectors(p, q)
+                assert s.row.support == want.row.support
+                assert s.col.support == want.col.support
+                np.testing.assert_allclose(s.row.probs, want.row.probs, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(s.col.probs, want.col.probs, rtol=0, atol=1e-12)
+
+    def test_final_verification_drops_failing_targets(self, matching_pennies):
+        # a target that is no equilibrium: samples bisected all the way to
+        # it fail the final check and are dropped, as one at a time
+        bad = sn.StrategyProfile.from_vectors([1.0, 0.0], [1.0, 0.0])
+        eqs = sn.EquilibriumSet(equilibria=(bad,), complete=False, method={})
+        samples = sn.sample_approximate_equilibria(matching_pennies, 0.05, 40, 2, eqs=eqs)
+        ref = scalar_sampler(matching_pennies, 0.05, 40, 2, False, eqs)
+        assert len(samples) == len(ref) < 40
+        for s in samples:
+            assert sn.regrets(matching_pennies, s).max_regret <= 0.05
+
+    @pytest.mark.parametrize("count", [10, 1000])
+    def test_kernel_calls_bounded_by_steps(self, count, monkeypatch):
+        g = sn.random_modified_matching_pennies(3, 0.1, 0)
+        eqs = sn.enumerate_equilibria(g)
+        calls = []
+        kernel = stability.raw_regrets
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[2]))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(stability, "raw_regrets", counted)
+        steps = 48
+        samples = sn.sample_approximate_equilibria(g, 0.01, count, 3, eqs=eqs, steps=steps)
+        assert samples
+        assert calls[0] == count  # every starting point in one call
+        assert 2 < len(calls) <= steps + 2
+
+    def test_generator_passes_through(self, meeting3):
+        a = sn.sample_approximate_equilibria(meeting3, 0.05, 20, seed=6)
+        b = sn.sample_approximate_equilibria(meeting3, 0.05, 20, seed=np.random.default_rng(6))
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert np.array_equal(x.row.probs, y.row.probs)
+            assert np.array_equal(x.col.probs, y.col.probs)
 
 
 class TestPerturbationWitness:
@@ -267,3 +343,75 @@ class TestRandomSplitProbe:
     def test_probe_requires_positive_parameters(self, meeting3):
         with pytest.raises(ParameterError):
             sn.random_split_probe(meeting3, eps=0.0, delta=0.1)
+
+
+def _per_trial_probe(game, eps, delta, trials, seed, profile=None, references=None):
+    """The probe with the partition and reference distances recomputed in
+    every trial, as a reference for the per-side version."""
+    tol = sn.DEFAULT_TOLS
+    if profile is None or references is None:
+        eqs = sn.enumerate_equilibria(game)
+        if profile is None:
+            profile = eqs.equilibria[0]
+        if references is None:
+            references = list(eqs.equilibria)
+    rng = np.random.default_rng(seed)
+    rows, cols = game.shape
+
+    def side(strategy, payoff, refs, n):
+        S = max(light_sample_size(n, eps, delta, sn.config.LIGHT_SAMPLE_COEFF), 1.0)
+        out = dict.fromkeys(
+            ("concentrated", "degenerate", "deviations", "payoff_violations",
+             "distance_violations"), 0)
+        out.update(trials=trials, sample_size=S, max_payoff_drift=0.0)
+        for _ in range(trials):
+            split = heavy_light_partition(strategy, S, min(delta, 0.125), tol)
+            if not split.light or 1.0 - split.beta < 8.0 * delta - tol.zero:
+                out["concentrated"] += 1
+                continue
+            try:
+                dev = sn.random_split_deviation(strategy, split, delta, rng, tol)
+            except DegenerateInputError:
+                out["degenerate"] += 1
+                continue
+            out["deviations"] += 1
+            shift = (dev.probs - strategy.probs) @ payoff
+            drift = float(shift.max() - shift.min())
+            out["max_payoff_drift"] = max(out["max_payoff_drift"], drift)
+            out["payoff_violations"] += drift > eps + tol.zero
+            out["distance_violations"] += any(
+                sn.variation_distance(dev, r)
+                <= sn.variation_distance(strategy, r) - delta
+                for r in refs
+            )
+        return out
+
+    row = side(profile.row, game.C, [r.row for r in references], rows)
+    col = side(profile.col, game.R.T, [r.col for r in references], cols)
+    return row, col
+
+
+class TestSplitProbeSharesThePartition:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_flat_gmp(self, seed):
+        n = 100
+        g = sn.BimatrixGame(np.eye(n), 1.0 - np.eye(n))
+        uniform = sn.StrategyProfile(sn.MixedStrategy.uniform(n), sn.MixedStrategy.uniform(n))
+        report = sn.random_split_probe(
+            g, 0.05, 0.01, 40, seed, profile=uniform, references=[uniform]
+        )
+        row, col = _per_trial_probe(g, 0.05, 0.01, 40, seed, uniform, [uniform])
+        assert report["row"] == row and report["col"] == col
+        assert row["deviations"] > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_meeting3(self, meeting3, seed):
+        eqs = sn.enumerate_equilibria(meeting3)
+        mixed = max(eqs.equilibria, key=lambda e: len(e.row.support))
+        # the default pure profile is concentrated; the mixed one at
+        # eps = 0.5 is all light and deviates in every trial
+        for profile, eps in ((None, 0.1), (mixed, 0.5)):
+            report = sn.random_split_probe(meeting3, eps, 0.01, 20, seed, profile=profile)
+            row, col = _per_trial_probe(meeting3, eps, 0.01, 20, seed, profile)
+            assert report["row"] == row and report["col"] == col
+        assert row["deviations"] == 20
