@@ -3,10 +3,11 @@
 For constant-sum games the set of near-optimal strategies of each player is
 a polytope cut out by the value guarantees, so the radius of the set of
 alpha/2-equilibria around a small-support anchor can be computed exactly:
-one LP per sign partition of the anchor's support maximizes twice the
-variation distance subject to staying within alpha of the game value. The
-certified sandwich is (alpha/2, 2*delta) stable but not (alpha, delta/2)
-stable.
+:func:`stablenash.stability.partition_sweep`, the one sign-partition sweep,
+solves one LP per sign partition of the anchor's support, maximizing twice
+the variation distance subject to staying within alpha of the game value.
+The certified sandwich is (alpha/2, 2*delta) stable but not (alpha,
+delta/2) stable.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .config import (
 from .core import BimatrixGame, MixedStrategy, StrategyProfile, regrets
 from .errors import CertificateError, DomainError, ParameterError, ResourceBudgetError
 from .lp import OPTIMAL, LinearProgram, solve_lp
+from .stability import partition_sweep
 from .support import lmm_sample
 
 
@@ -147,67 +149,42 @@ def _anchor(
     )
 
 
-def _side_radius(
-    payoff_cols: np.ndarray,
-    value: float,
+def _max_objective(
+    game: BimatrixGame,
+    mm: MinimaxSolution,
+    p_prime: MixedStrategy,
+    q_prime: MixedStrategy,
     alpha: float,
-    anchor: MixedStrategy,
-    zero_outside: Optional[tuple[int, ...]],
+    restricted: bool,
     partition_budget: int,
     tol: Tolerances,
 ) -> float:
-    """Max LP objective over sign partitions of the anchor's support.
+    """Largest sign-partition objective over both players' regions, or 0.
 
-    The feasible set is every distribution guaranteeing value - alpha
-    against all opponent actions; each partition LP's objective equals
-    twice the variation distance to the anchor at its optimum. Partitions
-    with an empty side are included (they are valid sign patterns and catch
-    one-sided drifts). Returns 0 when every partition is infeasible.
+    A player's region holds every distribution guaranteeing value - alpha
+    against all opponent actions, with mass forbidden outside the minimax
+    support when ``restricted``; :func:`partition_sweep` maximizes twice the
+    variation distance to the anchor over it.
     """
-    n, k = payoff_cols.shape
-    support = list(anchor.support)
-    if 2 ** len(support) > partition_budget:
-        raise ResourceBudgetError(
-            f"2^{len(support)} sign partitions exceed the budget {partition_budget}"
-        )
-    upper = None
-    if zero_outside is not None:
-        upper = np.full(n, np.inf)
-        outside = np.ones(n, dtype=bool)
-        outside[list(zero_outside)] = False
-        upper[outside] = 0.0
-    ref = anchor.probs
-    outside_support = np.ones(n, dtype=bool)
-    outside_support[support] = False
     best = 0.0
-    for mask in range(2 ** len(support)):
-        plus = [support[b] for b in range(len(support)) if mask >> b & 1]
-        minus = [i for i in support if i not in plus]
-        lp = LinearProgram(n, upper=upper.copy() if upper is not None else None)
-        mass = np.ones(n)
-        lp.add_constraint(mass, "=", 1.0)
-        for j in range(k):
-            lp.add_constraint(payoff_cols[:, j], ">=", value - alpha)
-        obj = np.where(outside_support, 1.0, 0.0)
-        constant = 0.0
-        for i in plus:
-            row = np.zeros(n)
-            row[i] = 1.0
-            lp.add_constraint(row, ">=", float(ref[i]))
-            obj[i] = 1.0
-            constant -= float(ref[i])
-        for i in minus:
-            row = np.zeros(n)
-            row[i] = 1.0
-            lp.add_constraint(row, "<=", float(ref[i]))
-            obj[i] = -1.0
-            constant += float(ref[i])
-        lp.set_objective(obj, maximize=True)
-        out = solve_lp(lp, tol)
-        if out.status != OPTIMAL:
-            continue
-        value_at_opt = float(out.objective_value) + constant
-        best = max(best, value_at_opt)
+    for payoff_cols, value, anchor, optimal in (
+        (game.R, mm.v_R, p_prime, mm.p_star),
+        (np.ascontiguousarray(game.C.T), mm.v_C, q_prime, mm.q_star),
+    ):
+        n, k = payoff_cols.shape
+        k_support = len(anchor.support)
+        if 2 ** k_support > partition_budget:
+            raise ResourceBudgetError(
+                f"2^{k_support} sign partitions exceed the budget {partition_budget}"
+            )
+        region = [(np.ones(n), "=", 1.0)]
+        region += [(payoff_cols[:, j], ">=", value - alpha) for j in range(k)]
+        upper = None
+        if restricted:
+            upper = np.zeros(n)
+            upper[list(optimal.support)] = np.inf
+        sweep = partition_sweep(region, n, anchor.probs, upper, tol)
+        best = max([best] + [objective for objective, _ in sweep])
     return best
 
 
@@ -227,12 +204,9 @@ def _certify(
     anchor_rep = regrets(game, StrategyProfile(p_prime, q_prime), tol)
     if anchor_rep.max_regret > alpha + tol.eq:
         raise CertificateError("anchor is not an alpha-Nash profile")
-    obj_p = _side_radius(game.R, mm.v_R, alpha, p_prime, None, partition_budget, tol)
-    obj_q = _side_radius(
-        np.ascontiguousarray(game.C.T), mm.v_C, alpha, q_prime, None,
-        partition_budget, tol,
+    max_objective = _max_objective(
+        game, mm, p_prime, q_prime, alpha, False, partition_budget, tol
     )
-    max_objective = max(obj_p, obj_q)
     # no variation distance exceeds 1; the LP optimum can, by rounding
     delta = min(1.0, max_objective / 2.0)
     return mm, StrongStabilityCertificate(
@@ -284,15 +258,10 @@ def well_supported_certificate(
     feasible region, so delta_l <= delta_h always.
     """
     mm, cert = _certify(game, alpha, seed, partition_budget, anchor_multiplier, tol)
-    obj_p = _side_radius(
-        game.R, mm.v_R, alpha, cert.p_prime, mm.p_star.support,
-        partition_budget, tol,
+    restricted = _max_objective(
+        game, mm, cert.p_prime, cert.q_prime, alpha, True, partition_budget, tol
     )
-    obj_q = _side_radius(
-        np.ascontiguousarray(game.C.T), mm.v_C, alpha, cert.q_prime,
-        mm.q_star.support, partition_budget, tol,
-    )
-    return cert, min(1.0, max(obj_p, obj_q) / 2.0)
+    return cert, min(1.0, restricted / 2.0)
 
 
 def well_supported_stability_parameters(

@@ -6,6 +6,9 @@ approximate equilibrium far from the exact set). Exact upper-bound
 certification is only available for constant-sum games (see
 :mod:`stablenash.constant_sum`), because general-game verification would
 require enumerating equilibria of every admissible perturbation.
+
+:func:`partition_sweep` is the one sign-partition distance sweep: the
+estimators take its vertices, the constant-sum certifier its objectives.
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ from .errors import (
     DomainError,
     ParameterError,
     PreconditionError,
+    ResourceBudgetError,
 )
 from .lp import FEASIBLE, OPTIMAL, LinearProgram, solve_lp
-from .oracle import EquilibriumSet, distance_to_set, enumerate_equilibria
+from .oracle import EquilibriumSet, all_pairs_cost, distance_to_set, enumerate_equilibria
 from .support import HeavyLightSplit, heavy_light_partition, light_sample_size
 
 log = logging.getLogger(__name__)
@@ -52,7 +56,10 @@ MODE_PERTURBATION = "perturbation"
 MODE_PLAIN = "approximation"
 MODE_WELL_SUPPORTED = "well_supported"
 
-_PARTITION_CAP = 18  # skip 2^k partition sweeps beyond this support size
+# Estimators skip a reference with more movable entries than this, since a
+# skipped sweep only weakens a lower bound; the constant-sum certifier raises
+# at its budget instead, since an upper-bound certificate may not skip one.
+_PARTITION_CAP = 18
 # Probabilities per stacked sampler pass, which bounds the stack's memory.
 _STACK_FLOATS = 1 << 18
 
@@ -156,7 +163,7 @@ def estimate_perturbation_stability(
         eqs = enumerate_equilibria(g_prime, max_support, budget, tol)
         for eq in eqs.equilibria:
             d = distance_to_set(eq, base)
-            if best is None or d > best.distance:
+            if best is None or d > best.distance + tol.zero:
                 best = Witness(d, eq, label, g_prime)
     witnesses = (best,) if best is not None else ()
     return StabilityReport(
@@ -248,50 +255,54 @@ def sample_approximate_equilibria(
     return out
 
 
-def _distance_maximizers(
-    base_lp_rows: list[tuple[np.ndarray, str, float]],
+def partition_sweep(
+    base_rows: list[tuple[np.ndarray, str, float]],
     n: int,
     ref: np.ndarray,
     zero_upper: Optional[np.ndarray],
     tol: Tolerances,
-) -> list[np.ndarray]:
-    """Vertices maximizing variation distance to ``ref`` over a polytope.
+) -> list[tuple[float, np.ndarray]]:
+    """The sign-partition distance sweep around ``ref`` over a polytope.
 
-    One LP per sign partition of ref's support: entries forced above ref
-    count positively, entries forced below count their shortfall, and mass
-    outside ref's support always counts. The partition constraints make the
-    objective equal twice the variation distance, so the sweep's best vertex
-    attains the true maximum distance.
+    The polytope is cut out by ``base_rows`` and the optional upper bounds
+    ``zero_upper``. One LP per sign partition of ref's movable support
+    (entries whose upper bound is not zero; pinned ones stay below ref):
+    entries forced above ref count positively, entries forced below count
+    their shortfall, and mass outside ref's support always counts. Each
+    feasible partition yields (objective + partition constant, vertex),
+    which is ||vertex - ref||_1, twice the variation distance. The caller
+    bounds the 2^k partitions.
     """
     support = [int(i) for i in np.nonzero(ref)[0]]
     movable = [i for i in support if zero_upper is None or zero_upper[i] > 0.0]
     fixed_minus = [i for i in support if i not in movable]
-    if len(movable) > _PARTITION_CAP:
-        return []
     outside = np.ones(n, dtype=bool)
     outside[support] = False
-    results: list[np.ndarray] = []
+    results: list[tuple[float, np.ndarray]] = []
     for mask in range(2 ** len(movable)):
         plus = [movable[b] for b in range(len(movable)) if mask >> b & 1]
         minus = [i for i in movable if i not in plus] + fixed_minus
         lp = LinearProgram(n, upper=zero_upper.copy() if zero_upper is not None else None)
-        for coeffs, rel, rhs in base_lp_rows:
+        for coeffs, rel, rhs in base_rows:
             lp.add_constraint(coeffs, rel, rhs)
         obj = np.where(outside, 1.0, 0.0)
+        constant = 0.0
         for i in plus:
             row = np.zeros(n)
             row[i] = 1.0
             lp.add_constraint(row, ">=", float(ref[i]))
             obj[i] = 1.0
+            constant -= float(ref[i])
         for i in minus:
             row = np.zeros(n)
             row[i] = 1.0
             lp.add_constraint(row, "<=", float(ref[i]))
             obj[i] = -1.0
+            constant += float(ref[i])
         lp.set_objective(obj, maximize=True)
         out = solve_lp(lp, tol)
         if out.status == OPTIMAL:
-            results.append(out.solution)
+            results.append((float(out.objective_value) + constant, out.solution))
     return results
 
 
@@ -320,7 +331,9 @@ def _plain_candidates(
         for j in range(cols):
             p_rows.append((C[:, j] - cq, "<=", eps))
         for r_idx, ref in enumerate(base.equilibria):
-            for p_cand in _distance_maximizers(p_rows, rows, ref.row.probs, None, tol):
+            if len(ref.row.support) > _PARTITION_CAP:
+                continue
+            for _, p_cand in partition_sweep(p_rows, rows, ref.row.probs, None, tol):
                 out.append(
                     (
                         f"lp:fix-q:{a_idx}:ref:{r_idx}",
@@ -335,7 +348,9 @@ def _plain_candidates(
         for i in range(rows):
             q_rows.append((R[i, :] - rp, "<=", eps))
         for r_idx, ref in enumerate(base.equilibria):
-            for q_cand in _distance_maximizers(q_rows, cols, ref.col.probs, None, tol):
+            if len(ref.col.support) > _PARTITION_CAP:
+                continue
+            for _, q_cand in partition_sweep(q_rows, cols, ref.col.probs, None, tol):
                 out.append(
                     (
                         f"lp:fix-p:{a_idx}:ref:{r_idx}",
@@ -372,14 +387,12 @@ def _ws_candidates(
     realized ones, and the constraints quantify over the declared sets.
     """
     rows, cols = game.shape
+    if all_pairs_cost(rows, cols, max(rows, cols)) > budget:
+        raise ResourceBudgetError(f"declared-support search exceeds budget {budget}")
     CT = np.ascontiguousarray(game.C.T)
     out: list[tuple[str, StrategyProfile]] = []
-    pair_count = 0
     for S_p in _nonempty_subsets(rows):
         for S_q in _nonempty_subsets(cols):
-            pair_count += 1
-            if pair_count > budget:
-                return out
             q_rows = _ws_region_rows(game.R, S_p, eps)
             q_upper = np.zeros(cols)
             q_upper[list(S_q)] = np.inf
@@ -395,8 +408,14 @@ def _ws_candidates(
             label = f"ws-lp:{S_p}:{S_q}"
             out.append((label, StrategyProfile.from_vectors(p_feas, q_feas, tol)))
             for r_idx, ref in enumerate(base.equilibria):
-                p_cands = _distance_maximizers(p_rows, rows, ref.row.probs, p_upper, tol)
-                q_cands = _distance_maximizers(q_rows, cols, ref.col.probs, q_upper, tol)
+                p_cands: list[np.ndarray] = []
+                q_cands: list[np.ndarray] = []
+                if np.count_nonzero(ref.row.probs[list(S_p)]) <= _PARTITION_CAP:
+                    sweep = partition_sweep(p_rows, rows, ref.row.probs, p_upper, tol)
+                    p_cands = [v for _, v in sweep]
+                if np.count_nonzero(ref.col.probs[list(S_q)]) <= _PARTITION_CAP:
+                    sweep = partition_sweep(q_rows, cols, ref.col.probs, q_upper, tol)
+                    q_cands = [v for _, v in sweep]
                 p_far = max(
                     p_cands,
                     key=lambda v: float(np.abs(v - ref.row.probs).sum()),
@@ -479,7 +498,7 @@ def estimate_approximation_stability(
             log.debug("discarding candidate %s with measure %.3g", label, measure)
             continue
         d = distance_to_set(profile, base)
-        if best is None or d > best.distance:
+        if best is None or d > best.distance + tol.zero:
             best = Witness(d, profile, label)
     return StabilityReport(
         epsilon=eps,

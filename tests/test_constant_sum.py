@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablenash as sn
-from stablenash.errors import DomainError, ParameterError
+from stablenash.errors import DomainError, ParameterError, ResourceBudgetError
 from stablenash.lp import OPTIMAL, LinearProgram, solve_lp
+from stablenash.stability import partition_sweep
 
 from conftest import random_simplex
 
@@ -137,23 +138,37 @@ class TestStrongStabilityParameters:
         assert found > 0
 
     def test_partition_objective_equals_twice_distance(self, matching_pennies):
-        # re-derive one partition LP by hand and compare its objective with
-        # the variation distance of its own optimizer
+        # re-derive one partition LP by hand, and run the sweep itself, and
+        # compare each objective with the variation distance of its optimizer
         mm = sn.minimax_solve(matching_pennies)
         anchor = mm.p_star.probs
         alpha = 0.1
+        region = [(np.ones(2), "=", 1.0)]
+        region += [(matching_pennies.R[:, j], ">=", mm.v_R - alpha) for j in range(2)]
         lp = LinearProgram(2)
-        lp.add_constraint(np.ones(2), "=", 1.0)
-        for j in range(2):
-            lp.add_constraint(matching_pennies.R[:, j], ">=", mm.v_R - alpha)
+        for coeffs, rel, rhs in region:
+            lp.add_constraint(coeffs, rel, rhs)
         lp.add_constraint([1.0, 0.0], ">=", anchor[0])  # index 0 in the plus part
         lp.add_constraint([0.0, 1.0], "<=", anchor[1])
         lp.set_objective([1.0, -1.0])
         out = solve_lp(lp)
         assert out.status == OPTIMAL
-        dist = 0.5 * np.abs(out.solution - anchor).sum()
-        objective = out.objective_value - anchor[0] + anchor[1]
-        assert objective == pytest.approx(2 * dist, abs=1e-8)
+        by_hand = (out.objective_value - anchor[0] + anchor[1], out.solution)
+        sweep = partition_sweep(region, 2, anchor, None, sn.DEFAULT_TOLS)
+        assert len(sweep) == 4  # every sign partition is feasible here
+        for objective, vertex in [by_hand] + sweep:
+            dist = 0.5 * np.abs(vertex - anchor).sum()
+            assert objective == pytest.approx(2 * dist, abs=1e-8)
+
+    def test_partition_budget_is_never_skipped(self, matching_pennies):
+        # an upper-bound certificate may not skip a partition: the anchor's
+        # support of 2 needs 4 partitions per side
+        with pytest.raises(ResourceBudgetError):
+            sn.strong_stability_parameters(matching_pennies, 0.1, partition_budget=3)
+        with pytest.raises(ResourceBudgetError):
+            sn.well_supported_stability_parameters(
+                matching_pennies, 0.1, partition_budget=3
+            )
 
 
 class TestWellSupportedParameters:

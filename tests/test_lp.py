@@ -1,8 +1,14 @@
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+import stablenash
 from stablenash.errors import ValidationError
 from stablenash.lp import (
     FEASIBLE,
@@ -181,3 +187,23 @@ def test_against_scipy_linprog(seed):
         assert ref.status == 0
         assert mine.status == OPTIMAL
         assert mine.objective_value == pytest.approx(-ref.fun, abs=1e-6)
+
+
+def test_every_solve_lp_caller_is_traced():
+    # the traced benchmark rebinds solve_lp in each module of LP_CALLERS and
+    # checks their counts against lp's own; a module missing from the list
+    # would make that run report an incorrect count
+    spans = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    traced = None
+    for node in ast.parse(spans.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LP_CALLERS" for t in node.targets
+        ):
+            traced = set(ast.literal_eval(node.value))
+    assert traced
+    callers = set()
+    for info in pkgutil.iter_modules(stablenash.__path__):
+        module = importlib.import_module(f"stablenash.{info.name}")
+        if info.name != "lp" and getattr(module, "solve_lp", None) is solve_lp:
+            callers.add(info.name)
+    assert callers and callers <= traced, sorted(callers - traced)

@@ -8,6 +8,7 @@ from stablenash.errors import (
     DomainError,
     ParameterError,
     PreconditionError,
+    ResourceBudgetError,
 )
 from stablenash import stability
 from stablenash.stability import MODE_PLAIN, MODE_WELL_SUPPORTED, perturbation_battery
@@ -90,6 +91,72 @@ class TestApproximationStability:
     def test_mode_validation(self, meeting3):
         with pytest.raises(ParameterError):
             sn.estimate_approximation_stability(meeting3, 0.05, "bogus")
+
+    def test_ws_search_guard_raises_before_any_lp(self):
+        # a 3x3 game has (2^3 - 1)^2 = 49 declared-support pairs
+        g = sn.random_game(3, 3, 0)
+        with pytest.raises(ResourceBudgetError):
+            sn.estimate_approximation_stability(
+                g, 0.05, MODE_WELL_SUPPORTED, trials=0, budget=48
+            )
+        rep = sn.estimate_approximation_stability(g, 0.05, MODE_PLAIN, trials=0, budget=48)
+        assert rep.mode == MODE_PLAIN
+
+    def test_partition_cap_skips_mixed_references(self, meeting3, monkeypatch):
+        # above the cap a reference's sweep is skipped, which only weakens
+        # the lower bound; the witness found must still verify
+        monkeypatch.setattr(stability, "_PARTITION_CAP", 1)
+        base = sn.enumerate_equilibria(meeting3)
+        mixed = {
+            r for r, eq in enumerate(base.equilibria)
+            if len(eq.row.support) > 1 or len(eq.col.support) > 1
+        }
+        assert mixed
+        labels = [
+            label for label, _ in stability._plain_candidates(
+                meeting3, 0.05, base, sn.DEFAULT_TOLS
+            )
+        ]
+        assert labels
+        assert not {int(label.rsplit(":", 1)[1]) for label in labels} & mixed
+        rep = sn.estimate_approximation_stability(
+            meeting3, 0.05, MODE_PLAIN, trials=16, seed=2
+        )
+        w = rep.witnesses[0]
+        assert sn.regrets(meeting3, w.profile).max_regret <= 0.05 + 1e-7
+        assert w.distance == rep.delta_hat == sn.distance_to_set(w.profile, base)
+
+
+_ESTIMATES = {
+    "approximation": lambda: sn.estimate_approximation_stability(
+        sn.meeting_game(3), 0.05, MODE_PLAIN, trials=8, seed=2
+    ),
+    "well_supported": lambda: sn.estimate_approximation_stability(
+        sn.meeting_game(3), 0.05, MODE_WELL_SUPPORTED, trials=8, seed=2
+    ),
+    "perturbation": lambda: sn.estimate_perturbation_stability(sn.matching_pennies(), 0.05),
+}
+
+
+@pytest.mark.parametrize("estimate", sorted(_ESTIMATES))
+@pytest.mark.parametrize("jump_at", [None, 3])
+def test_witness_ignores_float_dust(estimate, jump_at, monkeypatch):
+    # each candidate lies 1e-16 farther than the one before, which must not
+    # displace the earliest witness; a lead of 1e-6 still must
+    seen = []
+
+    def rising(profile, eqs):
+        seen.append(profile)
+        k = len(seen) - 1
+        return 0.25 + 1e-16 * k + (1e-6 if k == jump_at else 0.0)
+
+    monkeypatch.setattr(stability, "distance_to_set", rising)
+    rep = _ESTIMATES[estimate]()
+    assert len(seen) > 4
+    first = 0 if jump_at is None else jump_at
+    assert rep.witnesses[0].profile is seen[first]
+    expected = 0.25 + 1e-16 * first + (1e-6 if first == jump_at else 0.0)
+    assert rep.delta_hat == rep.witnesses[0].distance == expected
 
 
 class TestSampler:
