@@ -49,8 +49,12 @@ PROBE_REFERENCE_COEFF = 27.0
 # visits all size pairs.
 DEFAULT_ENUM_BUDGET = 100_000
 
-# Algorithm budgets for the constant-sum stability certifier.
+# Sign partitions one distance sweep may solve, an LP each: the sweep
+# raises above it, in the constant-sum certifier and in the
+# approximation-stability estimators alike.
 DEFAULT_PARTITION_BUDGET = 2 ** 20
+
+# Anchor budgets for the constant-sum stability certifier.
 ANCHOR_SUPPORT_MULTIPLIER = 1.0  # K in target support ceil(log(n)/alpha^2) * K
 ANCHOR_RESAMPLE_LIMIT = 200
 

@@ -7,7 +7,9 @@ alpha/2-equilibria around a small-support anchor can be computed exactly:
 solves one LP per sign partition of the anchor's support, maximizing twice
 the variation distance subject to staying within alpha of the game value.
 The certified sandwich is (alpha/2, 2*delta) stable but not (alpha,
-delta/2) stable.
+delta/2) stable. The sweep enforces ``partition_budget``: an upper-bound
+certificate raises rather than skipping a partition. The well-supported
+variant's restricted radius comes from the same pass over the two sides.
 """
 
 from __future__ import annotations
@@ -149,43 +151,46 @@ def _anchor(
     )
 
 
-def _max_objective(
+def _max_objectives(
     game: BimatrixGame,
     mm: MinimaxSolution,
     p_prime: MixedStrategy,
     q_prime: MixedStrategy,
     alpha: float,
-    restricted: bool,
+    well_supported: bool,
     partition_budget: int,
     tol: Tolerances,
-) -> float:
-    """Largest sign-partition objective over both players' regions, or 0.
+) -> tuple[float, float]:
+    """Largest plain and restricted sign-partition objectives, or 0.
 
     A player's region holds every distribution guaranteeing value - alpha
-    against all opponent actions, with mass forbidden outside the minimax
-    support when ``restricted``; :func:`partition_sweep` maximizes twice the
-    variation distance to the anchor over it.
+    against all opponent actions; its restriction also forbids mass outside
+    the minimax support. :func:`partition_sweep` maximizes twice the
+    variation distance to the anchor over each. A side sweeps its
+    restriction only when ``well_supported`` and its minimax support is not
+    full; otherwise its restricted objective is its plain one, since a full
+    support forbids nothing.
     """
-    best = 0.0
+    plain = restricted = 0.0
     for payoff_cols, value, anchor, optimal in (
         (game.R, mm.v_R, p_prime, mm.p_star),
         (np.ascontiguousarray(game.C.T), mm.v_C, q_prime, mm.q_star),
     ):
         n, k = payoff_cols.shape
-        k_support = len(anchor.support)
-        if 2 ** k_support > partition_budget:
-            raise ResourceBudgetError(
-                f"2^{k_support} sign partitions exceed the budget {partition_budget}"
-            )
         region = [(np.ones(n), "=", 1.0)]
         region += [(payoff_cols[:, j], ">=", value - alpha) for j in range(k)]
-        upper = None
-        if restricted:
+        uppers = [None]
+        if well_supported and len(optimal.support) < n:
             upper = np.zeros(n)
             upper[list(optimal.support)] = np.inf
-        sweep = partition_sweep(region, n, anchor.probs, upper, tol)
-        best = max([best] + [objective for objective, _ in sweep])
-    return best
+            uppers.append(upper)
+        best = []
+        for upper in uppers:
+            sweep = partition_sweep(region, n, anchor.probs, upper, partition_budget, tol)
+            best.append(max([0.0] + [objective for objective, _ in sweep]))
+        plain = max(plain, best[0])
+        restricted = max(restricted, best[-1])
+    return plain, restricted
 
 
 def _certify(
@@ -194,9 +199,11 @@ def _certify(
     seed,
     partition_budget: int,
     anchor_multiplier: float,
+    well_supported: bool,
     tol: Tolerances,
-) -> tuple[MinimaxSolution, StrongStabilityCertificate]:
-    """The minimax solution and the certificate built on it."""
+) -> tuple[StrongStabilityCertificate, float]:
+    """The certificate and the restricted radius delta_l (the plain radius
+    unless ``well_supported``), from one pass over both players' sides."""
     if not 0 < alpha < 1:
         raise ParameterError("alpha must lie in (0, 1)")
     mm = minimax_solve(game, tol)
@@ -204,12 +211,12 @@ def _certify(
     anchor_rep = regrets(game, StrategyProfile(p_prime, q_prime), tol)
     if anchor_rep.max_regret > alpha + tol.eq:
         raise CertificateError("anchor is not an alpha-Nash profile")
-    max_objective = _max_objective(
-        game, mm, p_prime, q_prime, alpha, False, partition_budget, tol
+    max_objective, restricted = _max_objectives(
+        game, mm, p_prime, q_prime, alpha, well_supported, partition_budget, tol
     )
     # no variation distance exceeds 1; the LP optimum can, by rounding
     delta = min(1.0, max_objective / 2.0)
-    return mm, StrongStabilityCertificate(
+    return StrongStabilityCertificate(
         alpha=alpha,
         delta=delta,
         p_prime=p_prime,
@@ -219,7 +226,7 @@ def _certify(
             "not_stable": {"eps": alpha, "delta": delta / 2.0},
         },
         max_objective=max_objective,
-    )
+    ), min(1.0, restricted / 2.0)
 
 
 def strong_stability_parameters(
@@ -237,7 +244,9 @@ def strong_stability_parameters(
     half the largest objective, i.e. the largest variation distance any
     near-value strategy can reach from the anchor, capped at 1.
     """
-    return _certify(game, alpha, seed, partition_budget, anchor_multiplier, tol)[1]
+    return _certify(
+        game, alpha, seed, partition_budget, anchor_multiplier, False, tol
+    )[0]
 
 
 def well_supported_certificate(
@@ -251,17 +260,14 @@ def well_supported_certificate(
     """The plain certificate and the well-supported radius delta_l.
 
     The certificate is that of :func:`strong_stability_parameters`, and its
-    delta is the well-supported variant's delta_h. delta_l re-runs only the
-    partition sweep, around the same anchor, with mass forbidden outside
-    the minimax supports, which is exactly the extra restriction a
-    well-supported deviation must satisfy. The added constraints shrink the
-    feasible region, so delta_l <= delta_h always.
+    delta is the well-supported variant's delta_h. delta_l comes from the
+    same pass over the two sides, around the same anchor, with mass
+    forbidden outside the minimax supports, which is exactly the extra
+    restriction a well-supported deviation must satisfy; a side whose
+    minimax support is full keeps its plain objective. The added bounds
+    shrink the feasible region, so delta_l <= delta_h always.
     """
-    mm, cert = _certify(game, alpha, seed, partition_budget, anchor_multiplier, tol)
-    restricted = _max_objective(
-        game, mm, cert.p_prime, cert.q_prime, alpha, True, partition_budget, tol
-    )
-    return cert, min(1.0, restricted / 2.0)
+    return _certify(game, alpha, seed, partition_budget, anchor_multiplier, True, tol)
 
 
 def well_supported_stability_parameters(

@@ -119,19 +119,6 @@ def _support_lp(
     return full
 
 
-def _tieline_rank_deficient(
-    payoff: np.ndarray, own_support: tuple[int, ...], eq_rows: tuple[int, ...]
-) -> bool:
-    """True when the tie system leaves the accepted distribution underpinned."""
-    sub = payoff[np.ix_(list(eq_rows), list(own_support))]
-    n = len(own_support) + 1
-    system = np.zeros((len(eq_rows) + 1, n))
-    system[: len(eq_rows), :-1] = sub
-    system[: len(eq_rows), -1] = -1.0
-    system[-1, :-1] = 1.0
-    return np.linalg.matrix_rank(system, tol=_RANK_TOL) < n
-
-
 def _admit(
     game: BimatrixGame,
     found: list[StrategyProfile],
@@ -155,8 +142,10 @@ def _lp_pass(
 ) -> tuple[list[StrategyProfile], bool]:
     """Equilibria from two LPs per support pair over every pair of sizes.
 
-    Returns the equilibria in visit order, and whether the tie system of a
-    found equilibrium is rank-deficient (which marks a component).
+    Returns the equilibria in visit order, and whether a found equilibrium
+    marks a component: its supports differ in size, so the side with more
+    own actions than tied opponent actions is underdetermined, or one of
+    its square tie systems is singular.
     """
     rows, cols = game.shape
     CT = np.ascontiguousarray(game.C.T)
@@ -174,9 +163,12 @@ def _lp_pass(
                         continue
                     if not _admit(game, found, p, q, tol):
                         continue
-                    if _tieline_rank_deficient(game.R, S_q, S_p) or (
-                        _tieline_rank_deficient(CT, S_p, S_q)
-                    ):
+                    if kp != kq:
+                        degenerate = True
+                        continue
+                    P, Q = np.array([S_p]), np.array([S_q])
+                    A = np.concatenate((_tie_systems(game.R, Q, P), _tie_systems(CT, P, Q)))
+                    if (np.linalg.matrix_rank(A, tol=_RANK_TOL) < kp + 1).any():
                         degenerate = True
     return found, degenerate
 
@@ -219,6 +211,20 @@ def _solve_ties(
     return sol, singular
 
 
+def _tie_systems(payoff: np.ndarray, own: np.ndarray, opp: np.ndarray) -> np.ndarray:
+    """The square tie systems of a stack of size-k support pairs.
+
+    Row m is the (k+1)x(k+1) matrix of ``payoff[opp[m]][:, own[m]] x - u``
+    and ``sum(x)`` in the unknowns (x, u); its right-hand side is e_last.
+    """
+    m, k = own.shape
+    A = np.zeros((m, k + 1, k + 1))
+    A[:, :k, :k] = payoff[opp[:, :, None], own[:, None, :]]
+    A[:, :k, k] = -1.0
+    A[:, k, :k] = 1.0
+    return A
+
+
 def _side_pass(
     payoff: np.ndarray, own: np.ndarray, opp: np.ndarray, tol: Tolerances
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -230,12 +236,8 @@ def _side_pass(
     are positive and leave no opponent action above u, or None when a
     degeneracy witness shows.
     """
-    m, k = own.shape
-    A = np.zeros((m, k + 1, k + 1))
-    A[:, :k, :k] = payoff[opp[:, :, None], own[:, None, :]]
-    A[:, :k, k] = -1.0
-    A[:, k, :k] = 1.0
-    solved = _solve_ties(A, tol)
+    k = own.shape[1]
+    solved = _solve_ties(_tie_systems(payoff, own, opp), tol)
     if solved is None:
         return None
     sol, singular = solved

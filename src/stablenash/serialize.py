@@ -20,8 +20,8 @@ from .embedding import EmbeddedGame
 from .errors import ValidationError
 from .oracle import EquilibriumSet
 from .stability import StabilityReport, Witness
-from .support import HeavyLightSplit, SearchResult
-from .constant_sum import MinimaxSolution, StrongStabilityCertificate
+from .support import SearchResult
+from .constant_sum import StrongStabilityCertificate
 
 
 def _floats(a) -> list:
@@ -107,16 +107,6 @@ def stability_report_to_dict(report: StabilityReport) -> dict:
     }
 
 
-def minimax_to_dict(mm: MinimaxSolution) -> dict:
-    return {
-        "p_star": _floats(mm.p_star.probs),
-        "q_star": _floats(mm.q_star.probs),
-        "v_R": mm.v_R,
-        "v_C": mm.v_C,
-        "constant": mm.constant,
-    }
-
-
 def certificate_to_dict(cert: StrongStabilityCertificate) -> dict:
     return {
         "alpha": cert.alpha,
@@ -125,15 +115,6 @@ def certificate_to_dict(cert: StrongStabilityCertificate) -> dict:
         "q_prime": _floats(cert.q_prime.probs),
         "sandwich": cert.sandwich,
         "max_objective": cert.max_objective,
-    }
-
-
-def split_to_dict(split: HeavyLightSplit) -> dict:
-    return {
-        "heavy": list(split.heavy),
-        "light": list(split.light),
-        "beta": split.beta,
-        "terminated_by": split.terminated_by,
     }
 
 

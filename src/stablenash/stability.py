@@ -9,6 +9,10 @@ require enumerating equilibria of every admissible perturbation.
 
 :func:`partition_sweep` is the one sign-partition distance sweep: the
 estimators take its vertices, the constant-sum certifier its objectives.
+It states each partition as variable bounds and is the only place that
+limits how many partitions a sweep may solve; above
+``DEFAULT_PARTITION_BUDGET`` the estimators raise, as the certifier does
+above its ``partition_budget``.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 
 from .config import (
     DEFAULT_ENUM_BUDGET,
+    DEFAULT_PARTITION_BUDGET,
     DEFAULT_TOLS,
     LIGHT_SAMPLE_COEFF,
     PROBE_REFERENCE_COEFF,
@@ -56,10 +61,6 @@ MODE_PERTURBATION = "perturbation"
 MODE_PLAIN = "approximation"
 MODE_WELL_SUPPORTED = "well_supported"
 
-# Estimators skip a reference with more movable entries than this, since a
-# skipped sweep only weakens a lower bound; the constant-sum certifier raises
-# at its budget instead, since an upper-bound certificate may not skip one.
-_PARTITION_CAP = 18
 # Probabilities per stacked sampler pass, which bounds the stack's memory.
 _STACK_FLOATS = 1 << 18
 
@@ -260,48 +261,46 @@ def partition_sweep(
     n: int,
     ref: np.ndarray,
     zero_upper: Optional[np.ndarray],
+    budget: int,
     tol: Tolerances,
 ) -> list[tuple[float, np.ndarray]]:
     """The sign-partition distance sweep around ``ref`` over a polytope.
 
     The polytope is cut out by ``base_rows`` and the optional upper bounds
-    ``zero_upper``. One LP per sign partition of ref's movable support
-    (entries whose upper bound is not zero; pinned ones stay below ref):
-    entries forced above ref count positively, entries forced below count
-    their shortfall, and mass outside ref's support always counts. Each
-    feasible partition yields (objective + partition constant, vertex),
-    which is ||vertex - ref||_1, twice the variation distance. The caller
-    bounds the 2^k partitions.
+    ``zero_upper``, each 0 (mass forbidden) or +inf. One LP per sign
+    partition of ref's movable support (entries whose upper bound is not
+    zero; pinned ones stay below ref) states the partition as variable
+    bounds: a plus entry is at least ref, a minus entry at most ref. The
+    objective counts the plus part's excess, the minus part's shortfall and
+    all mass outside ref's support, so each feasible partition yields
+    (objective + partition constant, vertex), which is ||vertex - ref||_1,
+    twice the variation distance. This is the one place that bounds a
+    sweep: it raises :class:`ResourceBudgetError` before any LP when the
+    2^k partitions exceed ``budget``.
     """
-    support = [int(i) for i in np.nonzero(ref)[0]]
-    movable = [i for i in support if zero_upper is None or zero_upper[i] > 0.0]
-    fixed_minus = [i for i in support if i not in movable]
-    outside = np.ones(n, dtype=bool)
-    outside[support] = False
+    support = np.flatnonzero(ref)
+    upper = np.full(n, np.inf) if zero_upper is None else zero_upper
+    movable = support[upper[support] > 0.0]
+    if 2 ** len(movable) > budget:
+        raise ResourceBudgetError(
+            f"2^{len(movable)} sign partitions exceed the budget {budget}"
+        )
+    bits = np.arange(len(movable))
     results: list[tuple[float, np.ndarray]] = []
     for mask in range(2 ** len(movable)):
-        plus = [movable[b] for b in range(len(movable)) if mask >> b & 1]
-        minus = [i for i in movable if i not in plus] + fixed_minus
-        lp = LinearProgram(n, upper=zero_upper.copy() if zero_upper is not None else None)
+        plus = movable[(mask >> bits) & 1 == 1]
+        minus = np.setdiff1d(support, plus)
+        lp = LinearProgram(n, upper=upper.copy())
+        lp.lower[plus] = ref[plus]
+        lp.upper[minus] = np.minimum(upper, ref)[minus]
         for coeffs, rel, rhs in base_rows:
             lp.add_constraint(coeffs, rel, rhs)
-        obj = np.where(outside, 1.0, 0.0)
-        constant = 0.0
-        for i in plus:
-            row = np.zeros(n)
-            row[i] = 1.0
-            lp.add_constraint(row, ">=", float(ref[i]))
-            obj[i] = 1.0
-            constant -= float(ref[i])
-        for i in minus:
-            row = np.zeros(n)
-            row[i] = 1.0
-            lp.add_constraint(row, "<=", float(ref[i]))
-            obj[i] = -1.0
-            constant += float(ref[i])
-        lp.set_objective(obj, maximize=True)
+        sign = np.ones(n)
+        sign[minus] = -1.0
+        lp.set_objective(sign, maximize=True)
         out = solve_lp(lp, tol)
         if out.status == OPTIMAL:
+            constant = float(ref[minus].sum() - ref[plus].sum())
             results.append((float(out.objective_value) + constant, out.solution))
     return results
 
@@ -331,9 +330,10 @@ def _plain_candidates(
         for j in range(cols):
             p_rows.append((C[:, j] - cq, "<=", eps))
         for r_idx, ref in enumerate(base.equilibria):
-            if len(ref.row.support) > _PARTITION_CAP:
-                continue
-            for _, p_cand in partition_sweep(p_rows, rows, ref.row.probs, None, tol):
+            sweep = partition_sweep(
+                p_rows, rows, ref.row.probs, None, DEFAULT_PARTITION_BUDGET, tol
+            )
+            for _, p_cand in sweep:
                 out.append(
                     (
                         f"lp:fix-q:{a_idx}:ref:{r_idx}",
@@ -348,9 +348,10 @@ def _plain_candidates(
         for i in range(rows):
             q_rows.append((R[i, :] - rp, "<=", eps))
         for r_idx, ref in enumerate(base.equilibria):
-            if len(ref.col.support) > _PARTITION_CAP:
-                continue
-            for _, q_cand in partition_sweep(q_rows, cols, ref.col.probs, None, tol):
+            sweep = partition_sweep(
+                q_rows, cols, ref.col.probs, None, DEFAULT_PARTITION_BUDGET, tol
+            )
+            for _, q_cand in sweep:
                 out.append(
                     (
                         f"lp:fix-p:{a_idx}:ref:{r_idx}",
@@ -408,23 +409,17 @@ def _ws_candidates(
             label = f"ws-lp:{S_p}:{S_q}"
             out.append((label, StrategyProfile.from_vectors(p_feas, q_feas, tol)))
             for r_idx, ref in enumerate(base.equilibria):
-                p_cands: list[np.ndarray] = []
-                q_cands: list[np.ndarray] = []
-                if np.count_nonzero(ref.row.probs[list(S_p)]) <= _PARTITION_CAP:
-                    sweep = partition_sweep(p_rows, rows, ref.row.probs, p_upper, tol)
-                    p_cands = [v for _, v in sweep]
-                if np.count_nonzero(ref.col.probs[list(S_q)]) <= _PARTITION_CAP:
-                    sweep = partition_sweep(q_rows, cols, ref.col.probs, q_upper, tol)
-                    q_cands = [v for _, v in sweep]
-                p_far = max(
-                    p_cands,
-                    key=lambda v: float(np.abs(v - ref.row.probs).sum()),
-                    default=p_feas,
+                p_far = _farthest(
+                    partition_sweep(
+                        p_rows, rows, ref.row.probs, p_upper, DEFAULT_PARTITION_BUDGET, tol
+                    ),
+                    p_feas,
                 )
-                q_far = max(
-                    q_cands,
-                    key=lambda v: float(np.abs(v - ref.col.probs).sum()),
-                    default=q_feas,
+                q_far = _farthest(
+                    partition_sweep(
+                        q_rows, cols, ref.col.probs, q_upper, DEFAULT_PARTITION_BUDGET, tol
+                    ),
+                    q_feas,
                 )
                 out.append(
                     (
@@ -433,6 +428,14 @@ def _ws_candidates(
                     )
                 )
     return out
+
+
+def _farthest(
+    sweep: list[tuple[float, np.ndarray]], fallback: np.ndarray
+) -> np.ndarray:
+    """The sweep's vertex at the largest distance (the first on ties), or
+    ``fallback`` when no partition is feasible."""
+    return max(sweep, key=lambda item: item[0], default=(0.0, fallback))[1]
 
 
 def _nonempty_subsets(n: int):

@@ -73,7 +73,9 @@ def _side_lp(
     nv = k + 1  # probabilities then the slack s
     lp = LinearProgram(nv)
     spread = float(np.abs(payoff).max())
-    lp.lower[k] = -(2.0 * spread + eps + 1.0)  # finite, never binding
+    # finite, never binding, and below the cap eps even when eps < 0
+    lp.lower[k] = -(2.0 * spread + abs(eps) + 1.0)
+    lp.upper[k] = eps  # so the objective cannot run away on loose instances
     mass = np.zeros(nv)
     mass[:k] = 1.0
     lp.add_constraint(mass, "=", 1.0)
@@ -85,10 +87,6 @@ def _side_lp(
             row[:k] = sub[i] - sub[a]
             row[k] = -1.0
             lp.add_constraint(row, ">=", -eps)
-    # bound s by eps so the objective cannot run away on loose instances
-    s_cap = np.zeros(nv)
-    s_cap[k] = 1.0
-    lp.add_constraint(s_cap, "<=", eps)
     obj = np.zeros(nv)
     obj[k] = 1.0
     lp.set_objective(obj, maximize=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import stablenash as sn
+from stablenash.lp import OPTIMAL, LinearProgram, solve_lp
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -92,3 +93,44 @@ def scalar_sampler(game, eps, count, seed, well_supported, eqs, steps=48, zero=1
         if ok(p, q):
             out.append((p, q))
     return out
+
+
+def row_encoded_sweep(base_rows, n, ref, zero_upper, tol):
+    """Reference sign-partition sweep: each partition as one row per entry.
+
+    Solves the partitions of ref's movable support in the library's mask
+    order, stating ``x_i >= ref_i`` for the plus part and ``x_i <= ref_i``
+    for the minus part as constraint rows instead of variable bounds, and
+    returns (mask, objective + partition constant, vertex) per feasible one.
+    """
+    support = [int(i) for i in np.nonzero(ref)[0]]
+    movable = [i for i in support if zero_upper is None or zero_upper[i] > 0.0]
+    fixed_minus = [i for i in support if i not in movable]
+    outside = np.ones(n, dtype=bool)
+    outside[support] = False
+    results = []
+    for mask in range(2 ** len(movable)):
+        plus = [movable[b] for b in range(len(movable)) if mask >> b & 1]
+        minus = [i for i in movable if i not in plus] + fixed_minus
+        lp = LinearProgram(n, upper=zero_upper.copy() if zero_upper is not None else None)
+        for coeffs, rel, rhs in base_rows:
+            lp.add_constraint(coeffs, rel, rhs)
+        obj = np.where(outside, 1.0, 0.0)
+        constant = 0.0
+        for i in plus:
+            row = np.zeros(n)
+            row[i] = 1.0
+            lp.add_constraint(row, ">=", float(ref[i]))
+            obj[i] = 1.0
+            constant -= float(ref[i])
+        for i in minus:
+            row = np.zeros(n)
+            row[i] = 1.0
+            lp.add_constraint(row, "<=", float(ref[i]))
+            obj[i] = -1.0
+            constant += float(ref[i])
+        lp.set_objective(obj, maximize=True)
+        out = solve_lp(lp, tol)
+        if out.status == OPTIMAL:
+            results.append((mask, float(out.objective_value) + constant, out.solution))
+    return results

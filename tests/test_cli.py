@@ -7,6 +7,7 @@ import pytest
 import stablenash as sn
 from stablenash import serialize
 from stablenash.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_USAGE, run
+from stablenash.lp import solve_lp
 
 
 def run_cli(monkeypatch, capsys, args, stdin_text=""):
@@ -118,6 +119,25 @@ class TestPipelines:
         )
         assert code == EXIT_OK
         assert out == expected
+
+    def test_certify_zs_well_supported_sweeps_once(self, monkeypatch, capsys):
+        # matching pennies has full minimax supports, so the restricted sweep
+        # forbids nothing and reuses the plain one: 4 partitions per side
+        calls = []
+
+        def counting(lp, tol):
+            calls.append(lp)
+            return solve_lp(lp, tol)
+
+        monkeypatch.setattr("stablenash.stability.solve_lp", counting)
+        game_json = serialize.canonical_dumps(serialize.game_to_dict(sn.matching_pennies()))
+        code, _, _ = run_cli(
+            monkeypatch, capsys,
+            ["certify-zs", "--alpha", "0.1", "--well-supported"],
+            stdin_text=game_json,
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 8
 
     def test_certify_modes(self, monkeypatch, capsys):
         _, game_json, _ = run_cli(monkeypatch, capsys, ["generate", "--family", "mp"])

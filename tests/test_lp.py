@@ -192,7 +192,8 @@ def test_against_scipy_linprog(seed):
 def test_every_solve_lp_caller_is_traced():
     # the traced benchmark rebinds solve_lp in each module of LP_CALLERS and
     # checks their counts against lp's own; a module missing from the list
-    # would make that run report an incorrect count
+    # would make that run report an incorrect count, and a listed module
+    # that no longer binds solve_lp would stop it
     spans = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     traced = None
     for node in ast.parse(spans.read_text()).body:
@@ -206,4 +207,4 @@ def test_every_solve_lp_caller_is_traced():
         module = importlib.import_module(f"stablenash.{info.name}")
         if info.name != "lp" and getattr(module, "solve_lp", None) is solve_lp:
             callers.add(info.name)
-    assert callers and callers <= traced, sorted(callers - traced)
+    assert callers and callers == traced, sorted(callers ^ traced)

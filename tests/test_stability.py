@@ -11,10 +11,12 @@ from stablenash.errors import (
     ResourceBudgetError,
 )
 from stablenash import stability
+from stablenash.config import DEFAULT_PARTITION_BUDGET
+from stablenash.lp import INFEASIBLE, OPTIMAL, LpOutcome, solve_lp
 from stablenash.stability import MODE_PLAIN, MODE_WELL_SUPPORTED, perturbation_battery
 from stablenash.support import heavy_light_partition, light_sample_size
 
-from conftest import scalar_sampler
+from conftest import row_encoded_sweep, scalar_sampler
 
 
 class TestPerturbationStability:
@@ -102,29 +104,80 @@ class TestApproximationStability:
         rep = sn.estimate_approximation_stability(g, 0.05, MODE_PLAIN, trials=0, budget=48)
         assert rep.mode == MODE_PLAIN
 
-    def test_partition_cap_skips_mixed_references(self, meeting3, monkeypatch):
-        # above the cap a reference's sweep is skipped, which only weakens
-        # the lower bound; the witness found must still verify
-        monkeypatch.setattr(stability, "_PARTITION_CAP", 1)
-        base = sn.enumerate_equilibria(meeting3)
-        mixed = {
-            r for r, eq in enumerate(base.equilibria)
-            if len(eq.row.support) > 1 or len(eq.col.support) > 1
-        }
-        assert mixed
-        labels = [
-            label for label, _ in stability._plain_candidates(
-                meeting3, 0.05, base, sn.DEFAULT_TOLS
-            )
-        ]
-        assert labels
-        assert not {int(label.rsplit(":", 1)[1]) for label in labels} & mixed
-        rep = sn.estimate_approximation_stability(
-            meeting3, 0.05, MODE_PLAIN, trials=16, seed=2
+    def test_partition_budget_raises_before_any_lp(self, meeting3, monkeypatch):
+        # the sweep alone bounds its partitions: above its budget it raises
+        # before its first LP, in the estimators as in the certifier
+        calls = []
+
+        def infeasible(lp, tol):
+            calls.append(lp)
+            return LpOutcome(INFEASIBLE)
+
+        monkeypatch.setattr(stability, "solve_lp", infeasible)
+        region = [(np.ones(3), "=", 1.0)]
+        ref = np.array([0.5, 0.25, 0.25])
+        pinned = np.array([0.0, np.inf, np.inf])  # leaves two movable entries
+        for zero_upper, budget in ((None, 8), (pinned, 4)):
+            with pytest.raises(ResourceBudgetError):
+                stability.partition_sweep(
+                    region, 3, ref, zero_upper, budget - 1, sn.DEFAULT_TOLS
+                )
+            assert calls == []
+            assert stability.partition_sweep(
+                region, 3, ref, zero_upper, budget, sn.DEFAULT_TOLS
+            ) == []
+            assert len(calls) == budget
+            calls.clear()
+        monkeypatch.setattr(stability, "DEFAULT_PARTITION_BUDGET", 1)
+        with pytest.raises(ResourceBudgetError):
+            sn.estimate_approximation_stability(meeting3, 0.05, MODE_PLAIN, trials=0)
+        assert calls == []
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 5), st.booleans())
+def test_bounds_sweep_matches_row_encoded_sweep(seed, n, restricted):
+    # a partition stated as variable bounds is the same LP as one stated as
+    # rows: the same partitions are feasible, with the same objectives
+    rng = np.random.default_rng(seed)
+    allowed = np.ones(n, dtype=bool)
+    zero_upper = None
+    if restricted:
+        allowed = rng.random(n) < 0.6
+        allowed[rng.integers(n)] = True
+        zero_upper = np.where(allowed, np.inf, 0.0)
+    inner = np.where(allowed, rng.dirichlet(np.ones(n)), 0.0)
+    inner /= inner.sum()  # a point of the region
+    ref = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)
+    ref[rng.integers(n)] += 0.1
+    ref /= ref.sum()
+    region = [(np.ones(n), "=", 1.0)]
+    for _ in range(rng.integers(1, 4)):
+        a = rng.uniform(-1.0, 1.0, n)
+        slack = rng.uniform(0.0, 0.2)
+        if rng.random() < 0.5:
+            region.append((a, ">=", float(a @ inner) - slack))
+        else:
+            region.append((a, "<=", float(a @ inner) + slack))
+    statuses = []
+
+    def recording(lp, tol):
+        out = solve_lp(lp, tol)
+        statuses.append(out.status)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "solve_lp", recording)
+        sweep = stability.partition_sweep(
+            region, n, ref, zero_upper, DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS
         )
-        w = rep.witnesses[0]
-        assert sn.regrets(meeting3, w.profile).max_regret <= 0.05 + 1e-7
-        assert w.distance == rep.delta_hat == sn.distance_to_set(w.profile, base)
+    expected = row_encoded_sweep(region, n, ref, zero_upper, sn.DEFAULT_TOLS)
+    feasible = [mask for mask, status in enumerate(statuses) if status == OPTIMAL]
+    assert feasible == [mask for mask, _, _ in expected]
+    assert expected  # the partition holding the region's point is feasible
+    for (objective, vertex), (_, want, _) in zip(sweep, expected):
+        assert objective == pytest.approx(want, abs=1e-9)
+        assert objective == pytest.approx(np.abs(vertex - ref).sum(), abs=1e-8)
 
 
 _ESTIMATES = {

@@ -30,6 +30,11 @@ class TestWellSupportedFeasible:
         assert prof is not None
         assert sn.regrets(gap_game, prof).max_ws_gap <= 0.2 + 1e-8
 
+    def test_negative_eps_infeasible(self, gap_game):
+        # the slack cap eps lies below any payoff spread here, which leaves
+        # no feasible slack rather than an invalid program
+        assert sn.well_supported_feasible(gap_game, (0,), (0,), -2.0) is None
+
     def test_empty_support_rejected(self, gap_game):
         with pytest.raises(DomainError):
             sn.well_supported_feasible(gap_game, (), (0,), 0.1)
