@@ -46,7 +46,8 @@ PROBE_REFERENCE_COEFF = 27.0
 # budget. Enumeration visits the equal-size pairs, sum over k <= max_support
 # of C(rows, k) * C(cols, k), and on a degenerate game all size pairs,
 # (sum_a C(rows, a)) * (sum_b C(cols, b)); the well-supported search
-# visits all size pairs.
+# visits all size pairs. A pair the best-response screen drops before its
+# LPs still counts as visited.
 DEFAULT_ENUM_BUDGET = 100_000
 
 # Sign partitions one distance sweep may solve, an LP each: the sweep

@@ -88,6 +88,32 @@ class BimatrixGame:
         return BimatrixGame(factor * self.R, factor * self.C, rng)
 
 
+def _clean(V: np.ndarray, tol: Tolerances, renormalize: bool) -> np.ndarray:
+    """Validated, truncated and renormalized probability vectors, read-only.
+
+    ``V`` holds one vector, or one per row; each must be finite, have no
+    entry below ``-tol.zero`` and mass within ``tol.sum`` of 1. Entries at
+    or below ``tol.zero`` become 0 and the rest are rescaled to mass 1.
+    """
+    if V.shape[-1] < 1:
+        raise ValidationError("strategy vector is empty")
+    if not np.isfinite(V).all():
+        raise ValidationError("strategy vector contains non-finite entries")
+    if np.count_nonzero(V < -tol.zero):
+        raise ValidationError("strategy vector has a negative entry")
+    for total in V.sum(axis=-1).reshape(-1).tolist():
+        if abs(total - 1.0) > tol.sum:
+            raise ValidationError(f"strategy mass {total!r} is not 1 within tolerance")
+    V = np.where(V > tol.zero, V, 0.0)
+    mass = V.sum(axis=-1, keepdims=True)
+    if np.count_nonzero(mass <= 0.0):
+        raise ValidationError("strategy vector has no mass above the zero threshold")
+    if renormalize:
+        V = V / mass
+    V.setflags(write=False)
+    return V
+
+
 @dataclass(frozen=True, eq=False)
 class MixedStrategy:
     """Probability distribution over one player's pure actions.
@@ -105,24 +131,19 @@ class MixedStrategy:
     def from_probs(
         cls, probs, tol: Tolerances = DEFAULT_TOLS, renormalize: bool = True
     ) -> "MixedStrategy":
-        v = np.asarray(probs, dtype=float).reshape(-1)
-        if v.size < 1:
-            raise ValidationError("strategy vector is empty")
-        if not np.isfinite(v).all():
-            raise ValidationError("strategy vector contains non-finite entries")
-        if (v < -tol.zero).any():
-            raise ValidationError("strategy vector has a negative entry")
-        total = float(v.sum())
-        if abs(total - 1.0) > tol.sum:
-            raise ValidationError(f"strategy mass {total!r} is not 1 within tolerance")
-        v = np.where(v > tol.zero, v, 0.0)
-        mass = v.sum()
-        if mass <= 0.0:
-            raise ValidationError("strategy vector has no mass above the zero threshold")
-        if renormalize:
-            v = v / mass
-        support = tuple(int(i) for i in np.nonzero(v)[0])
-        return cls(_readonly(v), support)
+        v = _clean(np.asarray(probs, dtype=float).reshape(-1), tol, renormalize)
+        return cls(v, tuple(np.flatnonzero(v).tolist()))
+
+    @classmethod
+    def from_rows(cls, rows, tol: Tolerances = DEFAULT_TOLS) -> list["MixedStrategy"]:
+        """:meth:`from_probs` of each row of a 2-D stack, validated at once.
+
+        The rows are checked, truncated and renormalized with the arithmetic
+        of :meth:`from_probs`, so the strategies are bitwise those of one
+        ``from_probs`` call per row.
+        """
+        V = _clean(np.asarray(rows, dtype=float), tol, True)
+        return [cls(v, tuple(np.flatnonzero(v).tolist())) for v in V]
 
     @classmethod
     def point_mass(cls, index: int, n: int) -> "MixedStrategy":
@@ -152,6 +173,14 @@ class StrategyProfile:
     @classmethod
     def from_vectors(cls, p, q, tol: Tolerances = DEFAULT_TOLS) -> "StrategyProfile":
         return cls(MixedStrategy.from_probs(p, tol), MixedStrategy.from_probs(q, tol))
+
+    @classmethod
+    def from_rows(cls, P, Q, tol: Tolerances = DEFAULT_TOLS) -> list["StrategyProfile"]:
+        """One profile per row pair of the stacks ``P`` and ``Q``, bitwise
+        those of :meth:`from_vectors` on each pair."""
+        rows = MixedStrategy.from_rows(P, tol)
+        cols = MixedStrategy.from_rows(Q, tol)
+        return [cls(r, c) for r, c in zip(rows, cols)]
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,15 @@ best-response inequalities are checked as array operations.
 
 In a nondegenerate game every equilibrium has equal-size supports, so that
 pass is the whole enumeration. A degeneracy witness sends the game to the
-LP loop instead, which visits every (|S_p|, |S_q|) size pair with two small
-LPs each, maximizing the minimum supported probability so that a declared
-support carries mass. The witnesses are a singular tie system that is still
+LP loop instead, which visits every (|S_p|, |S_q|) size pair: each pair is
+screened, then solved with two small LPs, maximizing the minimum supported
+probability so that a declared support carries mass. The screen
+(:func:`best_response_screen`) drops a pair when some declared action cannot
+be a best response to any distribution on the opponent's declared support;
+:func:`screened_pairs` applies it to whole blocks of pairs, and the
+well-supported search in :mod:`stablenash.support` shares it.
+
+The degeneracy witnesses are a singular tie system that is still
 consistent, and an accepted side solution with more than k tied opponent
 actions. They catch every degenerate strategy: if x has support S of size
 k and best-response set B with |B| > k, then x solves the system of
@@ -24,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -137,39 +143,111 @@ def _admit(
     return True
 
 
+def best_response_screen(
+    payoff: np.ndarray, own: np.ndarray, eps: float, tol: Tolerances
+) -> np.ndarray:
+    """Which opponent actions can be eps-best responses on each own support.
+
+    ``payoff[i, j]`` is opponent action i's payoff against own action j, and
+    ``own`` is a stack (m, k) of own supports. Entry [m, i] of the result is
+    False only when no distribution x on ``own[m]`` makes i an eps-best
+    response, that is (payoff[i] - payoff[a]) x >= -eps for every action a.
+    Such an x averages the columns of its support, so the left side is at
+    most max over j in ``own[m]`` of payoff[i, j] - payoff[a, j]; with W the
+    minimum of that over a, the entry is ``W >= -eps - margin``.
+
+    The margin keeps every pair an LP of this module or of
+    :mod:`stablenash.support` accepts. Let B = max(1, 2 max|payoff|, eps)
+    and s = 10 tol.lp scale, scale = max(1, max|solution|), the slack
+    ``lp._verify`` grants per unit of row magnitude. An accepted x has
+    entries >= -s and mass within s of 1, and its rows (magnitude <= B) give
+    (payoff[i] - payoff[a]) x >= -eps - tol.lp - 2 s B. Splitting x into its
+    positive and negative parts then gives
+    W >= -eps - (tol.lp + (k + 3) s B) / (1 - s). While 40 (k + 1) B tol.lp
+    <= 1, scale stays at most 2B and s at most 1/2, so
+    margin = tol.lp (2 + 40 (k + 3) B^2) covers that; past it the margin
+    exceeds the payoff spread 2 max|payoff| >= -W and nothing is screened.
+    """
+    m, k = own.shape
+    bound = max(1.0, 2.0 * float(np.abs(payoff).max()), abs(eps))
+    margin = tol.lp * (2.0 + 40.0 * (k + 3) * bound**2)
+    cols = payoff[:, own]  # (opponent action, support, member)
+    W = np.full((payoff.shape[0], m), np.inf)
+    for a in range(payoff.shape[0]):
+        np.minimum(W, (cols - cols[a]).max(axis=2), out=W)
+    return (W >= -eps - margin).T
+
+
+def _subsets(n: int, k: int) -> np.ndarray:
+    return np.array(list(itertools.combinations(range(n), k)))
+
+
+def screened_pairs(
+    game: BimatrixGame,
+    size_pairs: list[tuple[int, int]],
+    eps: float,
+    tol: Tolerances,
+) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Support pairs on which every declared action can be eps-best.
+
+    Visits the (|S_p|, |S_q|) blocks of ``size_pairs`` in order, each by row
+    subset, then column subset, in lexicographic order, and yields
+    ``(visited, S_p, S_q)`` for the pairs whose row subset passes
+    :func:`best_response_screen` against the column subset and vice versa.
+    ``visited`` counts the pairs up to and including this one, screened or
+    not. The screens are built once per call over all subsets of each
+    size, and each block's pair mask is computed ``_CHUNK`` pairs at a time.
+    """
+    rows, cols = game.shape
+    CT = np.ascontiguousarray(game.C.T)
+    P = {kp: _subsets(rows, kp) for kp, _ in size_pairs}
+    Q = {kq: _subsets(cols, kq) for _, kq in size_pairs}
+    # row_ok[kq][m, i]: row i against column subset Q[kq][m]; col_ok likewise
+    row_ok = {kq: best_response_screen(game.R, own, eps, tol) for kq, own in Q.items()}
+    col_ok = {kp: best_response_screen(CT, own, eps, tol) for kp, own in P.items()}
+    visited = 0
+    for kp, kq in size_pairs:
+        n_pairs = len(P[kp]) * len(Q[kq])
+        for start in range(0, n_pairs, _CHUNK):
+            ip, iq = np.divmod(np.arange(start, min(start + _CHUNK, n_pairs)), len(Q[kq]))
+            S_p, S_q = P[kp][ip], Q[kq][iq]
+            keep = row_ok[kq][iq[:, None], S_p].all(axis=1)
+            keep &= col_ok[kp][ip[:, None], S_q].all(axis=1)
+            for m in np.flatnonzero(keep).tolist():
+                yield visited + start + m + 1, tuple(S_p[m].tolist()), tuple(S_q[m].tolist())
+        visited += n_pairs
+
+
 def _lp_pass(
     game: BimatrixGame, max_support: int, tol: Tolerances
 ) -> tuple[list[StrategyProfile], bool]:
-    """Equilibria from two LPs per support pair over every pair of sizes.
+    """Equilibria from two LPs per screened support pair over every pair of sizes.
 
     Returns the equilibria in visit order, and whether a found equilibrium
     marks a component: its supports differ in size, so the side with more
     own actions than tied opponent actions is underdetermined, or one of
     its square tie systems is singular.
     """
-    rows, cols = game.shape
     CT = np.ascontiguousarray(game.C.T)
     found: list[StrategyProfile] = []
     degenerate = False
-    for kp in range(1, max_support + 1):
-        for kq in range(1, max_support + 1):
-            for S_p in itertools.combinations(range(rows), kp):
-                for S_q in itertools.combinations(range(cols), kq):
-                    q = _support_lp(game.R, S_q, S_p, tol)
-                    if q is None:
-                        continue
-                    p = _support_lp(CT, S_p, S_q, tol)
-                    if p is None:
-                        continue
-                    if not _admit(game, found, p, q, tol):
-                        continue
-                    if kp != kq:
-                        degenerate = True
-                        continue
-                    P, Q = np.array([S_p]), np.array([S_q])
-                    A = np.concatenate((_tie_systems(game.R, Q, P), _tie_systems(CT, P, Q)))
-                    if (np.linalg.matrix_rank(A, tol=_RANK_TOL) < kp + 1).any():
-                        degenerate = True
+    sizes = list(itertools.product(range(1, max_support + 1), repeat=2))
+    for _, S_p, S_q in screened_pairs(game, sizes, 0.0, tol):
+        q = _support_lp(game.R, S_q, S_p, tol)
+        if q is None:
+            continue
+        p = _support_lp(CT, S_p, S_q, tol)
+        if p is None:
+            continue
+        if not _admit(game, found, p, q, tol):
+            continue
+        if len(S_p) != len(S_q):
+            degenerate = True
+            continue
+        P, Q = np.array([S_p]), np.array([S_q])
+        A = np.concatenate((_tie_systems(game.R, Q, P), _tie_systems(CT, P, Q)))
+        if (np.linalg.matrix_rank(A, tol=_RANK_TOL) < len(S_p) + 1).any():
+            degenerate = True
     return found, degenerate
 
 
@@ -264,8 +342,7 @@ def _batched_pass(
     CT = np.ascontiguousarray(game.C.T)
     found: list[StrategyProfile] = []
     for k in range(1, max_support + 1):
-        P = np.array(list(itertools.combinations(range(rows), k)))
-        Q = np.array(list(itertools.combinations(range(cols), k)))
+        P, Q = _subsets(rows, k), _subsets(cols, k)
         n_pairs = len(P) * len(Q)
         for start in range(0, n_pairs, _CHUNK):
             ip, iq = np.divmod(np.arange(start, min(start + _CHUNK, n_pairs)), len(Q))

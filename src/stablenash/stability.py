@@ -197,9 +197,10 @@ def sample_approximate_equilibria(
     sample by sample (p0, q0, then the target index), then one
     :func:`raw_regrets` call checks every starting point, one call per
     bisection step checks the midpoints of the samples that failed it, and
-    one final call verifies their repaired points. Samples are returned in
-    the order they were drawn; at most ``_STACK_FLOATS`` probabilities are
-    stacked at a time.
+    one final call verifies their repaired points. The accepted points are
+    cleaned and validated as one stack (:meth:`StrategyProfile.from_rows`).
+    Samples are returned in the order they were drawn; at most
+    ``_STACK_FLOATS`` probabilities are stacked at a time.
     """
     if eps < tol.eq:
         raise ParameterError("eps below the equilibrium verification tolerance")
@@ -250,9 +251,7 @@ def sample_approximate_equilibria(
             # a sample whose hi stayed at 1.0 sits on its target, which
             # must pass too
             passed[active] = ok(P[active], Q[active])
-        out.extend(
-            StrategyProfile.from_vectors(P[k], Q[k], tol) for k in np.flatnonzero(passed)
-        )
+        out.extend(StrategyProfile.from_rows(P[passed], Q[passed], tol))
     return out
 
 

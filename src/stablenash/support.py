@@ -2,15 +2,17 @@
 
 The well-supported condition decouples: the constraints certifying the row
 player's supported actions involve only q, and the column player's only p.
-Each candidate support pair therefore reduces to two independent feasibility
-LPs, solved here with a max-slack objective so near-ties at the epsilon
-boundary surface as feasible with tiny slack instead of flapping on
-round-off.
+Each candidate support pair is therefore screened, then reduces to two
+independent feasibility LPs. The screen
+(:func:`stablenash.oracle.screened_pairs`) drops a pair when a declared
+action cannot be eps-best against any distribution on the opponent's
+declared support. The LPs are solved with a max-slack objective so near-ties
+at the epsilon boundary surface as feasible with tiny slack instead of
+flapping on round-off.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from .config import DEFAULT_ENUM_BUDGET, DEFAULT_TOLS, LIGHT_SAMPLE_COEFF, Toler
 from .core import BimatrixGame, MixedStrategy, StrategyProfile, regrets
 from .errors import DomainError, ParameterError, ResourceBudgetError
 from .lp import OPTIMAL, LinearProgram, solve_lp
-from .oracle import all_pairs_cost
+from .oracle import all_pairs_cost, screened_pairs
 
 log = logging.getLogger(__name__)
 
@@ -137,7 +139,9 @@ def find_well_supported(
     """First well-supported eps-profile over supports of increasing size.
 
     Support pairs are visited by max(row size, col size), then
-    lexicographically, so the smallest certificate is found first. Returns
+    lexicographically, so the smallest certificate is found first; only the
+    pairs that pass the best-response screen reach the LPs, and
+    ``supports_tried`` counts every pair visited, screened or not. Returns
     None when nothing is feasible up to ``max_support``.
     """
     if eps < 0:
@@ -150,27 +154,18 @@ def find_well_supported(
     if all_pairs_cost(rows, cols, max_support) > budget:
         raise ResourceBudgetError(f"support search guard exceeds budget {budget}")
 
-    tried = 0
-    for k in range(1, max_support + 1):
-        for kp, kq in _size_pairs(k):
-            if kp > rows or kq > cols:
-                continue
-            for S_p in itertools.combinations(range(rows), kp):
-                for S_q in itertools.combinations(range(cols), kq):
-                    tried += 1
-                    profile = well_supported_feasible(game, S_p, S_q, eps, tol)
-                    if profile is None:
-                        continue
-                    report = regrets(game, profile, tol)
-                    return SearchResult(
-                        profile=profile,
-                        support_sizes=(
-                            len(profile.row.support),
-                            len(profile.col.support),
-                        ),
-                        supports_tried=tried,
-                        epsilon=report.max_ws_gap,
-                    )
+    sizes = [pair for k in range(1, max_support + 1) for pair in _size_pairs(k)]
+    for tried, S_p, S_q in screened_pairs(game, sizes, eps, tol):
+        profile = well_supported_feasible(game, S_p, S_q, eps, tol)
+        if profile is None:
+            continue
+        report = regrets(game, profile, tol)
+        return SearchResult(
+            profile=profile,
+            support_sizes=(len(profile.row.support), len(profile.col.support)),
+            supports_tried=tried,
+            epsilon=report.max_ws_gap,
+        )
     return None
 
 

@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import stablenash as sn
+from stablenash import oracle, support
+from stablenash.config import DEFAULT_TOLS
 from stablenash.lp import OPTIMAL, LinearProgram, solve_lp
 
 ACCEPTANCE_LINES: list[str] = []
@@ -134,3 +138,74 @@ def row_encoded_sweep(base_rows, n, ref, zero_upper, tol):
         if out.status == OPTIMAL:
             results.append((mask, float(out.objective_value) + constant, out.solution))
     return results
+
+
+def unscreened_lp_pass(game, max_support, tol=DEFAULT_TOLS):
+    """Reference LP loop: both LPs on every support pair, no screen.
+
+    Visits every (|S_p|, |S_q|) size pair in the library's order and
+    returns (equilibria, degenerate) as ``oracle._lp_pass`` does.
+    """
+    rows, cols = game.shape
+    CT = np.ascontiguousarray(game.C.T)
+    found = []
+    degenerate = False
+    for kp in range(1, max_support + 1):
+        for kq in range(1, max_support + 1):
+            for S_p in itertools.combinations(range(rows), kp):
+                for S_q in itertools.combinations(range(cols), kq):
+                    q = oracle._support_lp(game.R, S_q, S_p, tol)
+                    if q is None:
+                        continue
+                    p = oracle._support_lp(CT, S_p, S_q, tol)
+                    if p is None:
+                        continue
+                    if not oracle._admit(game, found, p, q, tol):
+                        continue
+                    if kp != kq:
+                        degenerate = True
+                        continue
+                    P, Q = np.array([S_p]), np.array([S_q])
+                    A = np.concatenate(
+                        (oracle._tie_systems(game.R, Q, P), oracle._tie_systems(CT, P, Q))
+                    )
+                    if (np.linalg.matrix_rank(A, tol=oracle._RANK_TOL) < kp + 1).any():
+                        degenerate = True
+    return found, degenerate
+
+
+def unscreened_find_well_supported(game, eps, max_support=None, tol=DEFAULT_TOLS):
+    """Reference well-supported search: both LPs on every support pair.
+
+    Visits pairs by max(row size, col size), then lexicographically, and
+    returns the first feasible one as a ``SearchResult``, or None.
+    """
+    rows, cols = game.shape
+    cap = min(rows, cols)
+    max_support = cap if max_support is None else min(max_support, cap)
+    tried = 0
+    for k in range(1, max_support + 1):
+        for kp, kq in support._size_pairs(k):
+            for S_p in itertools.combinations(range(rows), kp):
+                for S_q in itertools.combinations(range(cols), kq):
+                    tried += 1
+                    profile = support.well_supported_feasible(game, S_p, S_q, eps, tol)
+                    if profile is None:
+                        continue
+                    return support.SearchResult(
+                        profile=profile,
+                        support_sizes=(len(profile.row.support), len(profile.col.support)),
+                        supports_tried=tried,
+                        epsilon=sn.regrets(game, profile, tol).max_ws_gap,
+                    )
+    return None
+
+
+def profile_bytes(profile):
+    """A profile's probability bytes and supports, for bitwise comparison."""
+    return (
+        profile.row.probs.tobytes(),
+        profile.row.support,
+        profile.col.probs.tobytes(),
+        profile.col.support,
+    )

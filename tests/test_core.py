@@ -56,6 +56,28 @@ class TestMixedStrategy:
         ms = sn.MixedStrategy.from_probs([0.3, 0.7, 0.0])
         assert ms.support == (0, 1)
 
+    @settings(max_examples=40, derandomize=True)
+    @given(st.integers(1, 12), st.integers(1, 30), st.integers(0, 10_000))
+    def test_rows_match_one_vector_at_a_time(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        V = rng.dirichlet(np.ones(n), size=m)
+        V[rng.random((m, n)) < 0.2] *= 1e-11  # dust below the threshold
+        V /= V.sum(axis=1, keepdims=True)
+        stacked = sn.MixedStrategy.from_rows(V)
+        assert len(stacked) == m
+        for v, got in zip(V, stacked):
+            want = sn.MixedStrategy.from_probs(v)
+            assert got.probs.tobytes() == want.probs.tobytes()
+            assert got.support == want.support
+            assert not got.probs.flags.writeable
+
+    def test_rows_reject_any_invalid_row(self):
+        good = [0.5, 0.5]
+        for bad in ([0.4, 0.4], [1.5, -0.5], [np.nan, 1.0]):
+            with pytest.raises(ValidationError):
+                sn.MixedStrategy.from_rows([good, bad, good])
+        assert sn.MixedStrategy.from_rows(np.empty((0, 3))) == []
+
 
 class TestExpectedPayoffs:
     def test_matching_pennies_center(self, matching_pennies):

@@ -1,14 +1,19 @@
+import itertools
 import time
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 import stablenash as sn
 from stablenash import oracle
 from stablenash.config import DEFAULT_TOLS
 from stablenash.errors import DomainError, ResourceBudgetError
+from stablenash.stability import perturbation_battery
+
+from conftest import profile_bytes, unscreened_lp_pass
 
 
 def test_matching_pennies_unique(matching_pennies):
@@ -258,3 +263,82 @@ def test_nondegenerate_nine_by_nine_within_default_budget():
     eqs = sn.enumerate_equilibria(sn.random_game(9, 9, 3))
     assert eqs.complete
     assert len(eqs) % 2 == 1
+
+
+def _best_response_value(payoff, S, i):
+    """max over distributions x on S of min over a of (payoff[i] - payoff[a]) x."""
+    k, n_opp = len(S), payoff.shape[0]
+    # variables: x on S, then t; maximize t subject to t <= (payoff[i] - payoff[a]) x
+    A_ub = np.hstack([-(payoff[i] - payoff)[:, list(S)], np.ones((n_opp, 1))])
+    res = linprog(
+        np.r_[np.zeros(k), -1.0], A_ub=A_ub, b_ub=np.zeros(n_opp),
+        A_eq=np.r_[np.ones(k), 0.0][None], b_eq=[1.0],
+        bounds=[(0, None)] * k + [(None, None)], method="highs",
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 5), st.integers(1, 5), st.integers(0, 20_000),
+    st.sampled_from([0.0, 0.01, 0.25]),
+)
+def test_best_response_screen_matches_brute_force(n_opp, n_own, seed, eps):
+    # quarter-step payoffs keep every W + eps at 0 or at least 0.01 away
+    # from it, so the screen's margin cannot show
+    rng = np.random.default_rng(seed)
+    payoff = rng.integers(0, 5, size=(n_opp, n_own)) / 4.0
+    for k in range(1, n_own + 1):
+        own = np.array(list(itertools.combinations(range(n_own), k)))
+        ok = oracle.best_response_screen(payoff, own, eps, DEFAULT_TOLS)
+        assert ok.shape == (len(own), n_opp)
+        for m, S in enumerate(own.tolist()):
+            for i in range(n_opp):
+                w = min(
+                    max(payoff[i][j] - payoff[a][j] for j in S) for a in range(n_opp)
+                )
+                assert ok[m, i] == (w >= -eps)
+                # the screen only drops actions that no distribution on S
+                # makes eps-best
+                if _best_response_value(payoff, S, i) >= -eps - 1e-9:
+                    assert ok[m, i]
+
+
+def _assert_same_lp_pass(game):
+    max_support = min(game.shape)
+    found, degenerate = oracle._lp_pass(game, max_support, DEFAULT_TOLS)
+    ref, ref_degenerate = unscreened_lp_pass(game, max_support)
+    assert degenerate == ref_degenerate
+    assert [profile_bytes(e) for e in found] == [profile_bytes(e) for e in ref]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_SHAPES, st.integers(0, 20_000))
+def test_screened_lp_loop_matches_unscreened_on_small_integer_games(shape, seed):
+    rng = np.random.default_rng(seed)
+    R, C = rng.integers(0, 3, size=(2, *shape)) / 2.0
+    _assert_same_lp_pass(sn.BimatrixGame(R, C))
+
+
+def test_screened_lp_loop_matches_unscreened_on_meeting_battery():
+    # the battery's games sit 0.02 away from the degenerate meeting game,
+    # so many pairs are screened by a small W
+    for _, game in perturbation_battery(sn.meeting_game(3), 0.02):
+        _assert_same_lp_pass(game)
+
+
+@pytest.mark.parametrize("n, lps", [(3, 16), (4, 36), (5, 74)])
+def test_lp_loop_solves_only_screened_pairs(n, lps, monkeypatch):
+    # 70, 288 and 1,124 LPs without the screen
+    calls = []
+    real = oracle.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_lp", counted)
+    eqs = sn.enumerate_equilibria(sn.meeting_game(n))
+    assert len(eqs) == n * (n + 1) // 2
+    assert len(calls) == lps

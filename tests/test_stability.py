@@ -16,7 +16,7 @@ from stablenash.lp import INFEASIBLE, OPTIMAL, LpOutcome, solve_lp
 from stablenash.stability import MODE_PLAIN, MODE_WELL_SUPPORTED, perturbation_battery
 from stablenash.support import heavy_light_partition, light_sample_size
 
-from conftest import row_encoded_sweep, scalar_sampler
+from conftest import profile_bytes, row_encoded_sweep, scalar_sampler
 
 
 class TestPerturbationStability:
@@ -294,6 +294,29 @@ class TestLockstepSampler:
         assert samples
         assert calls[0] == count  # every starting point in one call
         assert 2 < len(calls) <= steps + 2
+
+    @pytest.mark.parametrize("mode", [MODE_PLAIN, MODE_WELL_SUPPORTED])
+    @pytest.mark.parametrize("name", sorted(SAMPLER_GAMES))
+    def test_stacked_profiles_match_per_sample_from_vectors(self, name, mode, monkeypatch):
+        # the accepted stack is validated once; each profile must be bitwise
+        # what from_vectors makes of its own sample
+        make, eps = SAMPLER_GAMES[name]
+        g = make()
+        eqs = sn.enumerate_equilibria(g)
+        stacks = []
+        real = sn.StrategyProfile.from_rows
+
+        def spy(P, Q, tol):
+            stacks.append((P.copy(), Q.copy()))
+            return real(P, Q, tol)
+
+        monkeypatch.setattr(sn.StrategyProfile, "from_rows", spy)
+        samples = sn.sample_approximate_equilibria(g, eps, 60, 4, mode=mode, eqs=eqs)
+        P = np.concatenate([P for P, _ in stacks])
+        Q = np.concatenate([Q for _, Q in stacks])
+        assert len(samples) == len(P) > 0
+        want = [sn.StrategyProfile.from_vectors(p, q) for p, q in zip(P, Q)]
+        assert [profile_bytes(s) for s in samples] == [profile_bytes(w) for w in want]
 
     def test_generator_passes_through(self, meeting3):
         a = sn.sample_approximate_equilibria(meeting3, 0.05, 20, seed=6)

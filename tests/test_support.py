@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablenash as sn
+from stablenash import oracle, support
+from stablenash.config import DEFAULT_TOLS
+from stablenash.embedding import embed
 from stablenash.errors import DomainError, ParameterError, ResourceBudgetError
 from stablenash.support import light_sample_size
 
-from conftest import random_simplex
+from conftest import profile_bytes, random_simplex, unscreened_find_well_supported
 
 
 class TestWellSupportedFeasible:
@@ -91,6 +94,52 @@ class TestFindWellSupported:
 
     def test_none_when_unreachable(self, matching_pennies):
         assert sn.find_well_supported(matching_pennies, 0.1, max_support=1) is None
+
+    @settings(max_examples=8, derandomize=True, deadline=None)
+    @given(st.integers(0, 20_000))
+    def test_screened_search_matches_unscreened_on_embedded_games(self, seed):
+        emb = embed(sn.random_game(3, 3, seed), 0.0002)
+        for eps in (0.0, emb.delta**4 / 8, 0.01, 0.25):
+            got = sn.find_well_supported(emb.game, eps)
+            want = unscreened_find_well_supported(emb.game, eps)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert profile_bytes(got.profile) == profile_bytes(want.profile)
+                assert got.support_sizes == want.support_sizes
+                assert got.supports_tried == want.supports_tried
+                assert got.epsilon == want.epsilon
+
+    def test_embedded_search_solves_only_screened_pairs(self, monkeypatch):
+        # 100 LPs over the same 81 visited pairs without the screen
+        calls = []
+        real = support.solve_lp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(support, "solve_lp", counted)
+        emb = embed(sn.random_game(3, 3, 1), 0.0002)
+        res = sn.find_well_supported(emb.game, emb.delta**4 / 8)
+        assert res.support_sizes == (2, 2)
+        assert res.supports_tried == 81
+        assert len(calls) == 3
+
+    def test_exactly_eps_best_action_stays_unscreened(self):
+        # each player's action 1 trails action 0 by exactly 0.25 against
+        # every opponent action, so it is exactly 0.25-best on any support
+        g = sn.dominance_gap_game(0.25)
+        own = np.array([[0, 1]])
+        for payoff in (g.R, g.C.T):
+            at_eps = oracle.best_response_screen(payoff, own, 0.25, DEFAULT_TOLS)
+            below = oracle.best_response_screen(payoff, own, 0.25 - 1e-3, DEFAULT_TOLS)
+            assert at_eps.tolist() == [[True, True]]
+            assert below.tolist() == [[True, False]]
+        pairs = oracle.screened_pairs(g, [(2, 2)], 0.25, DEFAULT_TOLS)
+        assert list(pairs) == [(1, (0, 1), (0, 1))]
+        prof = sn.well_supported_feasible(g, (0, 1), (0, 1), 0.25)
+        assert prof is not None
+        assert sn.regrets(g, prof).max_ws_gap <= 0.25 + 1e-12
 
     def test_guard_counts_every_size_pair(self):
         # at 10x10 with max_support=3 there are 16,525 equal-size pairs but
