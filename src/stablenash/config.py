@@ -42,12 +42,9 @@ LIGHT_SAMPLE_COEFF = 56.0 ** 2
 # samples far fewer reference vectors than that bound; see the probe docs.
 PROBE_REFERENCE_COEFF = 27.0
 
-# Support-pair guard: the pairs a search visits must stay at or below this
-# budget. Enumeration visits the equal-size pairs, sum over k <= max_support
-# of C(rows, k) * C(cols, k), and on a degenerate game all size pairs,
-# (sum_a C(rows, a)) * (sum_b C(cols, b)); the well-supported search
-# visits all size pairs. A pair the best-response screen drops before its
-# LPs still counts as visited.
+# Support pairs one walk may visit, screened ones included: the one
+# support-pair walk (oracle._pair_chunks) counts the pairs of its size
+# pairs and raises above it before any work, for every caller alike.
 DEFAULT_ENUM_BUDGET = 100_000
 
 # Sign partitions one distance sweep may solve, an LP each: the sweep

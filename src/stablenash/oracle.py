@@ -13,9 +13,13 @@ LP loop instead, which visits every (|S_p|, |S_q|) size pair: each pair is
 screened, then solved with two small LPs, maximizing the minimum supported
 probability so that a declared support carries mass. The screen
 (:func:`best_response_screen`) drops a pair when some declared action cannot
-be a best response to any distribution on the opponent's declared support;
-:func:`screened_pairs` applies it to whole blocks of pairs, and the
-well-supported search in :mod:`stablenash.support` shares it.
+be a best response to any distribution on the opponent's declared support.
+
+One walk, :func:`_pair_chunks`, goes over support pairs and alone enforces
+the support-pair budget. The batched pass uses it directly; the LP loop,
+the well-supported search (:mod:`stablenash.support`) and the well-supported
+estimator (:mod:`stablenash.stability`) use it through the screened
+:func:`screened_pairs`.
 
 The degeneracy witnesses are a singular tie system that is still
 consistent, and an accepted side solution with more than k tied opponent
@@ -35,7 +39,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .config import DEFAULT_ENUM_BUDGET, DEFAULT_TOLS, Tolerances
-from .core import BimatrixGame, StrategyProfile, profile_distance, regrets
+from .core import BimatrixGame, StrategyProfile, profile_distance, raw_regrets, regrets
 from .errors import DomainError, ResourceBudgetError
 from .lp import OPTIMAL, LinearProgram, solve_lp
 
@@ -61,22 +65,6 @@ class EquilibriumSet:
 
     def __len__(self) -> int:
         return len(self.equilibria)
-
-
-def enumeration_cost(rows: int, cols: int, max_support: int) -> int:
-    """Equal-size support pairs: the systems the batched pass solves."""
-    return sum(
-        math.comb(rows, k) * math.comb(cols, k)
-        for k in range(1, max_support + 1)
-    )
-
-
-def all_pairs_cost(rows: int, cols: int, max_support: int) -> int:
-    """Support pairs of every pair of sizes up to ``max_support``."""
-    sizes = range(1, max_support + 1)
-    return sum(math.comb(rows, a) for a in sizes) * sum(
-        math.comb(cols, b) for b in sizes
-    )
 
 
 def _support_lp(
@@ -156,21 +144,25 @@ def best_response_screen(
     most max over j in ``own[m]`` of payoff[i, j] - payoff[a, j]; with W the
     minimum of that over a, the entry is ``W >= -eps - margin``.
 
-    The margin keeps every pair an LP of this module or of
-    :mod:`stablenash.support` accepts. Let B = max(1, 2 max|payoff|, eps)
-    and s = 10 tol.lp scale, scale = max(1, max|solution|), the slack
-    ``lp._verify`` grants per unit of row magnitude. An accepted x has
-    entries >= -s and mass within s of 1, and its rows (magnitude <= B) give
-    (payoff[i] - payoff[a]) x >= -eps - tol.lp - 2 s B. Splitting x into its
-    positive and negative parts then gives
-    W >= -eps - (tol.lp + (k + 3) s B) / (1 - s). While 40 (k + 1) B tol.lp
-    <= 1, scale stays at most 2B and s at most 1/2, so
-    margin = tol.lp (2 + 40 (k + 3) B^2) covers that; past it the margin
-    exceeds the payoff spread 2 max|payoff| >= -W and nothing is screened.
+    The margin keeps every pair that an LP of this module, of
+    :mod:`stablenash.support` or of the well-supported estimator in
+    :mod:`stablenash.stability` accepts. Let n = payoff.shape[1],
+    B = max(1, 2 max|payoff|, eps) and s = 10 tol.lp scale,
+    scale = max(1, max|solution|), the slack ``lp._verify`` grants per unit
+    of row magnitude. An accepted x has entries >= -s and mass within s of
+    1; the estimator's LP spans all n own actions and pins those off the
+    support with an upper bound of 0, so they lie within s of 0. Its rows
+    (magnitude <= B) give (payoff[i] - payoff[a]) x >= -eps - tol.lp - 2 s B.
+    Splitting x into its positive and negative parts on the support and its
+    entries off it gives W >= -eps - (tol.lp + 2 (n + 1) s B) / (1 - n s).
+    While 40 (n + 1) B tol.lp <= 1, scale stays at most 2B and n s at most
+    1/2, so margin = tol.lp (2 + 80 (n + 1) B^2) covers that; past it the
+    margin exceeds the payoff spread 2 max|payoff| >= -W and nothing is
+    screened.
     """
-    m, k = own.shape
+    m, n = own.shape[0], payoff.shape[1]
     bound = max(1.0, 2.0 * float(np.abs(payoff).max()), abs(eps))
-    margin = tol.lp * (2.0 + 40.0 * (k + 3) * bound**2)
+    margin = tol.lp * (2.0 + 80.0 * (n + 1) * bound**2)
     cols = payoff[:, own]  # (opponent action, support, member)
     W = np.full((payoff.shape[0], m), np.inf)
     for a in range(payoff.shape[0]):
@@ -178,48 +170,68 @@ def best_response_screen(
     return (W >= -eps - margin).T
 
 
-def _subsets(n: int, k: int) -> np.ndarray:
-    return np.array(list(itertools.combinations(range(n), k)))
+def _pair_chunks(
+    shape: tuple[int, int], size_pairs: list[tuple[int, int]], budget: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The one walk over support pairs, and the one place that bounds it.
+
+    Visits the (|S_p|, |S_q|) blocks of ``size_pairs`` in order, each by row
+    subset, then column subset, in lexicographic order, ``_CHUNK`` pairs at
+    a time. Yields ``(visited, P, Q, ip, iq)``: the pairs visited before the
+    chunk, the block's row and column subset tables, and the chunk's row
+    and column subset indices into them. Raises
+    :class:`ResourceBudgetError` before building any table when the pairs
+    of ``size_pairs`` exceed ``budget``.
+    """
+    rows, cols = shape
+    total = sum(math.comb(rows, kp) * math.comb(cols, kq) for kp, kq in size_pairs)
+    if total > budget:
+        raise ResourceBudgetError(f"{total} support pairs exceed the budget {budget}")
+    P = {k: np.array(list(itertools.combinations(range(rows), k))) for k, _ in size_pairs}
+    Q = {k: np.array(list(itertools.combinations(range(cols), k))) for _, k in size_pairs}
+    visited = 0
+    for kp, kq in size_pairs:
+        n_pairs = len(P[kp]) * len(Q[kq])
+        for start in range(0, n_pairs, _CHUNK):
+            ip, iq = np.divmod(np.arange(start, min(start + _CHUNK, n_pairs)), len(Q[kq]))
+            yield visited + start, P[kp], Q[kq], ip, iq
+        visited += n_pairs
 
 
 def screened_pairs(
     game: BimatrixGame,
     size_pairs: list[tuple[int, int]],
     eps: float,
+    budget: int,
     tol: Tolerances,
 ) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """Support pairs on which every declared action can be eps-best.
 
-    Visits the (|S_p|, |S_q|) blocks of ``size_pairs`` in order, each by row
-    subset, then column subset, in lexicographic order, and yields
-    ``(visited, S_p, S_q)`` for the pairs whose row subset passes
+    Walks ``size_pairs`` as :func:`_pair_chunks` does, budget included, and
+    yields ``(visited, S_p, S_q)`` for the pairs whose row subset passes
     :func:`best_response_screen` against the column subset and vice versa.
     ``visited`` counts the pairs up to and including this one, screened or
-    not. The screens are built once per call over all subsets of each
-    size, and each block's pair mask is computed ``_CHUNK`` pairs at a time.
+    not. Each screen is built once per call, over all subsets of its size.
     """
-    rows, cols = game.shape
     CT = np.ascontiguousarray(game.C.T)
-    P = {kp: _subsets(rows, kp) for kp, _ in size_pairs}
-    Q = {kq: _subsets(cols, kq) for _, kq in size_pairs}
-    # row_ok[kq][m, i]: row i against column subset Q[kq][m]; col_ok likewise
-    row_ok = {kq: best_response_screen(game.R, own, eps, tol) for kq, own in Q.items()}
-    col_ok = {kp: best_response_screen(CT, own, eps, tol) for kp, own in P.items()}
-    visited = 0
-    for kp, kq in size_pairs:
-        n_pairs = len(P[kp]) * len(Q[kq])
-        for start in range(0, n_pairs, _CHUNK):
-            ip, iq = np.divmod(np.arange(start, min(start + _CHUNK, n_pairs)), len(Q[kq]))
-            S_p, S_q = P[kp][ip], Q[kq][iq]
-            keep = row_ok[kq][iq[:, None], S_p].all(axis=1)
-            keep &= col_ok[kp][ip[:, None], S_q].all(axis=1)
-            for m in np.flatnonzero(keep).tolist():
-                yield visited + start + m + 1, tuple(S_p[m].tolist()), tuple(S_q[m].tolist())
-        visited += n_pairs
+    # row_ok[kq][m, i]: row i against column subset m of size kq; col_ok likewise
+    row_ok: dict[int, np.ndarray] = {}
+    col_ok: dict[int, np.ndarray] = {}
+    for visited, P, Q, ip, iq in _pair_chunks(game.shape, size_pairs, budget):
+        kp, kq = P.shape[1], Q.shape[1]
+        if kq not in row_ok:
+            row_ok[kq] = best_response_screen(game.R, Q, eps, tol)
+        if kp not in col_ok:
+            col_ok[kp] = best_response_screen(CT, P, eps, tol)
+        S_p, S_q = P[ip], Q[iq]
+        keep = row_ok[kq][iq[:, None], S_p].all(axis=1)
+        keep &= col_ok[kp][ip[:, None], S_q].all(axis=1)
+        for m in np.flatnonzero(keep).tolist():
+            yield visited + m + 1, tuple(S_p[m].tolist()), tuple(S_q[m].tolist())
 
 
 def _lp_pass(
-    game: BimatrixGame, max_support: int, tol: Tolerances
+    game: BimatrixGame, max_support: int, budget: int, tol: Tolerances
 ) -> tuple[list[StrategyProfile], bool]:
     """Equilibria from two LPs per screened support pair over every pair of sizes.
 
@@ -232,7 +244,7 @@ def _lp_pass(
     found: list[StrategyProfile] = []
     degenerate = False
     sizes = list(itertools.product(range(1, max_support + 1), repeat=2))
-    for _, S_p, S_q in screened_pairs(game, sizes, 0.0, tol):
+    for _, S_p, S_q in screened_pairs(game, sizes, 0.0, budget, tol):
         q = _support_lp(game.R, S_q, S_p, tol)
         if q is None:
             continue
@@ -330,7 +342,7 @@ def _side_pass(
 
 
 def _batched_pass(
-    game: BimatrixGame, max_support: int, tol: Tolerances
+    game: BimatrixGame, max_support: int, budget: int, tol: Tolerances
 ) -> Optional[list[StrategyProfile]]:
     """Equilibria on equal-size supports from stacked tie systems.
 
@@ -338,28 +350,48 @@ def _batched_pass(
     lexicographic order. Returns None on a degeneracy witness, when only
     the LP loop is complete.
     """
-    rows, cols = game.shape
     CT = np.ascontiguousarray(game.C.T)
     found: list[StrategyProfile] = []
-    for k in range(1, max_support + 1):
-        P, Q = _subsets(rows, k), _subsets(cols, k)
-        n_pairs = len(P) * len(Q)
-        for start in range(0, n_pairs, _CHUNK):
-            ip, iq = np.divmod(np.arange(start, min(start + _CHUNK, n_pairs)), len(Q))
-            q_side = _side_pass(game.R, Q[iq], P[ip], tol)
-            if q_side is None:
-                return None
-            p_side = _side_pass(CT, P[ip], Q[iq], tol)
-            if p_side is None:
-                return None
-            (q_x, q_ok), (p_x, p_ok) = q_side, p_side
-            for m in np.flatnonzero(q_ok & p_ok):
-                p = np.zeros(rows)
-                p[P[ip[m]]] = p_x[m]
-                q = np.zeros(cols)
-                q[Q[iq[m]]] = q_x[m]
-                _admit(game, found, p, q, tol)
+    sizes = [(k, k) for k in range(1, max_support + 1)]
+    for _, P, Q, ip, iq in _pair_chunks(game.shape, sizes, budget):
+        S_p, S_q = P[ip], Q[iq]
+        q_side = _side_pass(game.R, S_q, S_p, tol)
+        if q_side is None:
+            return None
+        p_side = _side_pass(CT, S_p, S_q, tol)
+        if p_side is None:
+            return None
+        (q_x, q_ok), (p_x, p_ok) = q_side, p_side
+        for m in np.flatnonzero(q_ok & p_ok):
+            p = np.zeros(game.rows)
+            p[S_p[m]] = p_x[m]
+            q = np.zeros(game.cols)
+            q[S_q[m]] = q_x[m]
+            _admit(game, found, p, q, tol)
     return found
+
+
+def _midpoint_component(
+    game: BimatrixGame, found: list[StrategyProfile], tol: Tolerances
+) -> bool:
+    """Whether the midpoint of two listed equilibria is an equilibrium
+    farther than ``tol.dedup`` from every listed one, which certifies a
+    component. The midpoints are cleaned as one stack and checked with one
+    :func:`raw_regrets` call.
+    """
+    if len(found) < 2:
+        return False
+    P = np.array([e.row.probs for e in found])
+    Q = np.array([e.col.probs for e in found])
+    a, b = np.array(list(itertools.combinations(range(len(found)), 2))).T
+    mids = StrategyProfile.from_rows(0.5 * (P[a] + P[b]), 0.5 * (Q[a] + Q[b]), tol)
+    MP = np.array([m.row.probs for m in mids])
+    MQ = np.array([m.col.probs for m in mids])
+    eq = np.max(raw_regrets(game.R, game.C, MP, MQ, 0.0), axis=0) <= tol.eq
+    dist = np.maximum(
+        np.abs(MP[eq, None] - P).sum(axis=2), np.abs(MQ[eq, None] - Q).sum(axis=2)
+    )
+    return bool((0.5 * dist > tol.dedup).all(axis=1).any())
 
 
 def enumerate_equilibria(
@@ -376,43 +408,17 @@ def enumerate_equilibria(
     exceed ``budget``, or, in a degenerate game, when the support pairs of
     all sizes do.
     """
-    rows, cols = game.shape
-    cap = min(rows, cols)
-    if max_support is None:
-        max_support = cap
-    max_support = min(max_support, cap)
+    cap = min(game.shape)
+    max_support = cap if max_support is None else min(max_support, cap)
     if max_support < 1:
         raise DomainError("max_support must be at least 1")
-    if enumeration_cost(rows, cols, max_support) > budget:
-        raise ResourceBudgetError(
-            f"support enumeration guard exceeds budget {budget}"
-        )
 
-    found = _batched_pass(game, max_support, tol)
+    found = _batched_pass(game, max_support, budget, tol)
     degenerate = False
     if found is None:
-        if all_pairs_cost(rows, cols, max_support) > budget:
-            raise ResourceBudgetError(
-                f"degenerate game: support enumeration over all size pairs "
-                f"exceeds budget {budget}"
-            )
-        found, degenerate = _lp_pass(game, max_support, tol)
-
-    # A strict convex combination of two listed equilibria that is itself an
-    # equilibrium, yet far from every listed one, certifies a component.
+        found, degenerate = _lp_pass(game, max_support, budget, tol)
     if not degenerate:
-        for a, b in itertools.combinations(found, 2):
-            mid = StrategyProfile.from_vectors(
-                0.5 * (a.row.probs + b.row.probs),
-                0.5 * (a.col.probs + b.col.probs),
-                tol,
-            )
-            rep = regrets(game, mid, tol)
-            if rep.max_regret > tol.eq or rep.max_ws_gap > tol.eq:
-                continue
-            if all(profile_distance(mid, e) > tol.dedup for e in found):
-                degenerate = True
-                break
+        degenerate = _midpoint_component(game, found, tol)
 
     exhausted = max_support >= cap
     return EquilibriumSet(

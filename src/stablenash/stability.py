@@ -12,7 +12,9 @@ estimators take its vertices, the constant-sum certifier its objectives.
 It states each partition as variable bounds and is the only place that
 limits how many partitions a sweep may solve; above
 ``DEFAULT_PARTITION_BUDGET`` the estimators raise, as the certifier does
-above its ``partition_budget``.
+above its ``partition_budget``. The well-supported estimator takes its
+declared support pairs from :func:`stablenash.oracle.screened_pairs`, the
+one support-pair walk, which screens them and enforces ``budget``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .errors import (
     ResourceBudgetError,
 )
 from .lp import FEASIBLE, OPTIMAL, LinearProgram, solve_lp
-from .oracle import EquilibriumSet, all_pairs_cost, distance_to_set, enumerate_equilibria
+from .oracle import EquilibriumSet, distance_to_set, enumerate_equilibria, screened_pairs
 from .support import HeavyLightSplit, heavy_light_partition, light_sample_size
 
 log = logging.getLogger(__name__)
@@ -385,47 +387,50 @@ def _ws_candidates(
     A profile built from any points of the two per-side regions is
     well-supported at eps: the declared supports over-approximate the
     realized ones, and the constraints quantify over the declared sets.
+    Only the pairs that pass :func:`stablenash.oracle.screened_pairs` at eps
+    reach the LPs, visited by row subset, then column subset (by size, then
+    lexicographically).
     """
     rows, cols = game.shape
-    if all_pairs_cost(rows, cols, max(rows, cols)) > budget:
-        raise ResourceBudgetError(f"declared-support search exceeds budget {budget}")
+    sizes = list(itertools.product(range(1, rows + 1), range(1, cols + 1)))
+    pairs = [(S_p, S_q) for _, S_p, S_q in screened_pairs(game, sizes, eps, budget, tol)]
+    pairs.sort(key=lambda pair: (len(pair[0]), pair[0], len(pair[1]), pair[1]))
     CT = np.ascontiguousarray(game.C.T)
     out: list[tuple[str, StrategyProfile]] = []
-    for S_p in _nonempty_subsets(rows):
-        for S_q in _nonempty_subsets(cols):
-            q_rows = _ws_region_rows(game.R, S_p, eps)
-            q_upper = np.zeros(cols)
-            q_upper[list(S_q)] = np.inf
-            q_feas = _feasible_point(q_rows, cols, q_upper, tol)
-            if q_feas is None:
-                continue
-            p_rows = _ws_region_rows(CT, S_q, eps)
-            p_upper = np.zeros(rows)
-            p_upper[list(S_p)] = np.inf
-            p_feas = _feasible_point(p_rows, rows, p_upper, tol)
-            if p_feas is None:
-                continue
-            label = f"ws-lp:{S_p}:{S_q}"
-            out.append((label, StrategyProfile.from_vectors(p_feas, q_feas, tol)))
-            for r_idx, ref in enumerate(base.equilibria):
-                p_far = _farthest(
-                    partition_sweep(
-                        p_rows, rows, ref.row.probs, p_upper, DEFAULT_PARTITION_BUDGET, tol
-                    ),
-                    p_feas,
+    for S_p, S_q in pairs:
+        q_rows = _ws_region_rows(game.R, S_p, eps)
+        q_upper = np.zeros(cols)
+        q_upper[list(S_q)] = np.inf
+        q_feas = _feasible_point(q_rows, cols, q_upper, tol)
+        if q_feas is None:
+            continue
+        p_rows = _ws_region_rows(CT, S_q, eps)
+        p_upper = np.zeros(rows)
+        p_upper[list(S_p)] = np.inf
+        p_feas = _feasible_point(p_rows, rows, p_upper, tol)
+        if p_feas is None:
+            continue
+        label = f"ws-lp:{S_p}:{S_q}"
+        out.append((label, StrategyProfile.from_vectors(p_feas, q_feas, tol)))
+        for r_idx, ref in enumerate(base.equilibria):
+            p_far = _farthest(
+                partition_sweep(
+                    p_rows, rows, ref.row.probs, p_upper, DEFAULT_PARTITION_BUDGET, tol
+                ),
+                p_feas,
+            )
+            q_far = _farthest(
+                partition_sweep(
+                    q_rows, cols, ref.col.probs, q_upper, DEFAULT_PARTITION_BUDGET, tol
+                ),
+                q_feas,
+            )
+            out.append(
+                (
+                    f"{label}:ref:{r_idx}",
+                    StrategyProfile.from_vectors(p_far, q_far, tol),
                 )
-                q_far = _farthest(
-                    partition_sweep(
-                        q_rows, cols, ref.col.probs, q_upper, DEFAULT_PARTITION_BUDGET, tol
-                    ),
-                    q_feas,
-                )
-                out.append(
-                    (
-                        f"{label}:ref:{r_idx}",
-                        StrategyProfile.from_vectors(p_far, q_far, tol),
-                    )
-                )
+            )
     return out
 
 
@@ -435,11 +440,6 @@ def _farthest(
     """The sweep's vertex at the largest distance (the first on ties), or
     ``fallback`` when no partition is feasible."""
     return max(sweep, key=lambda item: item[0], default=(0.0, fallback))[1]
-
-
-def _nonempty_subsets(n: int):
-    for k in range(1, n + 1):
-        yield from itertools.combinations(range(n), k)
 
 
 def _feasible_point(

@@ -3,12 +3,12 @@
 The well-supported condition decouples: the constraints certifying the row
 player's supported actions involve only q, and the column player's only p.
 Each candidate support pair is therefore screened, then reduces to two
-independent feasibility LPs. The screen
-(:func:`stablenash.oracle.screened_pairs`) drops a pair when a declared
-action cannot be eps-best against any distribution on the opponent's
-declared support. The LPs are solved with a max-slack objective so near-ties
-at the epsilon boundary surface as feasible with tiny slack instead of
-flapping on round-off.
+independent feasibility LPs. The pairs come from the one support-pair walk,
+:func:`stablenash.oracle.screened_pairs`, which enforces ``budget`` and drops
+a pair when a declared action cannot be eps-best against any distribution
+on the opponent's declared support. The LPs are solved with a max-slack
+objective so near-ties at the epsilon boundary surface as feasible with
+tiny slack instead of flapping on round-off.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import numpy as np
 
 from .config import DEFAULT_ENUM_BUDGET, DEFAULT_TOLS, LIGHT_SAMPLE_COEFF, Tolerances
 from .core import BimatrixGame, MixedStrategy, StrategyProfile, regrets
-from .errors import DomainError, ParameterError, ResourceBudgetError
+from .errors import DomainError, ParameterError
 from .lp import OPTIMAL, LinearProgram, solve_lp
-from .oracle import all_pairs_cost, screened_pairs
+from .oracle import screened_pairs
 
 log = logging.getLogger(__name__)
 
@@ -142,20 +142,15 @@ def find_well_supported(
     lexicographically, so the smallest certificate is found first; only the
     pairs that pass the best-response screen reach the LPs, and
     ``supports_tried`` counts every pair visited, screened or not. Returns
-    None when nothing is feasible up to ``max_support``.
+    None when nothing is feasible up to ``max_support``, and raises
+    :class:`ResourceBudgetError` before any LP when those pairs exceed ``budget``.
     """
     if eps < 0:
         raise ParameterError("eps must be non-negative")
-    rows, cols = game.shape
-    cap = min(rows, cols)
-    if max_support is None:
-        max_support = cap
-    max_support = min(max_support, cap)
-    if all_pairs_cost(rows, cols, max_support) > budget:
-        raise ResourceBudgetError(f"support search guard exceeds budget {budget}")
-
+    cap = min(game.shape)
+    max_support = cap if max_support is None else min(max_support, cap)
     sizes = [pair for k in range(1, max_support + 1) for pair in _size_pairs(k)]
-    for tried, S_p, S_q in screened_pairs(game, sizes, eps, tol):
+    for tried, S_p, S_q in screened_pairs(game, sizes, eps, budget, tol):
         profile = well_supported_feasible(game, S_p, S_q, eps, tol)
         if profile is None:
             continue

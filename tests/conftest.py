@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import stablenash as sn
-from stablenash import oracle, support
-from stablenash.config import DEFAULT_TOLS
+from stablenash import oracle, stability, support
+from stablenash.config import DEFAULT_PARTITION_BUDGET, DEFAULT_TOLS
 from stablenash.lp import OPTIMAL, LinearProgram, solve_lp
 
 ACCEPTANCE_LINES: list[str] = []
@@ -199,6 +199,76 @@ def unscreened_find_well_supported(game, eps, max_support=None, tol=DEFAULT_TOLS
                         epsilon=sn.regrets(game, profile, tol).max_ws_gap,
                     )
     return None
+
+
+def loop_midpoint_component(game, found, tol=DEFAULT_TOLS):
+    """Reference midpoint check: one profile and one ``regrets`` per pair.
+
+    Returns whether the midpoint of two listed equilibria is an equilibrium
+    farther than ``tol.dedup`` from every listed one, as
+    ``oracle._midpoint_component`` does.
+    """
+    for a, b in itertools.combinations(found, 2):
+        mid = sn.StrategyProfile.from_vectors(
+            0.5 * (a.row.probs + b.row.probs),
+            0.5 * (a.col.probs + b.col.probs),
+            tol,
+        )
+        rep = sn.regrets(game, mid, tol)
+        if rep.max_regret > tol.eq or rep.max_ws_gap > tol.eq:
+            continue
+        if all(sn.profile_distance(mid, e) > tol.dedup for e in found):
+            return True
+    return False
+
+
+def unscreened_ws_candidates(game, eps, base, tol=DEFAULT_TOLS):
+    """Reference declared-support search: both feasibility LPs on every pair.
+
+    Visits every row subset (by size, then lexicographically), then every
+    column subset, and returns the labelled candidates as
+    ``stability._ws_candidates`` does.
+    """
+    rows, cols = game.shape
+    CT = np.ascontiguousarray(game.C.T)
+
+    def subsets(n):
+        return [S for k in range(1, n + 1) for S in itertools.combinations(range(n), k)]
+
+    out = []
+    for S_p in subsets(rows):
+        for S_q in subsets(cols):
+            q_rows = stability._ws_region_rows(game.R, S_p, eps)
+            q_upper = np.zeros(cols)
+            q_upper[list(S_q)] = np.inf
+            q_feas = stability._feasible_point(q_rows, cols, q_upper, tol)
+            if q_feas is None:
+                continue
+            p_rows = stability._ws_region_rows(CT, S_q, eps)
+            p_upper = np.zeros(rows)
+            p_upper[list(S_p)] = np.inf
+            p_feas = stability._feasible_point(p_rows, rows, p_upper, tol)
+            if p_feas is None:
+                continue
+            label = f"ws-lp:{S_p}:{S_q}"
+            out.append((label, sn.StrategyProfile.from_vectors(p_feas, q_feas, tol)))
+            for r_idx, ref in enumerate(base.equilibria):
+                p_far = stability._farthest(
+                    stability.partition_sweep(
+                        p_rows, rows, ref.row.probs, p_upper, DEFAULT_PARTITION_BUDGET, tol
+                    ),
+                    p_feas,
+                )
+                q_far = stability._farthest(
+                    stability.partition_sweep(
+                        q_rows, cols, ref.col.probs, q_upper, DEFAULT_PARTITION_BUDGET, tol
+                    ),
+                    q_feas,
+                )
+                out.append(
+                    (f"{label}:ref:{r_idx}", sn.StrategyProfile.from_vectors(p_far, q_far, tol))
+                )
+    return out
 
 
 def profile_bytes(profile):

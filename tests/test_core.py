@@ -302,3 +302,26 @@ class TestPerturbationWithin:
         g2 = sn.BimatrixGame(R, matching_pennies.C, (0, 1.05))
         assert sn.is_perturbation_within(matching_pennies, g2, 0.05)
         assert not sn.is_perturbation_within(matching_pennies, g2, 0.01)
+
+
+def test_public_api_is_pinned():
+    # a name leaves or joins the public API only on purpose
+    assert sorted(sn.__all__) == [
+        "BimatrixGame", "DEFAULT_TOLS", "EmbeddedGame", "EquilibriumSet",
+        "HeavyLightSplit", "LinearProgram", "LpOutcome", "MinimaxSolution",
+        "MixedStrategy", "RegretReport", "SearchResult", "StabilityReport",
+        "StrategyProfile", "StrongStabilityCertificate", "Tolerances", "Witness",
+        "check_constant_sum", "distance_to_set", "dominance_gap_game", "embed",
+        "enumerate_equilibria", "estimate_approximation_stability",
+        "estimate_perturbation_stability", "expected_payoffs", "extract",
+        "find_well_supported", "heavy_light_partition", "internal_deviation",
+        "is_perturbation_within", "lmm_sample", "matching_pennies", "meeting_game",
+        "minimax_solve", "modified_matching_pennies", "perturbation_witness",
+        "profile_distance", "public_goods", "random_constant_sum_game",
+        "random_game", "random_modified_matching_pennies", "random_split_deviation",
+        "random_split_probe", "regrets", "sample_approximate_equilibria",
+        "small_support_approximation", "solve_lp", "strong_stability_parameters",
+        "variation_distance", "well_supported_feasible",
+        "well_supported_stability_parameters",
+    ]
+    assert all(hasattr(sn, name) for name in sn.__all__)

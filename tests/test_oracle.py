@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 import stablenash as sn
-from stablenash import oracle
-from stablenash.config import DEFAULT_TOLS
+from stablenash import oracle, stability, support
+from stablenash.config import DEFAULT_ENUM_BUDGET, DEFAULT_TOLS
 from stablenash.errors import DomainError, ResourceBudgetError
 from stablenash.stability import perturbation_battery
 
-from conftest import profile_bytes, unscreened_lp_pass
+from conftest import loop_midpoint_component, profile_bytes, unscreened_lp_pass
 
 
 def test_matching_pennies_unique(matching_pennies):
@@ -225,15 +225,17 @@ def test_chunked_stacks_give_the_same_census():
         chunked = sn.enumerate_equilibria(g)
     _assert_same_census(chunked, sn.enumerate_equilibria(g))
     with mock.patch.object(oracle, "_CHUNK", 7):
-        assert oracle._batched_pass(sn.meeting_game(5), 5, DEFAULT_TOLS) is None
+        meeting5 = sn.meeting_game(5)
+        assert oracle._batched_pass(meeting5, 5, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS) is None
 
 
 def test_public_goods_takes_batched_pass_meeting_falls_back():
     # public goods has parallel payoff rows, so every mixed tie system is
     # singular but inconsistent: infeasible, not degenerate
     pg = sn.public_goods(4)
-    assert oracle._batched_pass(pg, 4, DEFAULT_TOLS) is not None
-    assert oracle._batched_pass(sn.meeting_game(4), 4, DEFAULT_TOLS) is None
+    assert oracle._batched_pass(pg, 4, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS) is not None
+    meeting4 = sn.meeting_game(4)
+    assert oracle._batched_pass(meeting4, 4, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS) is None
     with mock.patch.object(oracle, "solve_lp", side_effect=AssertionError):
         assert len(sn.enumerate_equilibria(pg)) == 1
 
@@ -307,7 +309,7 @@ def test_best_response_screen_matches_brute_force(n_opp, n_own, seed, eps):
 
 def _assert_same_lp_pass(game):
     max_support = min(game.shape)
-    found, degenerate = oracle._lp_pass(game, max_support, DEFAULT_TOLS)
+    found, degenerate = oracle._lp_pass(game, max_support, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS)
     ref, ref_degenerate = unscreened_lp_pass(game, max_support)
     assert degenerate == ref_degenerate
     assert [profile_bytes(e) for e in found] == [profile_bytes(e) for e in ref]
@@ -342,3 +344,90 @@ def test_lp_loop_solves_only_screened_pairs(n, lps, monkeypatch):
     eqs = sn.enumerate_equilibria(sn.meeting_game(n))
     assert len(eqs) == n * (n + 1) // 2
     assert len(calls) == lps
+
+
+def _assert_same_midpoint_check(game):
+    # the stacked check against the per-pair loop, on the listed equilibria
+    # whatever the LP loop reported, and the census it yields against one
+    # rebuilt around the loop
+    max_support = min(game.shape)
+    found = oracle._batched_pass(game, max_support, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS)
+    degenerate = False
+    if found is None:
+        found, degenerate = oracle._lp_pass(
+            game, max_support, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS
+        )
+    component = loop_midpoint_component(game, found)
+    assert oracle._midpoint_component(game, found, DEFAULT_TOLS) == component
+    eqs = sn.enumerate_equilibria(game)
+    assert eqs.complete == (not degenerate and not component)
+    assert [profile_bytes(e) for e in eqs.equilibria] == [profile_bytes(e) for e in found]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_SHAPES, st.integers(0, 20_000))
+def test_stacked_midpoint_check_matches_loop_on_small_integer_games(shape, seed):
+    rng = np.random.default_rng(seed)
+    R, C = rng.integers(0, 3, size=(2, *shape)) / 2.0
+    _assert_same_midpoint_check(sn.BimatrixGame(R, C))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_SHAPES, st.integers(0, 20_000))
+def test_stacked_midpoint_check_matches_loop_on_random_games(shape, seed):
+    _assert_same_midpoint_check(sn.random_game(*shape, seed))
+
+
+def test_stacked_midpoint_check_matches_loop_on_families():
+    games = [sn.meeting_game(n) for n in (2, 3, 4, 5)]
+    games += [sn.public_goods(n) for n in (3, 4)]
+    games.append(sn.BimatrixGame([[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]]))
+    games += [game for _, game in perturbation_battery(sn.meeting_game(3), 0.02)]
+    for game in games:
+        _assert_same_midpoint_check(game)
+
+
+def _kernel_calls(monkeypatch):
+    """Calls of every LP and of the batched tie-system kernel, recorded."""
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for module in (oracle, support, stability):
+        monkeypatch.setattr(module, "solve_lp", counted(module.solve_lp))
+    monkeypatch.setattr(oracle, "_side_pass", counted(oracle._side_pass))
+    return calls
+
+
+_GAME_2X3 = sn.random_game(2, 3, 4)
+_BASE_2X3 = sn.enumerate_equilibria(_GAME_2X3)
+
+
+@pytest.mark.parametrize(
+    "walk, pairs",
+    [
+        # equal-size pairs: C(2,1) C(3,1) + C(2,2) C(3,2)
+        (lambda b: oracle._batched_pass(_GAME_2X3, 2, b, DEFAULT_TOLS), 9),
+        # every pair of sizes up to 2: (2 + 1) (3 + 3)
+        (lambda b: oracle._lp_pass(_GAME_2X3, 2, b, DEFAULT_TOLS), 18),
+        (lambda b: sn.find_well_supported(_GAME_2X3, 0.0, budget=b), 18),
+        # every declared support pair: (2^2 - 1) (2^3 - 1)
+        (lambda b: stability._ws_candidates(_GAME_2X3, 0.05, _BASE_2X3, b, DEFAULT_TOLS), 21),
+    ],
+    ids=["batched_pass", "lp_pass", "find_well_supported", "ws_candidates"],
+)
+def test_support_pair_budget_boundary(walk, pairs, monkeypatch):
+    # the walk raises before any kernel call one pair below its count, and
+    # runs at it
+    calls = _kernel_calls(monkeypatch)
+    message = f"^{pairs} support pairs exceed the budget {pairs - 1}$"
+    with pytest.raises(ResourceBudgetError, match=message):
+        walk(pairs - 1)
+    assert calls == []
+    walk(pairs)
+    assert calls

@@ -11,12 +11,13 @@ from stablenash.errors import (
     ResourceBudgetError,
 )
 from stablenash import stability
-from stablenash.config import DEFAULT_PARTITION_BUDGET
+from stablenash.config import DEFAULT_ENUM_BUDGET, DEFAULT_PARTITION_BUDGET
+from stablenash.embedding import embed
 from stablenash.lp import INFEASIBLE, OPTIMAL, LpOutcome, solve_lp
 from stablenash.stability import MODE_PLAIN, MODE_WELL_SUPPORTED, perturbation_battery
 from stablenash.support import heavy_light_partition, light_sample_size
 
-from conftest import profile_bytes, row_encoded_sweep, scalar_sampler
+from conftest import profile_bytes, row_encoded_sweep, scalar_sampler, unscreened_ws_candidates
 
 
 class TestPerturbationStability:
@@ -132,6 +133,53 @@ class TestApproximationStability:
         with pytest.raises(ResourceBudgetError):
             sn.estimate_approximation_stability(meeting3, 0.05, MODE_PLAIN, trials=0)
         assert calls == []
+
+
+_WS_EPS = (0.0, 0.01, 0.05, 0.25)
+
+
+def _assert_same_ws_candidates(game, eps_values=_WS_EPS):
+    base = sn.enumerate_equilibria(game)
+    for eps in eps_values:
+        got = stability._ws_candidates(game, eps, base, DEFAULT_ENUM_BUDGET, sn.DEFAULT_TOLS)
+        want = unscreened_ws_candidates(game, eps, base)
+        assert [(label, profile_bytes(p)) for label, p in got] == [
+            (label, profile_bytes(p)) for label, p in want
+        ]
+
+
+class TestScreenedWsSearch:
+    # the screen drops only pairs whose feasibility LPs fail, so the
+    # candidates, their order and their bytes are those of the unscreened loop
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 3)), st.integers(0, 20_000))
+    def test_matches_unscreened_on_small_integer_games(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        R, C = rng.integers(0, 3, size=(2, *shape)) / 2.0
+        _assert_same_ws_candidates(sn.BimatrixGame(R, C))
+
+    def test_matches_unscreened_on_exactly_eps_best_action(self):
+        # action 1 trails action 0 by exactly eps on every opponent action
+        _assert_same_ws_candidates(sn.dominance_gap_game(0.25), (0.25,))
+
+    def test_matches_unscreened_on_embedded_game(self):
+        _assert_same_ws_candidates(embed(sn.random_game(3, 3, 0), 0.0002).game)
+
+    def test_meeting_feasibility_lp_count(self, meeting3, monkeypatch):
+        # 72 feasibility LPs without the screen; the sweeps' 230 are unchanged
+        calls = {"feasibility": 0, "sweep": 0}
+
+        def counted(lp, tol):
+            calls["feasibility" if lp.objective is None else "sweep"] += 1
+            return solve_lp(lp, tol)
+
+        monkeypatch.setattr(stability, "solve_lp", counted)
+        rep = sn.estimate_approximation_stability(
+            meeting3, 0.05, MODE_WELL_SUPPORTED, trials=0
+        )
+        assert rep.delta_hat == pytest.approx(0.1)
+        assert calls == {"feasibility": 18, "sweep": 230}
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import stablenash as sn
 from stablenash import oracle, support
-from stablenash.config import DEFAULT_TOLS
+from stablenash.config import DEFAULT_ENUM_BUDGET, DEFAULT_TOLS
 from stablenash.embedding import embed
 from stablenash.errors import DomainError, ParameterError, ResourceBudgetError
 from stablenash.support import light_sample_size
@@ -135,7 +135,7 @@ class TestFindWellSupported:
             below = oracle.best_response_screen(payoff, own, 0.25 - 1e-3, DEFAULT_TOLS)
             assert at_eps.tolist() == [[True, True]]
             assert below.tolist() == [[True, False]]
-        pairs = oracle.screened_pairs(g, [(2, 2)], 0.25, DEFAULT_TOLS)
+        pairs = oracle.screened_pairs(g, [(2, 2)], 0.25, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS)
         assert list(pairs) == [(1, (0, 1), (0, 1))]
         prof = sn.well_supported_feasible(g, (0, 1), (0, 1), 0.25)
         assert prof is not None
