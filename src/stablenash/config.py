@@ -52,6 +52,11 @@ DEFAULT_ENUM_BUDGET = 100_000
 # approximation-stability estimators alike.
 DEFAULT_PARTITION_BUDGET = 2 ** 20
 
+# Floats one stacked pass may hold: the sampler's probabilities per pass and
+# a simplex stack chunk's tableaus with their working copies
+# (lp.solve_stack) alike.
+STACK_FLOATS = 1 << 18
+
 # Anchor budgets for the constant-sum stability certifier.
 ANCHOR_SUPPORT_MULTIPLIER = 1.0  # K in target support ceil(log(n)/alpha^2) * K
 ANCHOR_RESAMPLE_LIMIT = 200

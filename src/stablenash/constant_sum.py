@@ -9,7 +9,12 @@ the variation distance subject to staying within alpha of the game value.
 The certified sandwich is (alpha/2, 2*delta) stable but not (alpha,
 delta/2) stable. The sweep enforces ``partition_budget``: an upper-bound
 certificate raises rather than skipping a partition. The well-supported
-variant's restricted radius comes from the same pass over the two sides.
+variant's restricted radius comes from the same pass over the two sides:
+a side's plain and restricted partitions share the side's region, so they
+are solved as one :func:`stablenash.lp.solve_stack` stack, the plain
+members padded to the restricted ones' taller tableaus (one row per
+forbidden action). The minimax LPs stay single
+:func:`stablenash.lp.solve_lp` calls.
 """
 
 from __future__ import annotations
@@ -179,15 +184,15 @@ def _max_objectives(
         n, k = payoff_cols.shape
         region = [(np.ones(n), "=", 1.0)]
         region += [(payoff_cols[:, j], ">=", value - alpha) for j in range(k)]
-        uppers = [None]
+        requests = [(anchor.probs, None)]
         if well_supported and len(optimal.support) < n:
             upper = np.zeros(n)
             upper[list(optimal.support)] = np.inf
-            uppers.append(upper)
-        best = []
-        for upper in uppers:
-            sweep = partition_sweep(region, n, anchor.probs, upper, partition_budget, tol)
-            best.append(max([0.0] + [objective for objective, _ in sweep]))
+            requests.append((anchor.probs, upper))
+        best = [
+            max([0.0] + [objective for objective, _ in sweep])
+            for sweep in partition_sweep(region, n, requests, partition_budget, tol)
+        ]
         plain = max(plain, best[0])
         restricted = max(restricted, best[-1])
     return plain, restricted

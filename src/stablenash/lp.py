@@ -5,6 +5,17 @@ guarantees termination on the degenerate desk-scale problems this library
 generates; robustness is preferred over speed here. Equality constraints are
 reduced to two inequalities, free variables are split into differences of
 non-negative variables, and finite lower bounds are shifted out.
+
+There are two paths over the same algorithm. :func:`solve_lp` solves one
+:class:`LinearProgram`. :func:`solve_stack` pivots a stack of LPs in
+lockstep (after Gurung & Ray, "Simultaneous solving of batched linear
+programs on a GPU", ICPE 2019): the members share one constraint system and
+differ in their variable bounds and objectives, as the sign partitions of
+one distance sweep do. Each member's standardized tableau is padded to the
+stack's shape, and the padding never changes a member's pivots, so every
+member's outcome is bitwise that of :func:`solve_lp` on the same LP. A
+stack of one costs more than :func:`solve_lp`, so callers holding a single
+LP keep calling it.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS, STACK_FLOATS, Tolerances
 from .errors import SolverError, ValidationError
 
 OPTIMAL = "optimal"
@@ -99,16 +110,25 @@ def _validate(lp: LinearProgram) -> None:
             raise ValidationError("objective length does not match num_vars")
         if not np.isfinite(obj).all():
             raise ValidationError("objective contains non-finite entries")
-    for c, rel, rhs in lp.constraints:
-        if c.size != lp.num_vars:
+    _check_rows(lp.constraints, lp.num_vars)
+    _check_bounds(lp.lower, lp.upper)
+
+
+def _check_rows(constraints, n: int) -> None:
+    for c, rel, rhs in constraints:
+        if c.size != n:
             raise ValidationError("constraint length does not match num_vars")
         if rel not in _RELATIONS:
             raise ValidationError(f"unknown relation {rel!r}")
         if not (np.isfinite(c).all() and np.isfinite(rhs)):
             raise ValidationError("constraint contains non-finite entries")
-    if np.isnan(lp.lower).any() or np.isnan(lp.upper).any():
+
+
+def _check_bounds(lower: np.ndarray, upper: np.ndarray) -> None:
+    """Bounds of one LP, or of a stack at once."""
+    if np.isnan(lower).any() or np.isnan(upper).any():
         raise ValidationError("bounds contain NaN")
-    if (lp.lower > lp.upper).any():
+    if (lower > upper).any():
         raise ValidationError("a lower bound exceeds its upper bound")
 
 
@@ -314,4 +334,250 @@ def _verify(lp: LinearProgram, x: np.ndarray, eps: float) -> None:
         if rel == EQUAL and abs(v - rhs) > budget:
             raise SolverError(f"constraint violated: {v} == {rhs}")
     if (x < lp.lower - slack).any() or (x > lp.upper + slack).any():
+        raise SolverError("bound violated in LP solution")
+
+
+# Basis index of a row a stack's drive-out drops: above every column, so the
+# zeroed row is never priced, extracted or chosen to leave.
+_DROPPED = np.iinfo(np.intp).max
+
+
+def _pivot_stack(
+    T: np.ndarray, basis: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> None:
+    """:func:`_pivot` on every member k of the stack at (rows[k], cols[k]),
+    with the same arithmetic."""
+    k = np.arange(T.shape[0])
+    T[k, rows] /= T[k, rows, cols][:, None]
+    colvals = T[k, :, cols]
+    colvals[k, rows] = 0.0
+    T -= colvals[:, :, None] * T[k, rows][:, None, :]
+    T[k, :, cols] = 0.0
+    T[k, rows, cols] = 1.0
+    basis[k, rows] = cols
+
+
+def _bland_stack(T: np.ndarray, basis: np.ndarray, n_cols: int, tol: float) -> np.ndarray:
+    """:func:`_bland_iterate` on every member in lockstep; True where a
+    member ends unbounded. A member leaves the lockstep once it stops."""
+    m = T.shape[1] - 1
+    unbounded = np.zeros(T.shape[0], dtype=bool)
+    live = np.arange(T.shape[0])
+    W, Wb = T, basis
+    while live.size:
+        improving = W[:, -1, :n_cols] < -tol
+        optimal = ~improving.any(axis=1)
+        entering = improving.argmax(axis=1)
+        col = W[np.arange(live.size), :m, entering]
+        pos = col > tol
+        stuck = ~optimal & ~pos.any(axis=1)
+        done = optimal | stuck
+        if done.any():
+            T[live[done]] = W[done]
+            basis[live[done]] = Wb[done]
+            unbounded[live[stuck]] = True
+            go = ~done
+            live, W, Wb = live[go], W[go], Wb[go]
+            entering, col, pos = entering[go], col[go], pos[go]
+            if not live.size:
+                break
+        ratios = np.full(pos.shape, np.inf)
+        np.divide(W[:, :m, -1], col, out=ratios, where=pos)
+        tied = pos & (ratios <= ratios.min(axis=1, keepdims=True) + tol)
+        leaving = np.where(tied, Wb, _DROPPED).argmin(axis=1)
+        _pivot_stack(W, Wb, leaving, entering)
+    return unbounded
+
+
+def _price_out_stack(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
+    """:func:`_price_out` on every member, ``cost`` holding one row each."""
+    k = np.arange(T.shape[0])
+    width = cost.shape[1]
+    T[:, -1, :] = 0.0
+    T[:, -1, :width] = -cost
+    for i in range(T.shape[1] - 1):
+        b = basis[:, i]
+        cb = np.where(b < width, cost[k, np.minimum(b, width - 1)], 0.0)
+        priced = np.flatnonzero(cb != 0.0)
+        if priced.size:
+            T[priced, -1, :] += cb[priced, None] * T[priced, i, :]
+
+
+def solve_stack(
+    constraints: list[tuple[np.ndarray, str, float]],
+    lower,
+    upper,
+    objective,
+    tol: Tolerances = DEFAULT_TOLS,
+) -> list[LpOutcome]:
+    """Maximize a stack of LPs over one shared constraint system in lockstep.
+
+    Member k is ``LinearProgram(n, objective[k], True, constraints,
+    lower[k], upper[k])`` for (members, n) arrays ``lower``, ``upper`` and
+    ``objective``; its lower bounds must be finite. Its outcome (``optimal``,
+    ``infeasible`` or ``unbounded``) is bitwise that of :func:`solve_lp` on
+    that LP: the same standardization, entering and ratio-tie rules, pivot
+    arithmetic, phase-1 scale test and drive-out.
+
+    The members' tableaus are padded to one shape. A member with fewer
+    finite upper bounds gets all-zero rows, each with its own slack basic at
+    0; one with fewer artificials gets all-zero artificial columns; a row
+    the drive-out drops is zeroed and given a basis index above every
+    column. No padding can enter, leave or price a pivot. The shared rows
+    are validated once and the stacks in one vectorized check; every
+    solution is verified with :func:`solve_lp`'s slack rule. A stack is
+    solved in chunks whose tableaus, working copies and pivot temporaries
+    together hold fewer than ``STACK_FLOATS`` floats.
+    """
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    objective = np.asarray(objective, dtype=float)
+    if lower.ndim != 2 or upper.shape != lower.shape or objective.shape != lower.shape:
+        raise ValidationError("lower, upper and objective must be stacks of one shape")
+    members, n = lower.shape
+    if n < 1:
+        raise ValidationError("linear program needs at least one variable")
+    constraints = [
+        (np.asarray(c, dtype=float).reshape(-1), rel, float(rhs))
+        for c, rel, rhs in constraints
+    ]
+    _check_rows(constraints, n)
+    _check_bounds(lower, upper)
+    if not np.isfinite(objective).all():
+        raise ValidationError("objective contains non-finite entries")
+    if not np.isfinite(lower).all():
+        raise ValidationError("stack members need finite lower bounds")
+
+    # the shared rows in _standardize's order: c <= b, then -c <= -b
+    rows: list[np.ndarray] = []
+    rhs: list[float] = []
+    for c, rel, b in constraints:
+        if rel != GREATER_EQUAL:
+            rows.append(c)
+            rhs.append(b)
+        if rel != LESS_EQUAL:
+            rows.append(-c)
+            rhs.append(-b)
+    A = np.array(rows).reshape(-1, n)
+    b = np.array(rhs, dtype=float)
+    # a lockstep pass holds a chunk's tableau, a working copy and a pivot's
+    # temporary at once; a quarter of STACK_FLOATS each keeps them below it
+    height = A.shape[0] + int(np.isfinite(upper).sum(axis=1).max(initial=0))
+    chunk = max(1, STACK_FLOATS // 4 // ((height + 1) * (n + 2 * height + 1)))
+    out: list[LpOutcome] = []
+    for start in range(0, members, chunk):
+        part = slice(start, start + chunk)
+        out += _solve_chunk(
+            constraints, A, b, lower[part], upper[part], objective[part], tol.lp
+        )
+    return out
+
+
+def _solve_chunk(
+    constraints, A, b, lower, upper, objective, eps: float
+) -> list[LpOutcome]:
+    """One chunk of :func:`solve_stack`: ``A`` and ``b`` are the shared
+    rows standardized as ``c <= b``; a member's rows past its own are
+    padding."""
+    K, n = lower.shape
+    m0 = A.shape[0]
+    finite = np.isfinite(upper)
+    R = m0 + int(finite.sum(axis=1).max())
+    n_real = n + R
+
+    # right-hand sides as _standardize forms them, a 1-D dot per shared row
+    shifted = lower.any(axis=1)
+    B = np.zeros((K, R))
+    B[:, :m0] = b
+    for k in np.flatnonzero(shifted):
+        B[k, :m0] = [bi - float(row @ lower[k]) for row, bi in zip(A, b)]
+    kk, jj = np.nonzero(finite)
+    at = m0 + (np.cumsum(finite, axis=1) - 1)[kk, jj]
+    B[kk, at] = np.where(shifted[kk], upper[kk, jj] - lower[kk, jj], upper[kk, jj])
+    neg = B < 0
+    B = np.abs(B)
+
+    n_art = neg.sum(axis=1)
+    T = np.zeros((K, R + 1, n_real + int(n_art.max()) + 1))
+    T[:, :m0, :n] = A
+    T[kk, at, jj] = 1.0
+    T[:, :R, :n] = np.where(neg[:, :, None], -T[:, :R, :n], T[:, :R, :n])
+    i = np.arange(R)
+    T[:, i, n + i] = np.where(neg, -1.0, 1.0)
+    ka, ia = np.nonzero(neg)
+    art = n_real + (np.cumsum(neg, axis=1) - 1)[ka, ia]
+    T[ka, ia, art] = 1.0
+    T[:, :R, -1] = B
+    basis = np.tile(np.arange(n, n_real), (K, 1))
+    basis[ka, ia] = art
+
+    feasible = np.ones(K, dtype=bool)
+    if n_art.any():
+        # a member without artificials is optimal at once in phase 1 and
+        # left as it was, so phase 1 runs on the whole stack in place
+        cost = np.zeros((K, T.shape[2] - 1))
+        cost[:, n_real:] = -1.0  # maximize minus the artificial mass
+        _price_out_stack(T, basis, cost)
+        if _bland_stack(T, basis, T.shape[2] - 1, eps).any():
+            raise SolverError("phase 1 cannot be unbounded")
+        scale = np.maximum(1.0, B.max(axis=1, initial=0.0))
+        feasible = ~(-T[:, -1, -1] > eps * scale)
+        # drive leftover zero-value artificials out, row by row as solve_lp
+        for r in range(R):
+            need = np.flatnonzero(feasible & (basis[:, r] >= n_real))
+            if not need.size:
+                continue
+            real = np.abs(T[need, r, :n_real]) > eps
+            has = real.any(axis=1)
+            piv = need[has]
+            if piv.size:
+                V, Vb = T[piv], basis[piv]
+                _pivot_stack(V, Vb, np.full(piv.size, r), real[has].argmax(axis=1))
+                T[piv], basis[piv] = V, Vb
+            drop = need[~has]
+            T[drop, r, :] = 0.0
+            basis[drop, r] = _DROPPED
+
+    live = np.flatnonzero(feasible)
+    T = np.concatenate((T[live, :, :n_real], T[live, :, -1:]), axis=2)
+    basis = basis[live]
+    cost = np.zeros((live.size, n_real))
+    cost[:, :n] = objective[live]
+    _price_out_stack(T, basis, cost)
+    unbounded = _bland_stack(T, basis, n_real, eps)
+
+    y = np.zeros((live.size, n_real))
+    kb, ib = np.nonzero(basis < n_real)
+    y[kb, basis[kb, ib]] = T[kb, ib, -1]
+    X = lower[live] + y[:, :n]
+    solved = ~unbounded
+    _verify_stack(constraints, X[solved], lower[live[solved]], upper[live[solved]], eps)
+
+    out = [LpOutcome(INFEASIBLE)] * K
+    for j, k in enumerate(live):
+        if unbounded[j]:
+            out[k] = LpOutcome(UNBOUNDED)
+        else:
+            out[k] = LpOutcome(OPTIMAL, X[j], float(objective[k] @ X[j]))
+    return out
+
+
+def _verify_stack(
+    constraints, X: np.ndarray, lower: np.ndarray, upper: np.ndarray, eps: float
+) -> None:
+    """:func:`_verify`'s slack rule on every row of ``X`` at once."""
+    scale = np.maximum(1.0, np.abs(X).max(axis=1, initial=0.0))
+    slack = 10.0 * eps * scale
+    for c, rel, rhs in constraints:
+        v = X @ c
+        budget = slack * max(1.0, float(np.abs(c).max()), abs(rhs))
+        if rel == LESS_EQUAL:
+            bad = v > rhs + budget
+        elif rel == GREATER_EQUAL:
+            bad = v < rhs - budget
+        else:
+            bad = np.abs(v - rhs) > budget
+        if bad.any():
+            raise SolverError(f"constraint violated: {v[bad][0]} {rel} {rhs}")
+    if (X < lower - slack[:, None]).any() or (X > upper + slack[:, None]).any():
         raise SolverError("bound violated in LP solution")

@@ -9,10 +9,13 @@ require enumerating equilibria of every admissible perturbation.
 
 :func:`partition_sweep` is the one sign-partition distance sweep: the
 estimators take its vertices, the constant-sum certifier its objectives.
-It states each partition as variable bounds and is the only place that
-limits how many partitions a sweep may solve; above
-``DEFAULT_PARTITION_BUDGET`` the estimators raise, as the certifier does
-above its ``partition_budget``. The well-supported estimator takes its
+It states each partition as variable bounds, solves all partitions of the
+sweeps it is given over one region as one
+:func:`stablenash.lp.solve_stack` stack, and is the only place that limits
+how many partitions a sweep may solve; above ``DEFAULT_PARTITION_BUDGET``
+the estimators raise, as the certifier does above its ``partition_budget``.
+The estimators request their sweeps through :func:`_sweeps`, which solves
+each distinct request once. The well-supported estimator takes its
 declared support pairs from :func:`stablenash.oracle.screened_pairs`, the
 one support-pair walk, which screens them and enforces ``budget``.
 """
@@ -34,6 +37,7 @@ from .config import (
     LIGHT_SAMPLE_COEFF,
     PROBE_REFERENCE_COEFF,
     SPLIT_RETRY_LIMIT,
+    STACK_FLOATS,
     Tolerances,
 )
 from .core import (
@@ -53,7 +57,7 @@ from .errors import (
     PreconditionError,
     ResourceBudgetError,
 )
-from .lp import FEASIBLE, OPTIMAL, LinearProgram, solve_lp
+from .lp import FEASIBLE, OPTIMAL, LinearProgram, solve_lp, solve_stack
 from .oracle import EquilibriumSet, distance_to_set, enumerate_equilibria, screened_pairs
 from .support import HeavyLightSplit, heavy_light_partition, light_sample_size
 
@@ -62,9 +66,6 @@ log = logging.getLogger(__name__)
 MODE_PERTURBATION = "perturbation"
 MODE_PLAIN = "approximation"
 MODE_WELL_SUPPORTED = "well_supported"
-
-# Probabilities per stacked sampler pass, which bounds the stack's memory.
-_STACK_FLOATS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,7 @@ def sample_approximate_equilibria(
     one final call verifies their repaired points. The accepted points are
     cleaned and validated as one stack (:meth:`StrategyProfile.from_rows`).
     Samples are returned in the order they were drawn; at most
-    ``_STACK_FLOATS`` probabilities are stacked at a time.
+    ``STACK_FLOATS`` probabilities are stacked at a time.
     """
     if eps < tol.eq:
         raise ParameterError("eps below the equilibrium verification tolerance")
@@ -224,7 +225,7 @@ def sample_approximate_equilibria(
         return np.maximum(row_regret, col_regret) <= eps
 
     out: list[StrategyProfile] = []
-    chunk = max(1, _STACK_FLOATS // (rows + cols))
+    chunk = max(1, STACK_FLOATS // (rows + cols))
     for start in range(0, count, chunk):
         m = min(chunk, count - start)
         P = np.empty((m, rows))
@@ -260,54 +261,96 @@ def sample_approximate_equilibria(
 def partition_sweep(
     base_rows: list[tuple[np.ndarray, str, float]],
     n: int,
-    ref: np.ndarray,
-    zero_upper: Optional[np.ndarray],
+    requests: list[tuple[np.ndarray, Optional[np.ndarray]]],
     budget: int,
     tol: Tolerances,
-) -> list[tuple[float, np.ndarray]]:
-    """The sign-partition distance sweep around ``ref`` over a polytope.
+) -> list[list[tuple[float, np.ndarray]]]:
+    """Sign-partition distance sweeps over one polytope, as one LP stack.
 
-    The polytope is cut out by ``base_rows`` and the optional upper bounds
-    ``zero_upper``, each 0 (mass forbidden) or +inf. One LP per sign
-    partition of ref's movable support (entries whose upper bound is not
-    zero; pinned ones stay below ref) states the partition as variable
-    bounds: a plus entry is at least ref, a minus entry at most ref. The
-    objective counts the plus part's excess, the minus part's shortfall and
-    all mass outside ref's support, so each feasible partition yields
-    (objective + partition constant, vertex), which is ||vertex - ref||_1,
-    twice the variation distance. This is the one place that bounds a
-    sweep: it raises :class:`ResourceBudgetError` before any LP when the
-    2^k partitions exceed ``budget``.
+    The polytope is cut out by ``base_rows``. Each request ``(ref,
+    zero_upper)`` sweeps around ``ref``, with the optional upper bounds
+    ``zero_upper``, each 0 (mass forbidden) or +inf, added to the polytope.
+    A sweep has one LP per sign partition of ref's movable support (entries
+    whose upper bound is not zero; pinned ones stay below ref), stated as
+    variable bounds: a plus entry is at least ref, a minus entry at most
+    ref. The objective counts the plus part's excess, the minus part's
+    shortfall and all mass outside ref's support, so each feasible
+    partition yields (objective + partition constant, vertex), which is
+    ||vertex - ref||_1, twice the variation distance. Returns one such list
+    per request, in partition (bit mask) order.
+
+    The partitions of every request differ only in their bounds and
+    objective signs, so they are built as arrays and solved in one
+    :func:`stablenash.lp.solve_stack` call, with the outcomes of one
+    :func:`stablenash.lp.solve_lp` per partition. This is the one place that
+    bounds a sweep: it raises :class:`ResourceBudgetError` before any LP
+    when some request's 2^k partitions exceed ``budget``.
     """
-    support = np.flatnonzero(ref)
-    upper = np.full(n, np.inf) if zero_upper is None else zero_upper
-    movable = support[upper[support] > 0.0]
-    if 2 ** len(movable) > budget:
-        raise ResourceBudgetError(
-            f"2^{len(movable)} sign partitions exceed the budget {budget}"
+    lowers, uppers, signs, parts = [], [], [], []
+    for ref, zero_upper in requests:
+        upper = np.full(n, np.inf) if zero_upper is None else zero_upper
+        movable = np.flatnonzero((ref != 0) & (upper > 0.0))
+        if 2 ** len(movable) > budget:
+            raise ResourceBudgetError(
+                f"2^{len(movable)} sign partitions exceed the budget {budget}"
+            )
+        masks = np.arange(2 ** len(movable))
+        plus = np.zeros((masks.size, n), dtype=bool)
+        plus[:, movable] = (masks[:, None] >> np.arange(len(movable))) & 1 == 1
+        minus = (ref != 0) & ~plus
+        lowers.append(np.where(plus, ref, 0.0))
+        uppers.append(np.where(minus, np.minimum(upper, ref), upper))
+        signs.append(np.where(minus, -1.0, 1.0))
+        parts.append((ref, plus, minus))
+    outcomes = iter(
+        solve_stack(
+            base_rows,
+            np.concatenate(lowers),
+            np.concatenate(uppers),
+            np.concatenate(signs),
+            tol,
         )
-    bits = np.arange(len(movable))
-    results: list[tuple[float, np.ndarray]] = []
-    for mask in range(2 ** len(movable)):
-        plus = movable[(mask >> bits) & 1 == 1]
-        minus = np.setdiff1d(support, plus)
-        lp = LinearProgram(n, upper=upper.copy())
-        lp.lower[plus] = ref[plus]
-        lp.upper[minus] = np.minimum(upper, ref)[minus]
-        for coeffs, rel, rhs in base_rows:
-            lp.add_constraint(coeffs, rel, rhs)
-        sign = np.ones(n)
-        sign[minus] = -1.0
-        lp.set_objective(sign, maximize=True)
-        out = solve_lp(lp, tol)
-        if out.status == OPTIMAL:
-            constant = float(ref[minus].sum() - ref[plus].sum())
-            results.append((float(out.objective_value) + constant, out.solution))
+    )
+    results: list[list[tuple[float, np.ndarray]]] = []
+    for ref, plus, minus in parts:
+        sweep = []
+        for k in range(plus.shape[0]):
+            out = next(outcomes)
+            if out.status == OPTIMAL:
+                constant = float(ref[minus[k]].sum() - ref[plus[k]].sum())
+                sweep.append((float(out.objective_value) + constant, out.solution))
+        results.append(sweep)
     return results
 
 
 def _simplex_rows(n: int) -> list[tuple[np.ndarray, str, float]]:
     return [(np.ones(n), "=", 1.0)]
+
+
+def _sweeps(
+    requests: list[tuple[list, int, np.ndarray, Optional[np.ndarray]]], tol: Tolerances
+) -> list[list[tuple[float, np.ndarray]]]:
+    """The sweeps of ``requests``, each ``(base_rows, n, ref, zero_upper)``,
+    in order.
+
+    Requests are keyed by their bytes: each distinct one is solved once,
+    and those over one region (the same rows) share one
+    :func:`partition_sweep` stack.
+    """
+    regions: dict = {}
+    keys = []
+    for base_rows, n, ref, zero_upper in requests:
+        region = (n, *((c.tobytes(), rel, float(rhs).hex()) for c, rel, rhs in base_rows))
+        key = (ref.tobytes(), None if zero_upper is None else zero_upper.tobytes())
+        regions.setdefault(region, (base_rows, n, {}))[2].setdefault(key, (ref, zero_upper))
+        keys.append((region, key))
+    solved = {}
+    for region, (base_rows, n, distinct) in regions.items():
+        sweeps = partition_sweep(
+            base_rows, n, list(distinct.values()), DEFAULT_PARTITION_BUDGET, tol
+        )
+        solved.update(((region, key), sweep) for key, sweep in zip(distinct, sweeps))
+    return [solved[key] for key in keys]
 
 
 def _plain_candidates(
@@ -317,11 +360,14 @@ def _plain_candidates(
 
     With q fixed, both players' eps-best-response conditions are linear in
     p, so distance to each reference equilibrium can be maximized exactly
-    by the partition sweep; symmetrically with p fixed.
+    by the partition sweep; symmetrically with p fixed. Equilibria sharing
+    a side pin the same region, so :func:`_sweeps` solves each distinct
+    sweep once.
     """
     rows, cols = game.shape
     R, C = game.R, game.C
-    out: list[tuple[str, StrategyProfile]] = []
+    requests = []
+    pinned = []  # (label, p, q) with the swept side None
     for a_idx, anchor in enumerate(base.equilibria):
         q_star = anchor.col.probs
         rq = R @ q_star
@@ -331,16 +377,8 @@ def _plain_candidates(
         for j in range(cols):
             p_rows.append((C[:, j] - cq, "<=", eps))
         for r_idx, ref in enumerate(base.equilibria):
-            sweep = partition_sweep(
-                p_rows, rows, ref.row.probs, None, DEFAULT_PARTITION_BUDGET, tol
-            )
-            for _, p_cand in sweep:
-                out.append(
-                    (
-                        f"lp:fix-q:{a_idx}:ref:{r_idx}",
-                        StrategyProfile.from_vectors(p_cand, q_star, tol),
-                    )
-                )
+            requests.append((p_rows, rows, ref.row.probs, None))
+            pinned.append((f"lp:fix-q:{a_idx}:ref:{r_idx}", None, q_star))
         p_star = anchor.row.probs
         cp = p_star @ C
         rp = p_star @ R
@@ -349,16 +387,19 @@ def _plain_candidates(
         for i in range(rows):
             q_rows.append((R[i, :] - rp, "<=", eps))
         for r_idx, ref in enumerate(base.equilibria):
-            sweep = partition_sweep(
-                q_rows, cols, ref.col.probs, None, DEFAULT_PARTITION_BUDGET, tol
-            )
-            for _, q_cand in sweep:
-                out.append(
-                    (
-                        f"lp:fix-p:{a_idx}:ref:{r_idx}",
-                        StrategyProfile.from_vectors(p_star, q_cand, tol),
-                    )
+            requests.append((q_rows, cols, ref.col.probs, None))
+            pinned.append((f"lp:fix-p:{a_idx}:ref:{r_idx}", p_star, None))
+    out: list[tuple[str, StrategyProfile]] = []
+    for (label, p, q), sweep in zip(pinned, _sweeps(requests, tol)):
+        for _, vertex in sweep:
+            out.append(
+                (
+                    label,
+                    StrategyProfile.from_vectors(
+                        vertex if p is None else p, vertex if q is None else q, tol
+                    ),
                 )
+            )
     return out
 
 
@@ -389,14 +430,17 @@ def _ws_candidates(
     realized ones, and the constraints quantify over the declared sets.
     Only the pairs that pass :func:`stablenash.oracle.screened_pairs` at eps
     reach the LPs, visited by row subset, then column subset (by size, then
-    lexicographically).
+    lexicographically). A side's region depends only on the opponent's
+    declared support, so :func:`_sweeps` stacks the sweeps of every pair
+    sharing it and solves a sweep requested twice once.
     """
     rows, cols = game.shape
     sizes = list(itertools.product(range(1, rows + 1), range(1, cols + 1)))
     pairs = [(S_p, S_q) for _, S_p, S_q in screened_pairs(game, sizes, eps, budget, tol)]
     pairs.sort(key=lambda pair: (len(pair[0]), pair[0], len(pair[1]), pair[1]))
     CT = np.ascontiguousarray(game.C.T)
-    out: list[tuple[str, StrategyProfile]] = []
+    feasible = []
+    requests = []
     for S_p, S_q in pairs:
         q_rows = _ws_region_rows(game.R, S_p, eps)
         q_upper = np.zeros(cols)
@@ -410,21 +454,17 @@ def _ws_candidates(
         p_feas = _feasible_point(p_rows, rows, p_upper, tol)
         if p_feas is None:
             continue
-        label = f"ws-lp:{S_p}:{S_q}"
+        feasible.append((f"ws-lp:{S_p}:{S_q}", p_feas, q_feas))
+        for ref in base.equilibria:
+            requests.append((p_rows, rows, ref.row.probs, p_upper))
+            requests.append((q_rows, cols, ref.col.probs, q_upper))
+    sweeps = iter(_sweeps(requests, tol))
+    out: list[tuple[str, StrategyProfile]] = []
+    for label, p_feas, q_feas in feasible:
         out.append((label, StrategyProfile.from_vectors(p_feas, q_feas, tol)))
-        for r_idx, ref in enumerate(base.equilibria):
-            p_far = _farthest(
-                partition_sweep(
-                    p_rows, rows, ref.row.probs, p_upper, DEFAULT_PARTITION_BUDGET, tol
-                ),
-                p_feas,
-            )
-            q_far = _farthest(
-                partition_sweep(
-                    q_rows, cols, ref.col.probs, q_upper, DEFAULT_PARTITION_BUDGET, tol
-                ),
-                q_feas,
-            )
+        for r_idx in range(len(base.equilibria)):
+            p_far = _farthest(next(sweeps), p_feas)
+            q_far = _farthest(next(sweeps), q_feas)
             out.append(
                 (
                     f"{label}:ref:{r_idx}",

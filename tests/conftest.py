@@ -253,18 +253,14 @@ def unscreened_ws_candidates(game, eps, base, tol=DEFAULT_TOLS):
             label = f"ws-lp:{S_p}:{S_q}"
             out.append((label, sn.StrategyProfile.from_vectors(p_feas, q_feas, tol)))
             for r_idx, ref in enumerate(base.equilibria):
-                p_far = stability._farthest(
-                    stability.partition_sweep(
-                        p_rows, rows, ref.row.probs, p_upper, DEFAULT_PARTITION_BUDGET, tol
-                    ),
-                    p_feas,
+                (p_sweep,) = stability.partition_sweep(
+                    p_rows, rows, [(ref.row.probs, p_upper)], DEFAULT_PARTITION_BUDGET, tol
                 )
-                q_far = stability._farthest(
-                    stability.partition_sweep(
-                        q_rows, cols, ref.col.probs, q_upper, DEFAULT_PARTITION_BUDGET, tol
-                    ),
-                    q_feas,
+                (q_sweep,) = stability.partition_sweep(
+                    q_rows, cols, [(ref.col.probs, q_upper)], DEFAULT_PARTITION_BUDGET, tol
                 )
+                p_far = stability._farthest(p_sweep, p_feas)
+                q_far = stability._farthest(q_sweep, q_feas)
                 out.append(
                     (f"{label}:ref:{r_idx}", sn.StrategyProfile.from_vectors(p_far, q_far, tol))
                 )

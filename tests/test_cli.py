@@ -1,5 +1,7 @@
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 import stablenash as sn
 from stablenash import serialize
 from stablenash.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_USAGE, run
-from stablenash.lp import solve_lp
+from stablenash.lp import solve_stack
 
 
 def run_cli(monkeypatch, capsys, args, stdin_text=""):
@@ -123,13 +125,13 @@ class TestPipelines:
     def test_certify_zs_well_supported_sweeps_once(self, monkeypatch, capsys):
         # matching pennies has full minimax supports, so the restricted sweep
         # forbids nothing and reuses the plain one: 4 partitions per side
-        calls = []
+        calls = []  # one entry per stack member, each an LP
 
-        def counting(lp, tol):
-            calls.append(lp)
-            return solve_lp(lp, tol)
+        def counting(constraints, lower, upper, objective, tol):
+            calls.extend(lower)
+            return solve_stack(constraints, lower, upper, objective, tol)
 
-        monkeypatch.setattr("stablenash.stability.solve_lp", counting)
+        monkeypatch.setattr("stablenash.stability.solve_stack", counting)
         game_json = serialize.canonical_dumps(serialize.game_to_dict(sn.matching_pennies()))
         code, _, _ = run_cli(
             monkeypatch, capsys,
@@ -138,6 +140,35 @@ class TestPipelines:
         )
         assert code == EXIT_OK
         assert len(calls) == 8
+
+    def test_traced_bench_run_accounts_for_every_lp(self, monkeypatch, capsys):
+        # the traced benchmark checks its per-module solve_lp spans against
+        # the calls of lp._validate, which solve_lp runs once per LP; a sweep
+        # member routed through _validate would make it report a problem
+        path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        rec = spans.Recorder()
+        restore = spans.install(rec)
+        try:
+            for args, game in (
+                (["certify-zs", "--alpha", "0.1", "--well-supported"],
+                 sn.random_constant_sum_game(4, 3)),
+                (["certify", "--mode", "ws", "--eps", "0.05", "--trials", "4"],
+                 sn.meeting_game(3)),
+            ):
+                code, _, _ = run_cli(
+                    monkeypatch, capsys, args,
+                    stdin_text=serialize.canonical_dumps(serialize.game_to_dict(game)),
+                )
+                assert code == EXIT_OK
+        finally:
+            restore()
+        metrics, problems = spans.layer_metrics(rec)
+        assert rec.counts_lp_solves
+        assert metrics["lp.calls"] > 0
+        assert problems == []
 
     def test_certify_modes(self, monkeypatch, capsys):
         _, game_json, _ = run_cli(monkeypatch, capsys, ["generate", "--family", "mp"])

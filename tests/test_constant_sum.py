@@ -154,7 +154,7 @@ class TestStrongStabilityParameters:
         out = solve_lp(lp)
         assert out.status == OPTIMAL
         by_hand = (out.objective_value - anchor[0] + anchor[1], out.solution)
-        sweep = partition_sweep(region, 2, anchor, None, 4, sn.DEFAULT_TOLS)
+        (sweep,) = partition_sweep(region, 2, [(anchor, None)], 4, sn.DEFAULT_TOLS)
         assert len(sweep) == 4  # every sign partition is feasible here
         for objective, vertex in [by_hand] + sweep:
             dist = 0.5 * np.abs(vertex - anchor).sum()

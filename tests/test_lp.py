@@ -9,7 +9,9 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 import stablenash
-from stablenash.errors import ValidationError
+from stablenash import lp as lp_module
+from stablenash.config import DEFAULT_TOLS, Tolerances
+from stablenash.errors import SolverError, ValidationError
 from stablenash.lp import (
     FEASIBLE,
     INFEASIBLE,
@@ -17,6 +19,7 @@ from stablenash.lp import (
     UNBOUNDED,
     LinearProgram,
     solve_lp,
+    solve_stack,
 )
 
 
@@ -208,3 +211,135 @@ def test_every_solve_lp_caller_is_traced():
         if info.name != "lp" and getattr(module, "solve_lp", None) is solve_lp:
             callers.add(info.name)
     assert callers and callers == traced, sorted(callers ^ traced)
+
+
+# --- the lockstep stack against the scalar path ------------------------------
+
+# With 1.5 as the pivot tolerance, phase 1 can end with artificials in the
+# basis whose rows hold no larger entry, so the drive-out drops those rows.
+# At the default tolerance it never drops one (the artificial's own surplus
+# column holds -1 in its row), but it does pivot.
+_COARSE = Tolerances(lp=1.5)
+
+
+def _random_stack(seed, real=False):
+    """Shared constraints plus a stack of bounds and objectives. On a
+    half-integer grid, degenerate, infeasible and unbounded members are
+    common; with ``real`` entries the arithmetic rounds, so a changed
+    summation order shows. Members differ in their finite upper bounds and
+    artificials, so the stack pads them."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7 if real else 5))
+    if real:
+        def draw(size):
+            return rng.uniform(-1.0, 1.0, size)
+    else:
+        def draw(size):
+            return rng.integers(-2, 3, size) / 2.0
+    constraints = [
+        (draw(n), ("<=", "=", ">=")[rng.integers(3)], float(draw(1)[0]))
+        for _ in range(rng.integers(0, 6))
+    ]
+    members = int(rng.integers(1, 9))
+    lower = np.where(rng.random((members, n)) < 0.5, 0.0, draw((members, n)))
+    upper = np.where(rng.random((members, n)) < 0.5, np.inf, lower + np.abs(draw((members, n))))
+    return constraints, lower, upper, draw((members, n))
+
+
+def _outcome_bytes(out):
+    return (
+        out.status,
+        None if out.solution is None else out.solution.tobytes(),
+        None if out.objective_value is None else np.float64(out.objective_value).tobytes(),
+    )
+
+
+def _assert_stack_is_scalar(constraints, lower, upper, objective, tol):
+    """Each member bitwise as solve_lp, also when the stack is permuted or
+    split; returns the statuses."""
+    try:
+        want = []
+        for lo, up, obj in zip(lower, upper, objective):
+            lp = LinearProgram(lo.size, obj, True, lower=lo, upper=up)
+            for c, rel, rhs in constraints:
+                lp.add_constraint(c, rel, rhs)
+            want.append(_outcome_bytes(solve_lp(lp, tol)))
+    except SolverError:
+        with pytest.raises(SolverError):
+            solve_stack(constraints, lower, upper, objective, tol)
+        return []
+
+    def solved(part):
+        outs = solve_stack(constraints, lower[part], upper[part], objective[part], tol)
+        return [_outcome_bytes(out) for out in outs]
+
+    everything = slice(None)
+    assert solved(everything) == want
+    perm = np.random.default_rng(len(want)).permutation(len(want))
+    assert solved(perm) == [want[k] for k in perm]
+    cut = len(want) // 2
+    assert solved(slice(None, cut)) + solved(slice(cut, None)) == want
+    return [status for status, _, _ in want]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 100_000), st.booleans(), st.sampled_from([DEFAULT_TOLS, _COARSE]))
+def test_stack_matches_solve_lp_bitwise(seed, real, tol):
+    _assert_stack_is_scalar(*_random_stack(seed, real), tol)
+
+
+def test_random_stacks_reach_every_status():
+    seen = set()
+    for seed in range(60):
+        seen.update(_assert_stack_is_scalar(*_random_stack(seed), DEFAULT_TOLS))
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+@pytest.mark.parametrize(
+    "constraints, upper, tol",
+    [
+        # a redundant >= row: phase 1 ends with two artificials basic at 0,
+        # which the drive-out pivots out
+        ([([1.0, 1.0], "=", 1.0), ([1.0, 1.0], ">=", 1.0)], [np.inf, np.inf], DEFAULT_TOLS),
+        # the drive-out drops the artificial's row
+        ([([1.0, 1.0], "=", 1.0)], [np.inf, np.inf], _COARSE),
+        ([([1.0, 0.0], ">=", 1.0)], [0.5, np.inf], DEFAULT_TOLS),  # infeasible
+        ([([1.0, -1.0], "<=", 1.0)], [np.inf, np.inf], DEFAULT_TOLS),  # unbounded
+    ],
+    ids=["drive_out", "dropped_row", "infeasible", "unbounded"],
+)
+def test_stack_matches_solve_lp_on_each_phase_one_path(constraints, upper, tol):
+    # the same system under members of mixed shapes: pinned, shifted and
+    # capped variables change the row and artificial counts
+    lower = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.0], [0.0, -1.0]])
+    upper = np.array([upper, upper, [0.5, 0.5], [np.inf, 2.0]])
+    objective = np.array([[1.0, -1.0], [1.0, 0.0], [-1.0, 1.0], [0.0, 1.0]])
+    assert _assert_stack_is_scalar(constraints, lower, upper, objective, tol)
+
+
+def test_chunked_stack_matches_one_stack(monkeypatch):
+    constraints, lower, upper, objective = _random_stack(7)
+    lower, upper, objective = (np.tile(a, (5, 1)) for a in (lower, upper, objective))
+    whole = [_outcome_bytes(out) for out in solve_stack(constraints, lower, upper, objective)]
+    monkeypatch.setattr(lp_module, "STACK_FLOATS", 1)  # one member per chunk
+    chunked = [_outcome_bytes(out) for out in solve_stack(constraints, lower, upper, objective)]
+    assert chunked == whole
+
+
+def test_stack_rejects_malformed_members():
+    rows = [(np.ones(2), "=", 1.0)]
+    ok = np.zeros((3, 2)), np.full((3, 2), np.inf), np.ones((3, 2))
+    assert len(solve_stack(rows, *ok)) == 3
+    bad = {
+        "shape": (np.zeros((3, 2)), np.full((2, 2), np.inf), np.ones((3, 2))),
+        "free": (np.full((3, 2), -np.inf), np.full((3, 2), np.inf), np.ones((3, 2))),
+        "crossed": (np.ones((3, 2)), np.zeros((3, 2)), np.ones((3, 2))),
+        "objective": (np.zeros((3, 2)), np.full((3, 2), np.inf), np.full((3, 2), np.nan)),
+    }
+    for lower, upper, objective in bad.values():
+        with pytest.raises(ValidationError):
+            solve_stack(rows, lower, upper, objective)
+    with pytest.raises(ValidationError):
+        solve_stack([(np.ones(3), "=", 1.0)], *ok)
+    with pytest.raises(ValidationError):
+        solve_stack([(np.ones(2), "<", 1.0)], *ok)

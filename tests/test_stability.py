@@ -10,10 +10,10 @@ from stablenash.errors import (
     PreconditionError,
     ResourceBudgetError,
 )
-from stablenash import stability
+from stablenash import lp, stability
 from stablenash.config import DEFAULT_ENUM_BUDGET, DEFAULT_PARTITION_BUDGET
 from stablenash.embedding import embed
-from stablenash.lp import INFEASIBLE, OPTIMAL, LpOutcome, solve_lp
+from stablenash.lp import INFEASIBLE, OPTIMAL, LpOutcome, solve_lp, solve_stack
 from stablenash.stability import MODE_PLAIN, MODE_WELL_SUPPORTED, perturbation_battery
 from stablenash.support import heavy_light_partition, light_sample_size
 
@@ -108,25 +108,25 @@ class TestApproximationStability:
     def test_partition_budget_raises_before_any_lp(self, meeting3, monkeypatch):
         # the sweep alone bounds its partitions: above its budget it raises
         # before its first LP, in the estimators as in the certifier
-        calls = []
+        calls = []  # one entry per stack member, each an LP
 
-        def infeasible(lp, tol):
-            calls.append(lp)
-            return LpOutcome(INFEASIBLE)
+        def infeasible(constraints, lower, upper, objective, tol):
+            calls.extend(lower)
+            return [LpOutcome(INFEASIBLE)] * len(lower)
 
-        monkeypatch.setattr(stability, "solve_lp", infeasible)
+        monkeypatch.setattr(stability, "solve_stack", infeasible)
         region = [(np.ones(3), "=", 1.0)]
         ref = np.array([0.5, 0.25, 0.25])
         pinned = np.array([0.0, np.inf, np.inf])  # leaves two movable entries
         for zero_upper, budget in ((None, 8), (pinned, 4)):
             with pytest.raises(ResourceBudgetError):
                 stability.partition_sweep(
-                    region, 3, ref, zero_upper, budget - 1, sn.DEFAULT_TOLS
+                    region, 3, [(ref, zero_upper)], budget - 1, sn.DEFAULT_TOLS
                 )
             assert calls == []
             assert stability.partition_sweep(
-                region, 3, ref, zero_upper, budget, sn.DEFAULT_TOLS
-            ) == []
+                region, 3, [(ref, zero_upper)], budget, sn.DEFAULT_TOLS
+            ) == [[]]
             assert len(calls) == budget
             calls.clear()
         monkeypatch.setattr(stability, "DEFAULT_PARTITION_BUDGET", 1)
@@ -167,19 +167,25 @@ class TestScreenedWsSearch:
         _assert_same_ws_candidates(embed(sn.random_game(3, 3, 0), 0.0002).game)
 
     def test_meeting_feasibility_lp_count(self, meeting3, monkeypatch):
-        # 72 feasibility LPs without the screen; the sweeps' 230 are unchanged
+        # 72 feasibility LPs without the screen; the sweep stacks hold 115
+        # LPs, each distinct sweep once (230 when every request was solved)
         calls = {"feasibility": 0, "sweep": 0}
 
         def counted(lp, tol):
             calls["feasibility" if lp.objective is None else "sweep"] += 1
             return solve_lp(lp, tol)
 
+        def stacked(constraints, lower, upper, objective, tol):
+            calls["sweep"] += len(lower)
+            return solve_stack(constraints, lower, upper, objective, tol)
+
         monkeypatch.setattr(stability, "solve_lp", counted)
+        monkeypatch.setattr(stability, "solve_stack", stacked)
         rep = sn.estimate_approximation_stability(
             meeting3, 0.05, MODE_WELL_SUPPORTED, trials=0
         )
         assert rep.delta_hat == pytest.approx(0.1)
-        assert calls == {"feasibility": 18, "sweep": 230}
+        assert calls == {"feasibility": 18, "sweep": 115}
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -209,15 +215,15 @@ def test_bounds_sweep_matches_row_encoded_sweep(seed, n, restricted):
             region.append((a, "<=", float(a @ inner) + slack))
     statuses = []
 
-    def recording(lp, tol):
-        out = solve_lp(lp, tol)
-        statuses.append(out.status)
-        return out
+    def recording(constraints, lower, upper, objective, tol):
+        outs = solve_stack(constraints, lower, upper, objective, tol)
+        statuses.extend(out.status for out in outs)
+        return outs
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stability, "solve_lp", recording)
-        sweep = stability.partition_sweep(
-            region, n, ref, zero_upper, DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS
+        mp.setattr(stability, "solve_stack", recording)
+        (sweep,) = stability.partition_sweep(
+            region, n, [(ref, zero_upper)], DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS
         )
     expected = row_encoded_sweep(region, n, ref, zero_upper, sn.DEFAULT_TOLS)
     feasible = [mask for mask, status in enumerate(statuses) if status == OPTIMAL]
@@ -226,6 +232,34 @@ def test_bounds_sweep_matches_row_encoded_sweep(seed, n, restricted):
     for (objective, vertex), (_, want, _) in zip(sweep, expected):
         assert objective == pytest.approx(want, abs=1e-9)
         assert objective == pytest.approx(np.abs(vertex - ref).sum(), abs=1e-8)
+
+
+def test_sweep_over_several_chunks_matches_one_stack(monkeypatch):
+    # a stack larger than its float bound is solved chunk by chunk, with the
+    # same bytes as in one piece
+    region = [(np.ones(4), "=", 1.0), (np.array([1.0, -1.0, 0.5, 0.0]), ">=", -0.25)]
+    ref = np.array([0.4, 0.3, 0.2, 0.1])
+    requests = [(ref, None), (ref, np.array([np.inf, np.inf, 0.0, np.inf]))]
+
+    def swept():
+        sweeps = stability.partition_sweep(
+            region, 4, requests, DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS
+        )
+        return [[(np.float64(d).tobytes(), v.tobytes()) for d, v in s] for s in sweeps]
+
+    whole = swept()
+    chunks = []
+    real_chunk = lp._solve_chunk
+
+    def counted(*args):
+        chunks.append(len(args[3]))
+        return real_chunk(*args)
+
+    monkeypatch.setattr(lp, "_solve_chunk", counted)
+    monkeypatch.setattr(lp, "STACK_FLOATS", 600)
+    assert swept() == whole
+    assert sum(chunks) == 16 + 8 and len(chunks) > 1
+    assert len(whole[0]) > 1 and len(whole[1]) > 1
 
 
 _ESTIMATES = {
