@@ -9,8 +9,9 @@ non-negative variables, and finite lower bounds are shifted out.
 There are two paths over the same algorithm. :func:`solve_lp` solves one
 :class:`LinearProgram`. :func:`solve_stack` pivots a stack of LPs in
 lockstep (after Gurung & Ray, "Simultaneous solving of batched linear
-programs on a GPU", ICPE 2019): the members share one constraint system and
-differ in their variable bounds and objectives, as the sign partitions of
+programs on a GPU", ICPE 2019): each member has its own constraint rows,
+relations, right-hand sides, variable bounds and objective, and a row that
+every member shares is given once and broadcast, as the sign partitions of
 one distance sweep do. Each member's standardized tableau is padded to the
 stack's shape, and the padding never changes a member's pivots, so every
 member's outcome is bitwise that of :func:`solve_lp` on the same LP. A
@@ -110,18 +111,14 @@ def _validate(lp: LinearProgram) -> None:
             raise ValidationError("objective length does not match num_vars")
         if not np.isfinite(obj).all():
             raise ValidationError("objective contains non-finite entries")
-    _check_rows(lp.constraints, lp.num_vars)
-    _check_bounds(lp.lower, lp.upper)
-
-
-def _check_rows(constraints, n: int) -> None:
-    for c, rel, rhs in constraints:
-        if c.size != n:
+    for c, rel, rhs in lp.constraints:
+        if c.size != lp.num_vars:
             raise ValidationError("constraint length does not match num_vars")
         if rel not in _RELATIONS:
             raise ValidationError(f"unknown relation {rel!r}")
         if not (np.isfinite(c).all() and np.isfinite(rhs)):
             raise ValidationError("constraint contains non-finite entries")
+    _check_bounds(lp.lower, lp.upper)
 
 
 def _check_bounds(lower: np.ndarray, upper: np.ndarray) -> None:
@@ -281,7 +278,10 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOLS) -> LpOutcome:
         if -T[-1, -1] > eps * scale:
             return LpOutcome(INFEASIBLE)
         # Drive leftover zero-value artificials out of the basis, dropping
-        # redundant rows that offer no real pivot.
+        # redundant rows that offer no real pivot. A row whose basic variable
+        # is an artificial holds that artificial's own surplus column at
+        # exactly -1 (the two start as exact negatives and stay so through
+        # every pivot), so a row is dropped only when tol.lp >= 1.
         keep = np.ones(m, dtype=bool)
         for i in range(m):
             if basis[i] >= n_real:
@@ -390,44 +390,51 @@ def _bland_stack(T: np.ndarray, basis: np.ndarray, n_cols: int, tol: float) -> n
 
 
 def _price_out_stack(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
-    """:func:`_price_out` on every member, ``cost`` holding one row each."""
-    k = np.arange(T.shape[0])
+    """:func:`_price_out` on every member, ``cost`` holding one row each:
+    the same row-by-row sums, over the rows whose basic variable has a
+    nonzero cost in some member."""
     width = cost.shape[1]
+    k = np.arange(T.shape[0])[:, None]
+    cb = np.where(basis < width, cost[k, np.minimum(basis, width - 1)], 0.0)
     T[:, -1, :] = 0.0
     T[:, -1, :width] = -cost
-    for i in range(T.shape[1] - 1):
-        b = basis[:, i]
-        cb = np.where(b < width, cost[k, np.minimum(b, width - 1)], 0.0)
-        priced = np.flatnonzero(cb != 0.0)
-        if priced.size:
-            T[priced, -1, :] += cb[priced, None] * T[priced, i, :]
+    for i in np.flatnonzero((cb != 0.0).any(axis=0)):
+        priced = np.flatnonzero(cb[:, i] != 0.0)
+        T[priced, -1, :] += cb[priced, i, None] * T[priced, i, :]
 
 
 def solve_stack(
-    constraints: list[tuple[np.ndarray, str, float]],
+    constraints,
     lower,
     upper,
     objective,
     tol: Tolerances = DEFAULT_TOLS,
 ) -> list[LpOutcome]:
-    """Maximize a stack of LPs over one shared constraint system in lockstep.
+    """Maximize a stack of LPs in lockstep.
 
-    Member k is ``LinearProgram(n, objective[k], True, constraints,
-    lower[k], upper[k])`` for (members, n) arrays ``lower``, ``upper`` and
-    ``objective``; its lower bounds must be finite. Its outcome (``optimal``,
-    ``infeasible`` or ``unbounded``) is bitwise that of :func:`solve_lp` on
-    that LP: the same standardization, entering and ratio-tie rules, pivot
-    arithmetic, phase-1 scale test and drive-out.
+    ``lower``, ``upper`` and ``objective`` are (members, n) arrays, and the
+    lower bounds must be finite. Each row ``(coefficients, relation, rhs)``
+    of ``constraints`` gives member k the row ``(coefficients[k],
+    relation[k], rhs[k])``, with (members, n) coefficients, one relation
+    and one right-hand side per member; a row every member shares is the
+    broadcast of one, an (n,) vector, a relation string and a float. Member
+    k is ``LinearProgram(n, objective[k], True, its rows, lower[k],
+    upper[k])``, and its outcome (``optimal``, ``infeasible`` or
+    ``unbounded``) is bitwise that of :func:`solve_lp` on that LP: the same
+    standardization, entering and ratio-tie rules, pivot arithmetic,
+    phase-1 scale test and drive-out.
 
     The members' tableaus are padded to one shape. A member with fewer
-    finite upper bounds gets all-zero rows, each with its own slack basic at
-    0; one with fewer artificials gets all-zero artificial columns; a row
-    the drive-out drops is zeroed and given a basis index above every
-    column. No padding can enter, leave or price a pivot. The shared rows
-    are validated once and the stacks in one vectorized check; every
-    solution is verified with :func:`solve_lp`'s slack rule. A stack is
-    solved in chunks whose tableaus, working copies and pivot temporaries
-    together hold fewer than ``STACK_FLOATS`` floats.
+    standardized rows (fewer equalities or finite upper bounds) gets
+    all-zero rows after its own, each with its own slack basic at 0; one
+    with fewer artificials gets all-zero artificial columns; a row the
+    drive-out drops is zeroed and given a basis index above every column.
+    No padding can enter, leave or price a pivot. Rows, bounds and
+    objectives are validated as arrays, never one LP at a time; every
+    solution is verified against its member's own rows with
+    :func:`solve_lp`'s slack rule. A stack is solved in chunks whose
+    tableaus, working copies and pivot temporaries together hold fewer than
+    ``STACK_FLOATS`` floats.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -437,71 +444,95 @@ def solve_stack(
     members, n = lower.shape
     if n < 1:
         raise ValidationError("linear program needs at least one variable")
-    constraints = [
-        (np.asarray(c, dtype=float).reshape(-1), rel, float(rhs))
-        for c, rel, rhs in constraints
-    ]
-    _check_rows(constraints, n)
+    rows = []
+    for c, rel, rhs in constraints:
+        c = np.asarray(c, dtype=float)
+        rel = np.asarray(rel)
+        rhs = np.asarray(rhs, dtype=float)
+        if c.shape[-1:] != (n,):
+            raise ValidationError("constraint length does not match num_vars")
+        if any(a.shape not in ((), (members,)) for a in (c[..., 0], rel, rhs)):
+            raise ValidationError("a constraint row does not match the stack's members")
+        eq, ge = rel == EQUAL, rel == GREATER_EQUAL
+        known = eq | ge | (rel == LESS_EQUAL)
+        if not known.all():
+            raise ValidationError(f"unknown relation {str(rel[~known].flat[0])!r}")
+        rows.append((c, eq + 2 * ge, rhs))  # relations as indices into _RELATIONS
     _check_bounds(lower, upper)
     if not np.isfinite(objective).all():
         raise ValidationError("objective contains non-finite entries")
     if not np.isfinite(lower).all():
         raise ValidationError("stack members need finite lower bounds")
 
-    # the shared rows in _standardize's order: c <= b, then -c <= -b
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for c, rel, b in constraints:
-        if rel != GREATER_EQUAL:
-            rows.append(c)
-            rhs.append(b)
-        if rel != LESS_EQUAL:
-            rows.append(-c)
-            rhs.append(-b)
-    A = np.array(rows).reshape(-1, n)
-    b = np.array(rhs, dtype=float)
+    # a member's standardized rows: one per inequality, two per equality,
+    # one per finite upper bound
+    height = np.isfinite(upper).sum(axis=1)
+    for _, code, _ in rows:
+        height = height + 1 + (code == 1)
     # a lockstep pass holds a chunk's tableau, a working copy and a pivot's
     # temporary at once; a quarter of STACK_FLOATS each keeps them below it
-    height = A.shape[0] + int(np.isfinite(upper).sum(axis=1).max(initial=0))
-    chunk = max(1, STACK_FLOATS // 4 // ((height + 1) * (n + 2 * height + 1)))
+    top = int(height.max(initial=0))
+    chunk = max(1, STACK_FLOATS // 4 // ((top + 1) * (n + 2 * top + 1)))
     out: list[LpOutcome] = []
     for start in range(0, members, chunk):
         part = slice(start, start + chunk)
-        out += _solve_chunk(
-            constraints, A, b, lower[part], upper[part], objective[part], tol.lp
-        )
+        K = lower[part].shape[0]
+        A = np.empty((K, len(rows), n))
+        code = np.empty((K, len(rows)), dtype=int)
+        b = np.empty((K, len(rows)))
+        for i, (c, rel, rhs) in enumerate(rows):
+            A[:, i] = c[part] if c.ndim == 2 else c
+            code[:, i] = rel[part] if rel.ndim else rel
+            b[:, i] = rhs[part] if rhs.ndim else rhs
+        # checked chunk by chunk: a bad row raises before any outcome returns
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            raise ValidationError("constraint contains non-finite entries")
+        out += _solve_chunk(A, code, b, lower[part], upper[part], objective[part], tol.lp)
     return out
 
 
 def _solve_chunk(
-    constraints, A, b, lower, upper, objective, eps: float
+    A, code, b, lower, upper, objective, eps: float
 ) -> list[LpOutcome]:
-    """One chunk of :func:`solve_stack`: ``A`` and ``b`` are the shared
-    rows standardized as ``c <= b``; a member's rows past its own are
-    padding."""
+    """One chunk of :func:`solve_stack`: member k's rows are ``A[k]``,
+    ``b[k]`` with relations ``code[k]``, indices into ``_RELATIONS``; its
+    tableau rows past its own are padding."""
     K, n = lower.shape
-    m0 = A.shape[0]
+    # each member's rows as _standardize forms them: c <= b for a <= or =
+    # row, then -c <= -b for a >= or = row
+    keep = np.stack((code != 2, code != 0), axis=2).reshape(K, -1)
+    rows = np.stack((A, -A), axis=2).reshape(K, -1, n)
+    rhs = np.stack((b, -b), axis=2).reshape(K, -1)
+    m0 = keep.sum(axis=1)
     finite = np.isfinite(upper)
-    R = m0 + int(finite.sum(axis=1).max())
+    R = int((m0 + finite.sum(axis=1)).max())
     n_real = n + R
-
-    # right-hand sides as _standardize forms them, a 1-D dot per shared row
-    shifted = lower.any(axis=1)
+    kr, ir = np.nonzero(keep)
+    at = (np.cumsum(keep, axis=1) - 1)[kr, ir]
+    S = np.zeros((K, R, n))
+    S[kr, at] = rows[kr, ir]
     B = np.zeros((K, R))
-    B[:, :m0] = b
-    for k in np.flatnonzero(shifted):
-        B[k, :m0] = [bi - float(row @ lower[k]) for row, bi in zip(A, b)]
+    B[kr, at] = rhs[kr, ir]
+
+    # right-hand sides as _standardize forms them, b minus a 1-D dot per row;
+    # with one nonzero lower bound that dot is one exact product, so those
+    # members are shifted at once
+    shifted = lower.any(axis=1)
+    single = (lower != 0).sum(axis=1) == 1
+    B[single] -= (S[single] * lower[single, None, :]).sum(axis=2)
+    for k in np.flatnonzero(shifted & ~single):
+        own = slice(m0[k])
+        B[k, own] = [bi - float(row @ lower[k]) for row, bi in zip(S[k, own], B[k, own])]
     kk, jj = np.nonzero(finite)
-    at = m0 + (np.cumsum(finite, axis=1) - 1)[kk, jj]
+    at = m0[kk] + (np.cumsum(finite, axis=1) - 1)[kk, jj]
+    S[kk, at, jj] = 1.0
     B[kk, at] = np.where(shifted[kk], upper[kk, jj] - lower[kk, jj], upper[kk, jj])
     neg = B < 0
     B = np.abs(B)
 
     n_art = neg.sum(axis=1)
     T = np.zeros((K, R + 1, n_real + int(n_art.max()) + 1))
-    T[:, :m0, :n] = A
-    T[kk, at, jj] = 1.0
-    T[:, :R, :n] = np.where(neg[:, :, None], -T[:, :R, :n], T[:, :R, :n])
+    T[:, :R, :n] = np.where(neg[:, :, None], -S, S)
     i = np.arange(R)
     T[:, i, n + i] = np.where(neg, -1.0, 1.0)
     ka, ia = np.nonzero(neg)
@@ -523,10 +554,11 @@ def _solve_chunk(
         scale = np.maximum(1.0, B.max(axis=1, initial=0.0))
         feasible = ~(-T[:, -1, -1] > eps * scale)
         # drive leftover zero-value artificials out, row by row as solve_lp
-        for r in range(R):
-            need = np.flatnonzero(feasible & (basis[:, r] >= n_real))
-            if not need.size:
-                continue
+        # (a pivot changes only its own row's basic variable); as there, a
+        # row is dropped only when eps >= 1
+        left = feasible[:, None] & (basis >= n_real)
+        for r in np.flatnonzero(left.any(axis=0)):
+            need = np.flatnonzero(left[:, r])
             real = np.abs(T[need, r, :n_real]) > eps
             has = real.any(axis=1)
             piv = need[has]
@@ -551,7 +583,8 @@ def _solve_chunk(
     y[kb, basis[kb, ib]] = T[kb, ib, -1]
     X = lower[live] + y[:, :n]
     solved = ~unbounded
-    _verify_stack(constraints, X[solved], lower[live[solved]], upper[live[solved]], eps)
+    mine = live[solved]
+    _verify_stack(A[mine], code[mine], b[mine], X[solved], lower[mine], upper[mine], eps)
 
     out = [LpOutcome(INFEASIBLE)] * K
     for j, k in enumerate(live):
@@ -563,21 +596,25 @@ def _solve_chunk(
 
 
 def _verify_stack(
-    constraints, X: np.ndarray, lower: np.ndarray, upper: np.ndarray, eps: float
+    A: np.ndarray,
+    code: np.ndarray,
+    b: np.ndarray,
+    X: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    eps: float,
 ) -> None:
-    """:func:`_verify`'s slack rule on every row of ``X`` at once."""
+    """:func:`_verify`'s slack rule on every row of ``X`` at once, each
+    against its own rows ``A``, ``code`` and ``b``."""
     scale = np.maximum(1.0, np.abs(X).max(axis=1, initial=0.0))
     slack = 10.0 * eps * scale
-    for c, rel, rhs in constraints:
-        v = X @ c
-        budget = slack * max(1.0, float(np.abs(c).max()), abs(rhs))
-        if rel == LESS_EQUAL:
-            bad = v > rhs + budget
-        elif rel == GREATER_EQUAL:
-            bad = v < rhs - budget
-        else:
-            bad = np.abs(v - rhs) > budget
-        if bad.any():
-            raise SolverError(f"constraint violated: {v[bad][0]} {rel} {rhs}")
+    v = np.einsum("krn,kn->kr", A, X)
+    budget = slack[:, None] * np.maximum(np.maximum(1.0, np.abs(A).max(axis=2)), np.abs(b))
+    bad = np.where(
+        code == 0, v > b + budget, np.where(code == 2, v < b - budget, np.abs(v - b) > budget)
+    )
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
+        raise SolverError(f"constraint violated: {v[k, i]} {_RELATIONS[code[k, i]]} {b[k, i]}")
     if (X < lower - slack[:, None]).any() or (X > upper + slack[:, None]).any():
         raise SolverError("bound violated in LP solution")

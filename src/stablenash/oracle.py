@@ -21,6 +21,16 @@ the well-supported search (:mod:`stablenash.support`) and the well-supported
 estimator (:mod:`stablenash.stability`) use it through the screened
 :func:`screened_pairs`.
 
+Both passes work on a list of same-shape games at once, so a perturbation
+battery is enumerated as one stack (:func:`enumerate_stack`;
+:func:`enumerate_equilibria` is its one-game case). The batched pass stacks
+the pair chunks of every game still in it, and a game leaves it at its
+first degeneracy witness. The LP loop groups the screened pairs of every
+game that fell back by (|S_p|, |S_q|) and solves each group's LPs as one
+:func:`stablenash.lp.solve_stack` stack, a lone LP with
+:func:`stablenash.lp.solve_lp`. Each game gets the equilibria, order and
+completeness it gets alone, bit for bit.
+
 The degeneracy witnesses are a singular tie system that is still
 consistent, and an accepted side solution with more than k tied opponent
 actions. They catch every degenerate strategy: if x has support S of size
@@ -41,7 +51,7 @@ import numpy as np
 from .config import DEFAULT_ENUM_BUDGET, DEFAULT_TOLS, Tolerances
 from .core import BimatrixGame, StrategyProfile, profile_distance, raw_regrets, regrets
 from .errors import DomainError, ResourceBudgetError
-from .lp import OPTIMAL, LinearProgram, solve_lp
+from .lp import OPTIMAL, LinearProgram, solve_lp, solve_stack
 
 # Support pairs per stacked solve, which bounds the stack's memory.
 _CHUNK = 2048
@@ -67,50 +77,73 @@ class EquilibriumSet:
         return len(self.equilibria)
 
 
-def _support_lp(
-    payoff: np.ndarray,
-    own_support: tuple[int, ...],
-    eq_rows: tuple[int, ...],
+def _support_lps(
+    payoffs: np.ndarray,
+    game: np.ndarray,
+    own: np.ndarray,
+    ties: np.ndarray,
     tol: Tolerances,
-):
-    """Best-response-consistent distribution on ``own_support``, or None.
+) -> list[Optional[np.ndarray]]:
+    """Best-response-consistent distributions on a stack of own supports.
 
-    ``payoff[k, :]`` is opponent action k's payoff as a function of our
-    distribution. Actions in ``eq_rows`` must tie at the common level u,
+    Member m asks for a distribution x on ``own[m]`` against
+    ``payoffs[game[m]]``, whose row a is opponent action a's payoff as a
+    function of x. The actions in ``ties[m]`` must tie at a common level u,
     all others must not exceed it; the minimum supported probability t is
-    maximized so the declared support is genuine.
+    maximized so the declared support is genuine. Returns each member's x
+    over every own action, or None when its LP has no optimum with t above
+    ``tol.zero``.
+
+    The LPs are built as arrays and solved as one
+    :func:`stablenash.lp.solve_stack` stack; a single LP goes to
+    :func:`stablenash.lp.solve_lp`, which is faster alone.
     """
-    k = len(own_support)
-    n_opp = payoff.shape[0]
-    cols = list(own_support)
-    sub = payoff[:, cols]
-    # variables: k probabilities, then the payoff level u, then t
+    members, k = own.shape
+    n_opp, n_own = payoffs.shape[1:]
+    # variables: k probabilities, then the payoff level u, then t; rows: the
+    # mass, one tie row per opponent action, then t <= x_j per own action
     nv = k + 2
-    lp = LinearProgram(nv)
-    lp.lower[k] = float(payoff.min()) - 1.0  # u never binds below payoffs
-    mass = np.zeros(nv)
-    mass[:k] = 1.0
-    lp.add_constraint(mass, "=", 1.0)
-    eq_set = set(eq_rows)
-    for a in range(n_opp):
-        row = np.zeros(nv)
-        row[:k] = sub[a]
-        row[k] = -1.0
-        lp.add_constraint(row, "=" if a in eq_set else "<=", 0.0)
-    for j in range(k):
-        row = np.zeros(nv)
-        row[j] = 1.0
-        row[k + 1] = -1.0
-        lp.add_constraint(row, ">=", 0.0)
-    obj = np.zeros(nv)
-    obj[k + 1] = 1.0
-    lp.set_objective(obj, maximize=True)
-    out = solve_lp(lp, tol)
-    if out.status != OPTIMAL or out.objective_value <= tol.zero:
-        return None
-    full = np.zeros(payoff.shape[1])
-    full[cols] = out.solution[:k]
-    return full
+    A = np.zeros((members, 1 + n_opp + k, nv))
+    A[:, 0, :k] = 1.0
+    ties_block = payoffs[game[:, None, None], np.arange(n_opp)[:, None], own[:, None, :]]
+    A[:, 1 : n_opp + 1, :k] = ties_block
+    A[:, 1 : n_opp + 1, k] = -1.0
+    A[:, n_opp + 1 + np.arange(k), np.arange(k)] = 1.0
+    A[:, n_opp + 1 :, k + 1] = -1.0
+    tied = np.zeros((members, n_opp), dtype=bool)
+    tied[np.arange(members)[:, None], ties] = True
+    relations = np.concatenate(
+        (
+            np.full((members, 1), "="),
+            np.where(tied, "=", "<="),
+            np.full((members, k), ">="),
+        ),
+        axis=1,
+    )
+    rhs = np.zeros(A.shape[:2])
+    rhs[:, 0] = 1.0
+    lower = np.zeros((members, nv))
+    lower[:, k] = payoffs.min(axis=(1, 2))[game] - 1.0  # u never binds below payoffs
+    upper = np.full((members, nv), np.inf)
+    objective = np.zeros((members, nv))
+    objective[:, k + 1] = 1.0
+    if members == 1:
+        lp = LinearProgram(nv, objective[0], True, lower=lower[0], upper=upper[0])
+        for row, relation, b in zip(A[0], relations[0], rhs[0]):
+            lp.add_constraint(row, str(relation), b)
+        outcomes = [solve_lp(lp, tol)]
+    else:
+        rows = [(A[:, i], relations[:, i], rhs[:, i]) for i in range(A.shape[1])]
+        outcomes = solve_stack(rows, lower, upper, objective, tol)
+    out: list[Optional[np.ndarray]] = []
+    for m, lp_out in enumerate(outcomes):
+        if lp_out.status != OPTIMAL or lp_out.objective_value <= tol.zero:
+            out.append(None)
+            continue
+        full = np.zeros(n_own)
+        full[own[m]] = lp_out.solution[:k]
+        out.append(full)
+    return out
 
 
 def _admit(
@@ -231,61 +264,108 @@ def screened_pairs(
 
 
 def _lp_pass(
-    game: BimatrixGame, max_support: int, budget: int, tol: Tolerances
-) -> tuple[list[StrategyProfile], bool]:
-    """Equilibria from two LPs per screened support pair over every pair of sizes.
+    games: list[BimatrixGame], max_support: int, budget: int, tol: Tolerances
+) -> list[tuple[list[StrategyProfile], bool]]:
+    """Equilibria from two LPs per screened support pair over every pair of
+    sizes, for each of a list of same-shape games.
 
-    Returns the equilibria in visit order, and whether a found equilibrium
-    marks a component: its supports differ in size, so the side with more
-    own actions than tied opponent actions is underdetermined, or one of
-    its square tie systems is singular.
+    Every game's screened pairs are listed first, so the support-pair budget
+    fires before any LP. The pairs of all games are then grouped by
+    (|S_p|, |S_q|): the column player's LPs of a group are solved as one
+    stack, then the row player's LPs of the pairs whose column LP found a
+    distribution. Returns, per game, the equilibria in visit order and
+    whether a found equilibrium marks a component: its supports differ in
+    size, so the side with more own actions than tied opponent actions is
+    underdetermined, or one of its square tie systems is singular.
     """
-    CT = np.ascontiguousarray(game.C.T)
-    found: list[StrategyProfile] = []
-    degenerate = False
+    R = np.array([game.R for game in games])
+    CT = np.array([game.C.T for game in games])
     sizes = list(itertools.product(range(1, max_support + 1), repeat=2))
-    for _, S_p, S_q in screened_pairs(game, sizes, 0.0, budget, tol):
-        q = _support_lp(game.R, S_q, S_p, tol)
-        if q is None:
-            continue
-        p = _support_lp(CT, S_p, S_q, tol)
-        if p is None:
-            continue
-        if not _admit(game, found, p, q, tol):
-            continue
-        if len(S_p) != len(S_q):
-            degenerate = True
-            continue
-        P, Q = np.array([S_p]), np.array([S_q])
-        A = np.concatenate((_tie_systems(game.R, Q, P), _tie_systems(CT, P, Q)))
-        if (np.linalg.matrix_rank(A, tol=_RANK_TOL) < len(S_p) + 1).any():
-            degenerate = True
-    return found, degenerate
+    pairs = [
+        [(S_p, S_q) for _, S_p, S_q in screened_pairs(game, sizes, 0.0, budget, tol)]
+        for game in games
+    ]
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for g, game_pairs in enumerate(pairs):
+        for i, (S_p, S_q) in enumerate(game_pairs):
+            groups.setdefault((len(S_p), len(S_q)), []).append((g, i))
+    solved: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    for members in groups.values():
+        for start in range(0, len(members), _CHUNK):
+            part = members[start : start + _CHUNK]
+            at = np.array([g for g, _ in part])
+            S_p = np.array([pairs[g][i][0] for g, i in part])
+            S_q = np.array([pairs[g][i][1] for g, i in part])
+            qs = _support_lps(R, at, S_q, S_p, tol)
+            kept = [m for m, q in enumerate(qs) if q is not None]
+            if not kept:
+                continue
+            ps = _support_lps(CT, at[kept], S_p[kept], S_q[kept], tol)
+            for m, p in zip(kept, ps):
+                if p is not None:
+                    solved[part[m]] = p, qs[m]
+
+    out = []
+    for g, game in enumerate(games):
+        found: list[StrategyProfile] = []
+        degenerate = False
+        for i, (S_p, S_q) in enumerate(pairs[g]):
+            if (g, i) not in solved:
+                continue
+            p, q = solved[g, i]
+            if not _admit(game, found, p, q, tol):
+                continue
+            if len(S_p) != len(S_q):
+                degenerate = True
+                continue
+            P, Q = np.array([S_p]), np.array([S_q])
+            A = np.concatenate((_tie_systems(R[[g]], Q, P), _tie_systems(CT[[g]], P, Q)))
+            if (np.linalg.matrix_rank(A, tol=_RANK_TOL) < len(S_p) + 1).any():
+                degenerate = True
+        out.append((found, degenerate))
+    return out
+
+
+def _inverse_column(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The last column of each inverse of a stack, and a mask of the systems
+    whose inverse's Frobenius norm (``np.linalg.norm``'s arithmetic) does
+    not prove them nonsingular."""
+    inv = np.linalg.inv(A)
+    return inv[:, :, -1], np.sqrt((inv * inv).sum(axis=(1, 2))) * _RANK_TOL >= 1.0
 
 
 def _solve_ties(
-    A: np.ndarray, tol: Tolerances
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    A: np.ndarray, piece: int, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solutions of ``A[m] x = e_last`` for a stack of square tie systems.
 
-    Returns the solutions and a mask of the singular systems, whose rows
-    are meaningless, or None when a singular system is consistent. A
-    system is singular when its smallest singular value is at most
-    ``_RANK_TOL``. Inversion settles most systems: the spectral norm of the
-    inverse is at most its Frobenius norm, so a Frobenius norm below
-    ``1 / _RANK_TOL`` proves the system nonsingular. Only the rest, and
-    stacks holding an exactly singular system, pay for an SVD.
+    Returns the solutions, a mask of the singular systems, whose rows are
+    meaningless, and a mask of the singular systems that are consistent,
+    which are degeneracy witnesses. A system is singular when its smallest
+    singular value is at most ``_RANK_TOL``. Inversion settles most systems:
+    the spectral norm of the inverse is at most its Frobenius norm, so a
+    Frobenius norm below ``1 / _RANK_TOL`` proves the system nonsingular.
+    Only the rest pay for an SVD.
+
+    One exactly singular system makes the inversion of the whole stack
+    fail. The stack is then inverted again in runs of ``piece`` members,
+    and every system of a run that still fails goes to the SVD, so each
+    run gets the bits it gets when solved alone.
     """
     m = A.shape[0]
-    singular = np.zeros(m, dtype=bool)
     try:
-        inv = np.linalg.inv(A)
+        sol, unsure = _inverse_column(A)
     except np.linalg.LinAlgError:
         sol = np.empty(A.shape[:2])
         unsure = np.ones(m, dtype=bool)
-    else:
-        sol = inv[:, :, -1]
-        unsure = np.linalg.norm(inv, axis=(1, 2)) * _RANK_TOL >= 1.0
+        for start in range(0, m, piece) if piece < m else ():
+            run = slice(start, start + piece)
+            try:
+                sol[run], unsure[run] = _inverse_column(A[run])
+            except np.linalg.LinAlgError:
+                pass
+    singular = np.zeros(m, dtype=bool)
+    consistent = np.zeros(m, dtype=bool)
     if unsure.any():
         U, s, Vh = np.linalg.svd(A[unsure])
         null = s <= _RANK_TOL
@@ -293,81 +373,103 @@ def _solve_ties(
         # null directions is the least-squares residual.
         rhs = U[:, -1, :]
         residual = np.sqrt((np.where(null, rhs, 0.0) ** 2).sum(axis=1))
-        if np.any(null[:, -1] & (residual <= tol.lp)):
-            return None
+        consistent[unsure] = null[:, -1] & (residual <= tol.lp)
         coef = np.where(null, 0.0, rhs / np.where(null, 1.0, s))
         sol[unsure] = np.einsum("mj,mji->mi", coef, Vh)
         singular[unsure] = null[:, -1]
-    return sol, singular
+    return sol, singular, consistent
 
 
-def _tie_systems(payoff: np.ndarray, own: np.ndarray, opp: np.ndarray) -> np.ndarray:
-    """The square tie systems of a stack of size-k support pairs.
+def _tie_systems(payoffs: np.ndarray, own: np.ndarray, opp: np.ndarray) -> np.ndarray:
+    """The square tie systems of a stack of size-k support pairs in each of
+    a stack of payoff matrices.
 
-    Row m is the (k+1)x(k+1) matrix of ``payoff[opp[m]][:, own[m]] x - u``
-    and ``sum(x)`` in the unknowns (x, u); its right-hand side is e_last.
+    Member (g, m), at g * len(own) + m, is the (k+1)x(k+1) matrix of
+    ``payoffs[g][opp[m]][:, own[m]] x - u`` and ``sum(x)`` in the unknowns
+    (x, u); its right-hand side is e_last.
     """
     m, k = own.shape
-    A = np.zeros((m, k + 1, k + 1))
-    A[:, :k, :k] = payoff[opp[:, :, None], own[:, None, :]]
+    members = payoffs.shape[0] * m
+    A = np.zeros((members, k + 1, k + 1))
+    A[:, :k, :k] = payoffs[:, opp[:, :, None], own[:, None, :]].reshape(members, k, k)
     A[:, :k, k] = -1.0
     A[:, k, :k] = 1.0
     return A
 
 
 def _side_pass(
-    payoff: np.ndarray, own: np.ndarray, opp: np.ndarray, tol: Tolerances
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """One player's side of a stack of size-k support pairs.
+    payoffs: np.ndarray, own: np.ndarray, opp: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One player's side of a stack of size-k support pairs in each game of
+    a stack.
 
-    Row m solves ``payoff[opp[m]][:, own[m]] x = u``, ``sum(x) = 1`` for a
-    distribution x on ``own[m]`` that makes the opponent actions ``opp[m]``
-    tie at level u. Returns the solutions x (m, k) and a mask of those that
-    are positive and leave no opponent action above u, or None when a
-    degeneracy witness shows.
+    Member (g, m), at g * len(own) + m, solves ``payoffs[g][opp[m]][:,
+    own[m]] x = u``, ``sum(x) = 1`` for a distribution x on ``own[m]`` that
+    makes the opponent actions ``opp[m]`` tie at level u. Returns the
+    solutions x, a mask of those that are positive and leave no opponent
+    action above u, and a mask of the degeneracy witnesses.
     """
-    k = own.shape[1]
-    solved = _solve_ties(_tie_systems(payoff, own, opp), tol)
-    if solved is None:
-        return None
-    sol, singular = solved
+    games, n_opp = payoffs.shape[:2]
+    m, k = own.shape
+    sol, singular, consistent = _solve_ties(_tie_systems(payoffs, own, opp), m, tol)
     x, u = sol[:, :k], sol[:, k]
-    pay = np.einsum("amj,mj->ma", payoff[:, own], x)
+    # (opponent action, member, own action), the layout of one game's payoff[:, own]
+    cols = np.take(payoffs, own, axis=2).transpose(1, 0, 2, 3).reshape(n_opp, games * m, k)
+    pay = np.einsum("amj,mj->ma", cols, x)
     ok = ~singular & (x.min(axis=1) > tol.zero)
     ok &= pay.max(axis=1) <= u + tol.lp
     ties = (pay >= (u - tol.lp)[:, None]).sum(axis=1)
-    if np.any(ok & (ties > k)):
-        return None
-    return x, ok
+    return x, ok, consistent | (ok & (ties > k))
 
 
 def _batched_pass(
-    game: BimatrixGame, max_support: int, budget: int, tol: Tolerances
-) -> Optional[list[StrategyProfile]]:
-    """Equilibria on equal-size supports from stacked tie systems.
+    games: list[BimatrixGame], max_support: int, budget: int, tol: Tolerances
+) -> list[Optional[list[StrategyProfile]]]:
+    """Equilibria on equal-size supports from stacked tie systems, for each
+    of a list of same-shape games.
 
     Pairs are visited by size k, then row and column subset in
-    lexicographic order. Returns None on a degeneracy witness, when only
-    the LP loop is complete.
+    lexicographic order, in the chunks of :func:`_pair_chunks`. The chunks
+    of all games still in the pass are stacked, whole, up to ``_CHUNK``
+    pairs at a time. A game's entry is None once a degeneracy witness
+    shows among its pairs, when only the LP loop is complete for it; the
+    game then leaves the pass.
     """
-    CT = np.ascontiguousarray(game.C.T)
-    found: list[StrategyProfile] = []
+    rows, cols = games[0].shape
+    found: list[Optional[list[StrategyProfile]]] = [[] for _ in games]
+    # the games still in the pass, and their payoff stacks
+    live = list(range(len(games)))
+    R = np.array([game.R for game in games])
+    CT = np.array([game.C.T for game in games])
     sizes = [(k, k) for k in range(1, max_support + 1)]
-    for _, P, Q, ip, iq in _pair_chunks(game.shape, sizes, budget):
+    for _, P, Q, ip, iq in _pair_chunks((rows, cols), sizes, budget):
         S_p, S_q = P[ip], Q[iq]
-        q_side = _side_pass(game.R, S_q, S_p, tol)
-        if q_side is None:
-            return None
-        p_side = _side_pass(CT, S_p, S_q, tol)
-        if p_side is None:
-            return None
-        (q_x, q_ok), (p_x, p_ok) = q_side, p_side
-        for m in np.flatnonzero(q_ok & p_ok):
-            p = np.zeros(game.rows)
-            p[S_p[m]] = p_x[m]
-            q = np.zeros(game.cols)
-            q[S_q[m]] = q_x[m]
-            _admit(game, found, p, q, tol)
+        step = max(1, _CHUNK // len(ip))
+        for start in range(0, len(live), step):
+            batch = slice(start, start + step)
+            q_x, q_ok, q_witness = _side_pass(R[batch], S_q, S_p, tol)
+            p_x, p_ok, p_witness = _side_pass(CT[batch], S_p, S_q, tol)
+            ok = q_ok & p_ok
+            witness = q_witness | p_witness
+            if witness.any():
+                fell = witness.reshape(-1, len(ip)).any(axis=1)
+                for b in np.flatnonzero(fell):
+                    found[live[start + b]] = None
+                ok &= ~np.repeat(fell, len(ip))
+            for m in np.flatnonzero(ok):
+                b, pair = divmod(int(m), len(ip))
+                p = np.zeros(rows)
+                p[S_p[pair]] = p_x[m]
+                q = np.zeros(cols)
+                q[S_q[pair]] = q_x[m]
+                game = live[start + b]
+                _admit(games[game], found[game], p, q, tol)
+        kept = [i for i, g in enumerate(live) if found[g] is not None]
+        if len(kept) < len(live):
+            if not kept:
+                break
+            live = [live[i] for i in kept]
+            R, CT = R[kept], CT[kept]
     return found
 
 
@@ -394,6 +496,55 @@ def _midpoint_component(
     return bool((0.5 * dist > tol.dedup).all(axis=1).any())
 
 
+def enumerate_stack(
+    games: list[BimatrixGame],
+    max_support: int | None = None,
+    budget: int = DEFAULT_ENUM_BUDGET,
+    tol: Tolerances = DEFAULT_TOLS,
+) -> list[EquilibriumSet]:
+    """:func:`enumerate_equilibria` of each of a list of same-shape games.
+
+    The games go through each layer together: one batched pass over all of
+    them, then one LP pass over those that fell back, each LP shape solved
+    as one stack across the games. Every set is the one
+    :func:`enumerate_equilibria` returns for its game alone, and the budget
+    raises as it would on the first game that exceeds it, before any LP.
+    """
+    if not games:
+        return []
+    shape = games[0].shape
+    if any(game.shape != shape for game in games):
+        raise DomainError("stacked games must share one shape")
+    cap = min(shape)
+    max_support = cap if max_support is None else min(max_support, cap)
+    if max_support < 1:
+        raise DomainError("max_support must be at least 1")
+
+    found = _batched_pass(games, max_support, budget, tol)
+    degenerate = [False] * len(games)
+    fell = [g for g, eqs in enumerate(found) if eqs is None]
+    if fell:
+        lp_found = _lp_pass([games[g] for g in fell], max_support, budget, tol)
+        for g, (eqs, component) in zip(fell, lp_found):
+            found[g], degenerate[g] = eqs, component
+
+    exhausted = max_support >= cap
+    return [
+        EquilibriumSet(
+            equilibria=tuple(eqs),
+            complete=exhausted
+            and not (component or _midpoint_component(game, eqs, tol)),
+            method={
+                "max_support": max_support,
+                "budget": budget,
+                "tol_eq": tol.eq,
+                "tol_dedup": tol.dedup,
+            },
+        )
+        for game, eqs, component in zip(games, found, degenerate)
+    ]
+
+
 def enumerate_equilibria(
     game: BimatrixGame,
     max_support: int | None = None,
@@ -408,29 +559,7 @@ def enumerate_equilibria(
     exceed ``budget``, or, in a degenerate game, when the support pairs of
     all sizes do.
     """
-    cap = min(game.shape)
-    max_support = cap if max_support is None else min(max_support, cap)
-    if max_support < 1:
-        raise DomainError("max_support must be at least 1")
-
-    found = _batched_pass(game, max_support, budget, tol)
-    degenerate = False
-    if found is None:
-        found, degenerate = _lp_pass(game, max_support, budget, tol)
-    if not degenerate:
-        degenerate = _midpoint_component(game, found, tol)
-
-    exhausted = max_support >= cap
-    return EquilibriumSet(
-        equilibria=tuple(found),
-        complete=exhausted and not degenerate,
-        method={
-            "max_support": max_support,
-            "budget": budget,
-            "tol_eq": tol.eq,
-            "tol_dedup": tol.dedup,
-        },
-    )
+    return enumerate_stack([game], max_support, budget, tol)[0]
 
 
 def distance_to_set(profile: StrategyProfile, eqs: EquilibriumSet) -> float:

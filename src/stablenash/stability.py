@@ -58,7 +58,13 @@ from .errors import (
     ResourceBudgetError,
 )
 from .lp import FEASIBLE, OPTIMAL, LinearProgram, solve_lp, solve_stack
-from .oracle import EquilibriumSet, distance_to_set, enumerate_equilibria, screened_pairs
+from .oracle import (
+    EquilibriumSet,
+    distance_to_set,
+    enumerate_equilibria,
+    enumerate_stack,
+    screened_pairs,
+)
 from .support import HeavyLightSplit, heavy_light_partition, light_sample_size
 
 log = logging.getLogger(__name__)
@@ -147,7 +153,8 @@ def estimate_perturbation_stability(
     """Largest observed equilibrium displacement under eps-perturbations.
 
     Enumerates the equilibria of every battery game plus ``trials`` i.i.d.
-    entrywise uniform [-eps, eps] perturbations, and records the worst
+    entrywise uniform [-eps, eps] perturbations, all in one
+    :func:`stablenash.oracle.enumerate_stack` call, and records the worst
     distance from a perturbed-game equilibrium to the original equilibrium
     set. Ties keep the earliest witness, so output is seed-deterministic.
     """
@@ -162,9 +169,9 @@ def estimate_perturbation_stability(
         dC = rng.uniform(-eps, eps, size=(rows, cols))
         candidates.append((f"random:{t}", _perturbed(game, dR, dC, eps)))
 
+    sets = enumerate_stack([g_prime for _, g_prime in candidates], max_support, budget, tol)
     best: Optional[Witness] = None
-    for label, g_prime in candidates:
-        eqs = enumerate_equilibria(g_prime, max_support, budget, tol)
+    for (label, g_prime), eqs in zip(candidates, sets):
         for eq in eqs.equilibria:
             d = distance_to_set(eq, base)
             if best is None or d > best.distance + tol.zero:

@@ -140,6 +140,44 @@ def row_encoded_sweep(base_rows, n, ref, zero_upper, tol):
     return results
 
 
+def scalar_support_lp(payoff, own_support, eq_rows, tol=DEFAULT_TOLS):
+    """Reference support LP, built row by row as one ``LinearProgram``.
+
+    ``payoff[a, :]`` is opponent action a's payoff as a function of the
+    distribution on ``own_support``; actions in ``eq_rows`` tie at level u,
+    all others stay at or below it, and the minimum supported probability t
+    is maximized. Returns the distribution over every own action, or None.
+    """
+    k = len(own_support)
+    cols = list(own_support)
+    sub = payoff[:, cols]
+    nv = k + 2  # k probabilities, then u, then t
+    lp = LinearProgram(nv)
+    lp.lower[k] = float(payoff.min()) - 1.0
+    mass = np.zeros(nv)
+    mass[:k] = 1.0
+    lp.add_constraint(mass, "=", 1.0)
+    for a in range(payoff.shape[0]):
+        row = np.zeros(nv)
+        row[:k] = sub[a]
+        row[k] = -1.0
+        lp.add_constraint(row, "=" if a in eq_rows else "<=", 0.0)
+    for j in range(k):
+        row = np.zeros(nv)
+        row[j] = 1.0
+        row[k + 1] = -1.0
+        lp.add_constraint(row, ">=", 0.0)
+    obj = np.zeros(nv)
+    obj[k + 1] = 1.0
+    lp.set_objective(obj, maximize=True)
+    out = solve_lp(lp, tol)
+    if out.status != OPTIMAL or out.objective_value <= tol.zero:
+        return None
+    full = np.zeros(payoff.shape[1])
+    full[cols] = out.solution[:k]
+    return full
+
+
 def unscreened_lp_pass(game, max_support, tol=DEFAULT_TOLS):
     """Reference LP loop: both LPs on every support pair, no screen.
 
@@ -154,10 +192,10 @@ def unscreened_lp_pass(game, max_support, tol=DEFAULT_TOLS):
         for kq in range(1, max_support + 1):
             for S_p in itertools.combinations(range(rows), kp):
                 for S_q in itertools.combinations(range(cols), kq):
-                    q = oracle._support_lp(game.R, S_q, S_p, tol)
+                    q = scalar_support_lp(game.R, S_q, S_p, tol)
                     if q is None:
                         continue
-                    p = oracle._support_lp(CT, S_p, S_q, tol)
+                    p = scalar_support_lp(CT, S_p, S_q, tol)
                     if p is None:
                         continue
                     if not oracle._admit(game, found, p, q, tol):
@@ -166,9 +204,10 @@ def unscreened_lp_pass(game, max_support, tol=DEFAULT_TOLS):
                         degenerate = True
                         continue
                     P, Q = np.array([S_p]), np.array([S_q])
-                    A = np.concatenate(
-                        (oracle._tie_systems(game.R, Q, P), oracle._tie_systems(CT, P, Q))
-                    )
+                    A = np.concatenate((
+                        oracle._tie_systems(game.R[None], Q, P),
+                        oracle._tie_systems(CT[None], P, Q),
+                    ))
                     if (np.linalg.matrix_rank(A, tol=oracle._RANK_TOL) < kp + 1).any():
                         degenerate = True
     return found, degenerate

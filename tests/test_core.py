@@ -169,6 +169,34 @@ class TestRegrets:
         assert rep.row_ws_gap == pytest.approx(ref["row_ws_gap"], abs=1e-12)
         assert rep.col_ws_gap == pytest.approx(ref["col_ws_gap"], abs=1e-12)
 
+    def test_predicates_on_matching_pennies(self, matching_pennies):
+        # against q = (1/2, 1/2) both rows earn 1/2; against p = (3/4, 1/4)
+        # the columns earn 1/4 and 3/4 at value 1/2, so the regrets are
+        # (0, 1/4) and the well-supported gaps (0, 1/2)
+        rep = sn.regrets(matching_pennies, profile([0.75, 0.25], [0.5, 0.5]))
+        assert (rep.max_regret, rep.max_ws_gap) == (0.25, 0.5)
+        assert rep.is_epsilon_equilibrium(0.25)
+        assert not rep.is_epsilon_equilibrium(0.125)
+        assert rep.is_epsilon_equilibrium(0.125, slack=0.125)
+        assert not rep.is_well_supported(0.25)
+        assert rep.is_well_supported(0.5)
+        assert rep.is_well_supported(0.25, slack=0.25)
+
+    def test_predicates_on_dominant_row(self):
+        # row 0 earns 1 and row 1 earns 0 whatever the column does; the
+        # column player's payoff does not depend on its own action
+        g = sn.BimatrixGame([[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]])
+        mixed = sn.regrets(g, profile([0.75, 0.25], [0.5, 0.5]))
+        assert (mixed.row_regret, mixed.col_regret) == (0.25, 0.0)
+        assert (mixed.row_ws_gap, mixed.col_ws_gap) == (1.0, 0.0)
+        assert mixed.is_epsilon_equilibrium(0.25)
+        assert not mixed.is_epsilon_equilibrium(0.125)
+        assert not mixed.is_well_supported(0.5)
+        assert mixed.is_well_supported(0.5, slack=0.5)
+        pure = sn.regrets(g, profile([1.0, 0.0], [0.25, 0.75]))
+        assert pure.is_epsilon_equilibrium(0.0)
+        assert pure.is_well_supported(0.0)
+
     @settings(max_examples=60, derandomize=True)
     @given(st.integers(0, 10_000))
     def test_matches_naive_reference(self, seed):

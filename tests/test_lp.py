@@ -246,6 +246,57 @@ def _random_stack(seed, real=False):
     return constraints, lower, upper, draw((members, n))
 
 
+def _random_member_stack(seed, real=False):
+    """A stack whose members have their own rows: each row is either shared
+    (the broadcast of one) or holds per-member coefficients, right-hand
+    sides and relations, so equalities sit at different rows in different
+    members and the members' standardized row counts differ."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7 if real else 5))
+    if real:
+        def draw(size):
+            return rng.uniform(-1.0, 1.0, size)
+    else:
+        def draw(size):
+            return rng.integers(-2, 3, size) / 2.0
+    members = int(rng.integers(2, 9))
+    constraints = []
+    for _ in range(rng.integers(1, 6)):
+        if rng.random() < 0.25:
+            constraints.append((draw(n), ("<=", "=", ">=")[rng.integers(3)], float(draw(1)[0])))
+        else:
+            relations = np.array(["<=", "=", ">="])[rng.integers(3, size=members)]
+            constraints.append((draw((members, n)), relations, draw(members)))
+    lower = np.where(rng.random((members, n)) < 0.5, 0.0, draw((members, n)))
+    upper = np.where(rng.random((members, n)) < 0.5, np.inf, lower + np.abs(draw((members, n))))
+    return constraints, lower, upper, draw((members, n))
+
+
+def _member_lp(constraints, lower, upper, objective, k):
+    """Member k of a stack as one ``LinearProgram``."""
+    members, n = lower.shape
+    lp = LinearProgram(n, objective[k], True, lower=lower[k], upper=upper[k])
+    for c, rel, rhs in constraints:
+        lp.add_constraint(
+            np.broadcast_to(c, (members, n))[k],
+            str(np.broadcast_to(rel, (members,))[k]),
+            np.broadcast_to(rhs, (members,))[k],
+        )
+    return lp
+
+
+def _rows_of(constraints, part):
+    """The stack's rows for the members ``part``; shared rows stay shared."""
+    return [
+        (
+            c[part] if np.ndim(c) == 2 else c,
+            rel[part] if np.ndim(rel) == 1 else rel,
+            rhs[part] if np.ndim(rhs) == 1 else rhs,
+        )
+        for c, rel, rhs in constraints
+    ]
+
+
 def _outcome_bytes(out):
     return (
         out.status,
@@ -258,19 +309,19 @@ def _assert_stack_is_scalar(constraints, lower, upper, objective, tol):
     """Each member bitwise as solve_lp, also when the stack is permuted or
     split; returns the statuses."""
     try:
-        want = []
-        for lo, up, obj in zip(lower, upper, objective):
-            lp = LinearProgram(lo.size, obj, True, lower=lo, upper=up)
-            for c, rel, rhs in constraints:
-                lp.add_constraint(c, rel, rhs)
-            want.append(_outcome_bytes(solve_lp(lp, tol)))
+        want = [
+            _outcome_bytes(solve_lp(_member_lp(constraints, lower, upper, objective, k), tol))
+            for k in range(len(lower))
+        ]
     except SolverError:
         with pytest.raises(SolverError):
             solve_stack(constraints, lower, upper, objective, tol)
         return []
 
     def solved(part):
-        outs = solve_stack(constraints, lower[part], upper[part], objective[part], tol)
+        outs = solve_stack(
+            _rows_of(constraints, part), lower[part], upper[part], objective[part], tol
+        )
         return [_outcome_bytes(out) for out in outs]
 
     everything = slice(None)
@@ -293,6 +344,34 @@ def test_random_stacks_reach_every_status():
     for seed in range(60):
         seen.update(_assert_stack_is_scalar(*_random_stack(seed), DEFAULT_TOLS))
     assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 100_000), st.booleans(), st.sampled_from([DEFAULT_TOLS, _COARSE]))
+def test_member_row_stack_matches_solve_lp_bitwise(seed, real, tol):
+    _assert_stack_is_scalar(*_random_member_stack(seed, real), tol)
+
+
+def _degenerate_vertex(lp, x):
+    """Whether more constraints and bounds are active at x than there are
+    variables."""
+    active = sum(abs(float(c @ x) - rhs) <= 1e-12 for c, _, rhs in lp.constraints)
+    active += int(np.sum(np.abs(x - lp.lower) <= 1e-12) + np.sum(np.abs(x - lp.upper) <= 1e-12))
+    return active > lp.num_vars
+
+
+def test_member_row_stacks_reach_every_status():
+    seen = set()
+    degenerate = 0
+    for seed in range(60):
+        stack = _random_member_stack(seed)
+        seen.update(_assert_stack_is_scalar(*stack, DEFAULT_TOLS))
+        for k in range(len(stack[1])):
+            lp = _member_lp(*stack, k)
+            out = solve_lp(lp)
+            degenerate += out.status == OPTIMAL and _degenerate_vertex(lp, out.solution)
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert degenerate > 0
 
 
 @pytest.mark.parametrize(
@@ -325,6 +404,16 @@ def test_chunked_stack_matches_one_stack(monkeypatch):
     chunked = [_outcome_bytes(out) for out in solve_stack(constraints, lower, upper, objective)]
     assert chunked == whole
 
+def test_chunked_member_row_stack_matches_one_stack(monkeypatch):
+    constraints, lower, upper, objective = _random_member_stack(7)
+    picks = np.tile(np.arange(len(lower)), 5)
+    constraints = _rows_of(constraints, picks)
+    lower, upper, objective = lower[picks], upper[picks], objective[picks]
+    whole = [_outcome_bytes(out) for out in solve_stack(constraints, lower, upper, objective)]
+    monkeypatch.setattr(lp_module, "STACK_FLOATS", 1)  # one member per chunk
+    chunked = [_outcome_bytes(out) for out in solve_stack(constraints, lower, upper, objective)]
+    assert chunked == whole
+
 
 def test_stack_rejects_malformed_members():
     rows = [(np.ones(2), "=", 1.0)]
@@ -343,3 +432,16 @@ def test_stack_rejects_malformed_members():
         solve_stack([(np.ones(3), "=", 1.0)], *ok)
     with pytest.raises(ValidationError):
         solve_stack([(np.ones(2), "<", 1.0)], *ok)
+    # per-member rows: one row, relation and right-hand side per member
+    per_member = [(np.ones((3, 2)), np.array(["=", "<=", ">="]), np.ones(3))]
+    assert len(solve_stack(per_member, *ok)) == 3
+    for bad_row in (
+        (np.ones((2, 2)), "=", 1.0),
+        (np.ones(2), np.array(["=", "<="]), 1.0),
+        (np.ones(2), "=", np.ones(4)),
+        (np.ones(2), np.array(["=", "<", ">="]), 1.0),
+        (np.array([[1.0, 1.0], [np.nan, 1.0], [1.0, 1.0]]), "=", 1.0),
+        (np.ones(2), "=", np.array([1.0, np.inf, 1.0])),
+    ):
+        with pytest.raises(ValidationError):
+            solve_stack([bad_row], *ok)

@@ -167,7 +167,7 @@ def test_capped_support_marks_incomplete(matching_pennies):
 
 def _lp_path(game, max_support=None):
     """The enumeration with the batched pass disabled: the LP loop alone."""
-    with mock.patch.object(oracle, "_batched_pass", lambda *args: None):
+    with mock.patch.object(oracle, "_batched_pass", lambda games, *args: [None] * len(games)):
         return sn.enumerate_equilibria(game, max_support)
 
 
@@ -226,17 +226,18 @@ def test_chunked_stacks_give_the_same_census():
     _assert_same_census(chunked, sn.enumerate_equilibria(g))
     with mock.patch.object(oracle, "_CHUNK", 7):
         meeting5 = sn.meeting_game(5)
-        assert oracle._batched_pass(meeting5, 5, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS) is None
+        assert oracle._batched_pass([meeting5], 5, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS) == [None]
 
 
 def test_public_goods_takes_batched_pass_meeting_falls_back():
     # public goods has parallel payoff rows, so every mixed tie system is
     # singular but inconsistent: infeasible, not degenerate
     pg = sn.public_goods(4)
-    assert oracle._batched_pass(pg, 4, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS) is not None
+    assert oracle._batched_pass([pg], 4, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS)[0] is not None
     meeting4 = sn.meeting_game(4)
-    assert oracle._batched_pass(meeting4, 4, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS) is None
-    with mock.patch.object(oracle, "solve_lp", side_effect=AssertionError):
+    assert oracle._batched_pass([meeting4], 4, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS) == [None]
+    with mock.patch.object(oracle, "solve_lp", side_effect=AssertionError), \
+            mock.patch.object(oracle, "solve_stack", side_effect=AssertionError):
         assert len(sn.enumerate_equilibria(pg)) == 1
 
 
@@ -246,9 +247,14 @@ def test_tie_solver_separates_singular_systems():
     consistent = [[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [1.0, 1.0, 0.0]]
     inconsistent = [[1.0, 0.0, -1.0], [0.5, -0.5, -1.0], [1.0, 1.0, 0.0]]
     regular = [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [1.0, 1.0, 0.0]]
-    assert oracle._solve_ties(np.array([regular, consistent]), DEFAULT_TOLS) is None
-    sol, singular = oracle._solve_ties(np.array([inconsistent, regular]), DEFAULT_TOLS)
+    _, singular, witness = oracle._solve_ties(np.array([regular, consistent]), 2, DEFAULT_TOLS)
+    assert singular.tolist() == [False, True]
+    assert witness.tolist() == [False, True]
+    sol, singular, witness = oracle._solve_ties(
+        np.array([inconsistent, regular]), 2, DEFAULT_TOLS
+    )
     assert singular.tolist() == [True, False]
+    assert witness.tolist() == [False, False]
     assert sol[1] == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)
 
 
@@ -309,7 +315,9 @@ def test_best_response_screen_matches_brute_force(n_opp, n_own, seed, eps):
 
 def _assert_same_lp_pass(game):
     max_support = min(game.shape)
-    found, degenerate = oracle._lp_pass(game, max_support, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS)
+    [(found, degenerate)] = oracle._lp_pass(
+        [game], max_support, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS
+    )
     ref, ref_degenerate = unscreened_lp_pass(game, max_support)
     assert degenerate == ref_degenerate
     assert [profile_bytes(e) for e in found] == [profile_bytes(e) for e in ref]
@@ -332,18 +340,11 @@ def test_screened_lp_loop_matches_unscreened_on_meeting_battery():
 
 @pytest.mark.parametrize("n, lps", [(3, 16), (4, 36), (5, 74)])
 def test_lp_loop_solves_only_screened_pairs(n, lps, monkeypatch):
-    # 70, 288 and 1,124 LPs without the screen
-    calls = []
-    real = oracle.solve_lp
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "solve_lp", counted)
+    # 70, 288 and 1,124 LPs without the screen; a stack counts its members
+    calls = _kernel_calls(monkeypatch)
     eqs = sn.enumerate_equilibria(sn.meeting_game(n))
     assert len(eqs) == n * (n + 1) // 2
-    assert len(calls) == lps
+    assert calls.count("solve_lp") + calls.count("solve_stack") == lps
 
 
 def _assert_same_midpoint_check(game):
@@ -351,11 +352,11 @@ def _assert_same_midpoint_check(game):
     # whatever the LP loop reported, and the census it yields against one
     # rebuilt around the loop
     max_support = min(game.shape)
-    found = oracle._batched_pass(game, max_support, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS)
+    [found] = oracle._batched_pass([game], max_support, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS)
     degenerate = False
     if found is None:
-        found, degenerate = oracle._lp_pass(
-            game, max_support, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS
+        [(found, degenerate)] = oracle._lp_pass(
+            [game], max_support, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS
         )
     component = loop_midpoint_component(game, found)
     assert oracle._midpoint_component(game, found, DEFAULT_TOLS) == component
@@ -388,7 +389,8 @@ def test_stacked_midpoint_check_matches_loop_on_families():
 
 
 def _kernel_calls(monkeypatch):
-    """Calls of every LP and of the batched tie-system kernel, recorded."""
+    """Calls of every LP and of the batched tie-system kernel, recorded; a
+    stack of LPs records one call per member."""
     calls = []
 
     def counted(real):
@@ -398,8 +400,14 @@ def _kernel_calls(monkeypatch):
 
         return wrapper
 
+    def stacked(constraints, lower, *args, **kwargs):
+        calls.extend(["solve_stack"] * len(lower))
+        return real_stack(constraints, lower, *args, **kwargs)
+
     for module in (oracle, support, stability):
         monkeypatch.setattr(module, "solve_lp", counted(module.solve_lp))
+    real_stack = oracle.solve_stack
+    monkeypatch.setattr(oracle, "solve_stack", stacked)
     monkeypatch.setattr(oracle, "_side_pass", counted(oracle._side_pass))
     return calls
 
@@ -412,9 +420,9 @@ _BASE_2X3 = sn.enumerate_equilibria(_GAME_2X3)
     "walk, pairs",
     [
         # equal-size pairs: C(2,1) C(3,1) + C(2,2) C(3,2)
-        (lambda b: oracle._batched_pass(_GAME_2X3, 2, b, DEFAULT_TOLS), 9),
+        (lambda b: oracle._batched_pass([_GAME_2X3], 2, b, DEFAULT_TOLS), 9),
         # every pair of sizes up to 2: (2 + 1) (3 + 3)
-        (lambda b: oracle._lp_pass(_GAME_2X3, 2, b, DEFAULT_TOLS), 18),
+        (lambda b: oracle._lp_pass([_GAME_2X3], 2, b, DEFAULT_TOLS), 18),
         (lambda b: sn.find_well_supported(_GAME_2X3, 0.0, budget=b), 18),
         # every declared support pair: (2^2 - 1) (2^3 - 1)
         (lambda b: stability._ws_candidates(_GAME_2X3, 0.05, _BASE_2X3, b, DEFAULT_TOLS), 21),
@@ -431,3 +439,98 @@ def test_support_pair_budget_boundary(walk, pairs, monkeypatch):
     assert calls == []
     walk(pairs)
     assert calls
+
+
+# --- a battery of games as one stack ------------------------------------------
+
+_DOMINANT_ROW = sn.BimatrixGame([[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]])
+
+
+def _battery_games(game, eps, trials=2, seed=5):
+    """The games ``estimate_perturbation_stability`` enumerates: the
+    battery, then ``trials`` uniform perturbations drawn as it draws them."""
+    games = [g for _, g in perturbation_battery(game, eps)]
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        dR = rng.uniform(-eps, eps, size=game.shape)
+        dC = rng.uniform(-eps, eps, size=game.shape)
+        games.append(stability._perturbed(game, dR, dC, eps))
+    return games
+
+
+def _assert_stack_is_per_game(games, max_support=None):
+    stacked = oracle.enumerate_stack(games, max_support)
+    assert len(stacked) == len(games)
+    for game, eqs in zip(games, stacked):
+        alone = sn.enumerate_equilibria(game, max_support)
+        assert eqs.complete == alone.complete
+        assert eqs.method == alone.method
+        assert [profile_bytes(e) for e in eqs.equilibria] == [
+            profile_bytes(e) for e in alone.equilibria
+        ]
+
+
+@pytest.mark.parametrize(
+    "game, eps",
+    [
+        (sn.meeting_game(3), 0.02),
+        (sn.meeting_game(4), 0.02),
+        (sn.public_goods(3), 0.02),
+        (sn.public_goods(3), 1 / 12 + 0.01),
+        (sn.public_goods(4), 0.02),
+        (sn.dominance_gap_game(0.1), 0.05),
+        (_DOMINANT_ROW, 0.05),
+    ]
+    + [(sn.random_game(4, 4, s), 0.02) for s in range(3)],
+    ids=["meeting3", "meeting4", "public_goods3", "public_goods3_big", "public_goods4",
+         "dominance_gap", "dominant_row", "random4_0", "random4_1", "random4_2"],
+)
+def test_enumerate_stack_matches_per_game_on_batteries(game, eps):
+    _assert_stack_is_per_game(_battery_games(game, eps))
+
+
+def test_stack_mixing_singular_and_regular_chunks_matches_per_game():
+    # public goods' size-2 tie systems are exactly singular, so inverting a
+    # stack that holds them fails; the random games' invert
+    pg = sn.public_goods(3)
+    regular = [sn.random_game(3, 3, s) for s in (1, 2)]
+    P = np.array(list(itertools.combinations(range(3), 2)))
+    ip, iq = np.divmod(np.arange(9), 3)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(oracle._tie_systems(pg.R[None], P[iq], P[ip]))
+    for g in regular:
+        np.linalg.inv(oracle._tie_systems(g.R[None], P[iq], P[ip]))
+        np.linalg.inv(oracle._tie_systems(np.ascontiguousarray(g.C.T)[None], P[ip], P[iq]))
+    games = [regular[0], pg, regular[1]] + _battery_games(pg, 0.02)
+    _assert_stack_is_per_game(games)
+
+
+def test_stack_packs_whole_chunks():
+    # with 7 pairs per chunk, the size-1 and size-2 pairs of a 3x3 game come
+    # in chunks of 7 and 2, and a stack holds one or three of them, the size-3
+    # pair seven; the LP loop's groups are cut into stacks of 7 members
+    games = _battery_games(sn.random_game(3, 3, 1), 0.02)
+    games += _battery_games(sn.meeting_game(3), 0.02)
+    with mock.patch.object(oracle, "_CHUNK", 7):
+        _assert_stack_is_per_game(games)
+        _assert_stack_is_per_game(games, max_support=2)
+
+
+def test_stack_of_mixed_shapes_is_rejected():
+    with pytest.raises(DomainError):
+        oracle.enumerate_stack([sn.meeting_game(3), sn.meeting_game(4)])
+    assert oracle.enumerate_stack([]) == []
+
+
+def test_battery_over_budget_raises_before_any_lp(monkeypatch):
+    # 19 equal-size pairs fit the budget, the 49 pairs of all sizes of a
+    # degenerate game do not
+    games = _battery_games(sn.meeting_game(3), 0.02)
+    message = "^49 support pairs exceed the budget 30$"
+    with pytest.raises(ResourceBudgetError, match=message):
+        sn.enumerate_equilibria(sn.meeting_game(3), budget=30)
+    calls = _kernel_calls(monkeypatch)
+    with pytest.raises(ResourceBudgetError, match=message):
+        oracle.enumerate_stack(games, budget=30)
+    assert "_side_pass" in calls
+    assert calls.count("solve_lp") + calls.count("solve_stack") == 0

@@ -10,7 +10,7 @@ from stablenash.errors import (
     PreconditionError,
     ResourceBudgetError,
 )
-from stablenash import lp, stability
+from stablenash import lp, oracle, stability
 from stablenash.config import DEFAULT_ENUM_BUDGET, DEFAULT_PARTITION_BUDGET
 from stablenash.embedding import embed
 from stablenash.lp import INFEASIBLE, OPTIMAL, LpOutcome, solve_lp, solve_stack
@@ -55,6 +55,40 @@ class TestPerturbationStability:
         for eq in sn.enumerate_equilibria(gp).equilibria:
             rep = sn.regrets(g, eq)
             assert rep.max_ws_gap <= 2 * eps + 1e-7
+
+
+    def test_meeting_battery_lp_count(self, meeting3, monkeypatch):
+        # the battery's 57 games solve as many LPs as 57 enumerations one by
+        # one: 871, counting a stack's members and lone solve_lp calls
+        lps, stacks = [], []
+        real_lp, real_stack = oracle.solve_lp, oracle.solve_stack
+
+        def counted(lp, tol):
+            lps.append(1)
+            return real_lp(lp, tol)
+
+        def stacked(constraints, lower, upper, objective, tol):
+            stacks.append(len(lower))
+            return real_stack(constraints, lower, upper, objective, tol)
+
+        monkeypatch.setattr(oracle, "solve_lp", counted)
+        monkeypatch.setattr(oracle, "solve_stack", stacked)
+        sn.estimate_perturbation_stability(meeting3, 0.02, trials=2, seed=5)
+        assert len(lps) + sum(stacks) == 871
+        assert min(stacks) > 1
+
+    def test_battery_is_one_enumerate_stack_call(self, meeting3, monkeypatch):
+        calls = []
+        real = stability.enumerate_stack
+
+        def counted(games, *args):
+            calls.append(len(games))
+            return real(games, *args)
+
+        monkeypatch.setattr(stability, "enumerate_stack", counted)
+        rep = sn.estimate_perturbation_stability(meeting3, 0.02, trials=2, seed=5)
+        assert calls == [len(perturbation_battery(meeting3, 0.02)) + 2]
+        assert rep.delta_hat > 0.0
 
 
 class TestApproximationStability:
