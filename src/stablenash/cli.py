@@ -13,6 +13,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -121,6 +122,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Building the parser costs about fifty times what parsing does. Parsing
+# leaves no state in it (each call returns a fresh Namespace, and a usage
+# error raises before anything is stored), so one parser, built on the first
+# call rather than at import, serves every call in the process.
+_parser = functools.cache(build_parser)
+
+
 def _dispatch(args) -> dict:
     tol = _tols(args)
     if args.command == "generate":
@@ -213,9 +221,8 @@ def _dispatch(args) -> dict:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,17 +3,20 @@
 For constant-sum games the set of near-optimal strategies of each player is
 a polytope cut out by the value guarantees, so the radius of the set of
 alpha/2-equilibria around a small-support anchor can be computed exactly:
-:func:`stablenash.stability.partition_sweep`, the one sign-partition sweep,
-solves one LP per sign partition of the anchor's support, maximizing twice
-the variation distance subject to staying within alpha of the game value.
-The certified sandwich is (alpha/2, 2*delta) stable but not (alpha,
-delta/2) stable. The sweep enforces ``partition_budget``: an upper-bound
-certificate raises rather than skipping a partition. The well-supported
-variant's restricted radius comes from the same pass over the two sides:
-a side's plain and restricted partitions share the side's region, so they
-are solved as one :func:`stablenash.lp.solve_stack` stack, the plain
-members padded to the restricted ones' taller tableaus (one row per
-forbidden action). The minimax LPs stay single
+:func:`stablenash.stability.max_distance` maximizes the variation distance
+to the anchor over each side's region by bound and prune. The distance is
+the largest anchor(M) - x(M) over the subsets M of the anchor's support,
+one LP per subset; the singletons bound every other subset, and a subset
+is solved only while its bound exceeds the best distance found. The
+certified sandwich is (alpha/2, 2*delta) stable but not (alpha, delta/2)
+stable. ``partition_budget`` bounds the 2^k subsets of a k-action anchor
+support, as it bounded the 2^k sign partitions of the full sweep: above it
+the certifier raises before any LP rather than certify from a partial
+search. The well-supported variant's restricted radius adds zero upper
+bounds outside the minimax support to the same regions, and every plain
+and restricted request of both sides goes to one call, whose rounds stack
+the two sides' LPs together when their regions have one shape (every
+square game). The minimax LPs stay single
 :func:`stablenash.lp.solve_lp` calls.
 """
 
@@ -35,7 +38,7 @@ from .config import (
 from .core import BimatrixGame, MixedStrategy, StrategyProfile, regrets
 from .errors import CertificateError, DomainError, ParameterError, ResourceBudgetError
 from .lp import OPTIMAL, LinearProgram, solve_lp
-from .stability import partition_sweep
+from .stability import max_distance
 from .support import lmm_sample
 
 
@@ -56,8 +59,9 @@ class StrongStabilityCertificate:
 
     ``sandwich`` states the two-sided conclusion: the game satisfies the
     (alpha/2, 2*delta) strong approximation stability condition and fails
-    (alpha, delta/2). ``max_objective`` is the raw LP objective; delta is
-    half of it, capped at 1 since no variation distance exceeds 1.
+    (alpha, delta/2). ``max_objective`` is the largest L1 distance found,
+    twice the variation distance; delta is half of it, capped at 1 since
+    no variation distance exceeds 1 (the computed one can, by rounding).
     """
 
     alpha: float
@@ -166,17 +170,19 @@ def _max_objectives(
     partition_budget: int,
     tol: Tolerances,
 ) -> tuple[float, float]:
-    """Largest plain and restricted sign-partition objectives, or 0.
+    """Largest plain and restricted L1 distances to the anchor, or 0.
 
     A player's region holds every distribution guaranteeing value - alpha
     against all opponent actions; its restriction also forbids mass outside
-    the minimax support. :func:`partition_sweep` maximizes twice the
-    variation distance to the anchor over each. A side sweeps its
-    restriction only when ``well_supported`` and its minimax support is not
-    full; otherwise its restricted objective is its plain one, since a full
-    support forbids nothing.
+    the minimax support. One :func:`max_distance` call finds twice the
+    largest variation distance to the anchor over each region of both sides
+    by bound and prune, not one LP per sign partition. A side's restriction
+    is requested only when ``well_supported`` and its minimax support is
+    not full; otherwise its restricted distance is its plain one, since a
+    full support forbids nothing.
     """
-    plain = restricted = 0.0
+    requests = []
+    sides = []  # the indices of each side's plain and restricted requests
     for payoff_cols, value, anchor, optimal in (
         (game.R, mm.v_R, p_prime, mm.p_star),
         (np.ascontiguousarray(game.C.T), mm.v_C, q_prime, mm.q_star),
@@ -184,17 +190,16 @@ def _max_objectives(
         n, k = payoff_cols.shape
         region = [(np.ones(n), "=", 1.0)]
         region += [(payoff_cols[:, j], ">=", value - alpha) for j in range(k)]
-        requests = [(anchor.probs, None)]
+        plain_at = len(requests)
+        requests.append((region, n, anchor.probs, None))
         if well_supported and len(optimal.support) < n:
             upper = np.zeros(n)
             upper[list(optimal.support)] = np.inf
-            requests.append((anchor.probs, upper))
-        best = [
-            max([0.0] + [objective for objective, _ in sweep])
-            for sweep in partition_sweep(region, n, requests, partition_budget, tol)
-        ]
-        plain = max(plain, best[0])
-        restricted = max(restricted, best[-1])
+            requests.append((region, n, anchor.probs, upper))
+        sides.append((plain_at, len(requests) - 1))
+    best = max_distance(requests, partition_budget, tol)
+    plain = max(best[at] for at, _ in sides)
+    restricted = max(best[at] for _, at in sides)
     return plain, restricted
 
 
@@ -219,7 +224,7 @@ def _certify(
     max_objective, restricted = _max_objectives(
         game, mm, p_prime, q_prime, alpha, well_supported, partition_budget, tol
     )
-    # no variation distance exceeds 1; the LP optimum can, by rounding
+    # no variation distance exceeds 1; the computed one can, by rounding
     delta = min(1.0, max_objective / 2.0)
     return StrongStabilityCertificate(
         alpha=alpha,
@@ -245,9 +250,11 @@ def strong_stability_parameters(
     """Certified strong approximation-stability radius of a constant-sum game.
 
     Solves for minimax strategies, fixes a small-support alpha-Nash anchor,
-    and sweeps sign-partition LPs on each side; the certificate's delta is
-    half the largest objective, i.e. the largest variation distance any
-    near-value strategy can reach from the anchor, capped at 1.
+    and finds on each side, by bound and prune over the subsets of the
+    anchor's support, the largest variation distance any near-value
+    strategy can reach from the anchor; the certificate's delta is the
+    larger of the two, capped at 1, and ``max_objective`` is twice it
+    before the cap.
     """
     return _certify(
         game, alpha, seed, partition_budget, anchor_multiplier, False, tol
@@ -269,7 +276,7 @@ def well_supported_certificate(
     same pass over the two sides, around the same anchor, with mass
     forbidden outside the minimax supports, which is exactly the extra
     restriction a well-supported deviation must satisfy; a side whose
-    minimax support is full keeps its plain objective. The added bounds
+    minimax support is full keeps its plain radius. The added bounds
     shrink the feasible region, so delta_l <= delta_h always.
     """
     return _certify(game, alpha, seed, partition_budget, anchor_multiplier, True, tol)

@@ -7,13 +7,15 @@ certification is only available for constant-sum games (see
 :mod:`stablenash.constant_sum`), because general-game verification would
 require enumerating equilibria of every admissible perturbation.
 
-:func:`partition_sweep` is the one sign-partition distance sweep: the
-estimators take its vertices, the constant-sum certifier its objectives.
-It states each partition as variable bounds, solves all partitions of the
-sweeps it is given over one region as one
-:func:`stablenash.lp.solve_stack` stack, and is the only place that limits
-how many partitions a sweep may solve; above ``DEFAULT_PARTITION_BUDGET``
-the estimators raise, as the certifier does above its ``partition_budget``.
+:func:`partition_sweep` is the one sign-partition distance sweep, whose
+vertices the estimators take as witness candidates. It states each
+partition as variable bounds, solves all partitions of the sweeps it is
+given over one region as one :func:`stablenash.lp.solve_stack` stack, and
+raises above ``DEFAULT_PARTITION_BUDGET`` partitions. The constant-sum
+certifier needs only the largest distance, which :func:`max_distance`
+finds exactly by bound and prune over the subsets of the anchor's support,
+usually with far fewer LPs; it raises above the certifier's
+``partition_budget`` as the sweep does.
 The estimators request their sweeps through :func:`_sweeps`, which solves
 each distinct request once. The well-supported estimator takes its
 declared support pairs from :func:`stablenash.oracle.screened_pairs`, the
@@ -328,6 +330,152 @@ def partition_sweep(
                 sweep.append((float(out.objective_value) + constant, out.solution))
         results.append(sweep)
     return results
+
+
+def _subset_sums(values: np.ndarray) -> np.ndarray:
+    """``sums[M]``, the sum of ``values[i]`` over the set bits i of M, for
+    every bit mask M below 2^len(values)."""
+    sums = np.zeros(1)
+    for v in values:
+        sums = np.concatenate([sums, sums + v])
+    return sums
+
+
+@dataclass
+class _Search:
+    """One request's bound-and-prune state: its region's rows as arrays,
+    its upper bounds, its movable entries and pinned mass, the incumbent
+    ``best`` (a variation distance) and, once the singletons are solved,
+    every subset's ``bound`` in descending ``order`` with ``taken`` of them
+    solved or skipped."""
+
+    A: np.ndarray
+    rel: np.ndarray
+    b: np.ndarray
+    ref: np.ndarray
+    upper: np.ndarray
+    movable: np.ndarray
+    pinned: float
+    best: float = 0.0
+    bound: Optional[np.ndarray] = None
+    order: Optional[np.ndarray] = None
+    taken: int = 0
+
+
+def max_distance(
+    requests: list[tuple[list, int, np.ndarray, Optional[np.ndarray]]],
+    budget: int,
+    tol: Tolerances,
+) -> list[float]:
+    """The largest L1 distance from each request's ``ref`` to its region,
+    found exactly by bound and prune.
+
+    A request ``(base_rows, n, ref, zero_upper)`` names the polytope of
+    :func:`partition_sweep`. For x and ref on the simplex, the variation
+    distance is the largest ref(M) - x(M) over the subsets M of ref's
+    support, so the largest distance over the region is the largest g(M) =
+    ref(M) - min x(M): one LP per subset, minimizing x(M) over the region
+    alone. An entry whose upper bound is zero always belongs to M (x is 0
+    there), so only the k movable entries are branched on, as in the sweep.
+    min x(M) is superadditive, so g(M) - pinned mass is at most the smaller
+    of ref(M) and the sum of its singletons' values; this is the classic
+    branch and bound for convex maximization (Falk & Soland 1969). The worst
+    case stays exponential.
+
+    The k singletons are solved first. Every solved vertex x also raises
+    the incumbent to its own distance, the sum of (ref - x)^+, a feasible
+    point's and so a lower bound. Then each round solves, for every
+    request, at most 2k of its subsets in descending bound order whose
+    bound exceeds its incumbent; the maximum is exact once no bound does.
+    Each round is one :func:`stablenash.lp.solve_stack` call per region
+    shape, with per-member rows, so regions of one shape share a stack. A
+    request whose region is empty reads 0. Like the sweep, it raises
+    :class:`ResourceBudgetError` before any LP when some request's 2^k
+    subsets exceed ``budget``, since it ranks the bounds of all of them.
+    """
+    searches = []
+    for base_rows, n, ref, zero_upper in requests:
+        upper = np.full(n, np.inf) if zero_upper is None else zero_upper
+        movable = np.flatnonzero((ref != 0) & (upper > 0.0))
+        if 2 ** len(movable) > budget:
+            raise ResourceBudgetError(
+                f"2^{len(movable)} subsets exceed the budget {budget}"
+            )
+        searches.append(_Search(
+            A=np.array([c for c, _, _ in base_rows], dtype=float).reshape(-1, n),
+            rel=np.array([rel for _, rel, _ in base_rows]),
+            b=np.array([rhs for _, _, rhs in base_rows], dtype=float),
+            ref=ref,
+            upper=upper,
+            movable=movable,
+            pinned=float(ref[(ref != 0) & (upper <= 0.0)].sum()),
+        ))
+    # the singletons, or the empty set when nothing is movable
+    todo = [
+        1 << np.arange(len(s.movable)) if len(s.movable) else np.zeros(1, dtype=int)
+        for s in searches
+    ]
+    for s, values in zip(searches, _subset_round(searches, todo, tol)):
+        k = len(s.movable)
+        gain = (values - s.pinned)[:k]  # the empty set's value when k = 0 is dropped
+        s.bound = s.pinned + np.minimum(_subset_sums(s.ref[s.movable]), _subset_sums(gain))
+        s.bound[0] = -np.inf  # the empty set and the singletons are solved
+        s.bound[1 << np.arange(k)] = -np.inf
+        s.order = np.argsort(-s.bound, kind="stable")
+    while True:
+        todo = []
+        for s in searches:
+            top = s.order[s.taken : s.taken + 2 * len(s.movable)]
+            top = top[: int((s.bound[top] > s.best).sum())]  # a prefix
+            s.taken += top.size
+            todo.append(top)
+        if not any(masks.size for masks in todo):
+            return [2.0 * s.best for s in searches]
+        _subset_round(searches, todo, tol)
+
+
+def _subset_round(
+    searches: list[_Search], todo: list[np.ndarray], tol: Tolerances
+) -> list[np.ndarray]:
+    """Solve the subset LPs ``todo[i]`` (bit masks over the movable entries)
+    of every search i, raising its incumbent; returns each LP's g(M),
+    pinned mass included and -inf when infeasible, per search.
+
+    Members are grouped by region shape (rows, variables), and each group
+    is one :func:`stablenash.lp.solve_stack` call with per-member rows.
+    """
+    groups: dict = {}
+    for i, masks in enumerate(todo):
+        if masks.size:
+            groups.setdefault(searches[i].A.shape, []).append(i)
+    values = [np.full(masks.size, -np.inf) for masks in todo]
+    for (m, n), members in groups.items():
+        sizes = [todo[i].size for i in members]
+        objective = np.zeros((sum(sizes), n))
+        owners = []  # (search, mask position) per member
+        for i in members:
+            s, masks = searches[i], todo[i]
+            bits = (masks[:, None] >> np.arange(len(s.movable))) & 1
+            objective[len(owners) : len(owners) + masks.size, s.movable] = -bits
+            owners += [(i, j) for j in range(masks.size)]
+        A, rel, b, upper = (
+            np.repeat(np.stack([getattr(searches[i], f) for i in members]), sizes, axis=0)
+            for f in ("A", "rel", "b", "upper")
+        )
+        outcomes = solve_stack(
+            [(A[:, r], rel[:, r], b[:, r]) for r in range(m)],
+            np.zeros_like(objective),
+            upper,
+            objective,
+            tol,
+        )
+        for (i, j), obj, out in zip(owners, objective, outcomes):
+            if out.status == OPTIMAL:
+                s = searches[i]
+                values[i][j] = s.pinned - float(s.ref @ obj) + float(out.objective_value)
+                farthest = float(np.maximum(s.ref - out.solution, 0.0).sum())
+                s.best = max(s.best, values[i][j], farthest)
+    return values
 
 
 def _simplex_rows(n: int) -> list[tuple[np.ndarray, str, float]]:

@@ -140,6 +140,26 @@ def row_encoded_sweep(base_rows, n, ref, zero_upper, tol):
     return results
 
 
+def subset_max_distance(base_rows, n, ref, zero_upper, tol):
+    """Reference largest L1 distance from ref to the region: one scalar LP
+    per subset M of ref's whole support, minimizing x(M), and twice the
+    largest ref(M) - min x(M); 0 when the region is empty."""
+    support = [int(i) for i in np.nonzero(ref)[0]]
+    best = 0.0
+    for size in range(len(support) + 1):
+        for M in itertools.combinations(support, size):
+            lp = LinearProgram(n, upper=zero_upper.copy() if zero_upper is not None else None)
+            for coeffs, rel, rhs in base_rows:
+                lp.add_constraint(coeffs, rel, rhs)
+            obj = np.zeros(n)
+            obj[list(M)] = -1.0
+            lp.set_objective(obj, maximize=True)
+            out = solve_lp(lp, tol)
+            if out.status == OPTIMAL:
+                best = max(best, 2.0 * (sum(float(ref[i]) for i in M) + out.objective_value))
+    return best
+
+
 def scalar_support_lp(payoff, own_support, eq_rows, tol=DEFAULT_TOLS):
     """Reference support LP, built row by row as one ``LinearProgram``.
 

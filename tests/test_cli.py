@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import stablenash as sn
-from stablenash import serialize
+from stablenash import cli, serialize
 from stablenash.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_USAGE, run
 from stablenash.lp import solve_stack
 
@@ -102,8 +102,8 @@ class TestPipelines:
                 '"sandwich":{"not_stable":{"delta":0.4004504654384071,"eps":0.1},'
                 '"stable":{"delta":1.6018018617536285,"eps":0.05}},'
                 '"well_supported":{"delta_h":0.8009009308768142,'
-                '"delta_l":0.2553348807791561,"not_stable":'
-                '{"delta":0.12766744038957806,"eps":0.1},"stable":'
+                '"delta_l":0.2553348807791559,"not_stable":'
+                '{"delta":0.12766744038957795,"eps":0.1},"stable":'
                 '{"delta":1.6018018617536285,"eps":0.05}}}\n',
             ),
         ],
@@ -123,8 +123,11 @@ class TestPipelines:
         assert out == expected
 
     def test_certify_zs_well_supported_sweeps_once(self, monkeypatch, capsys):
-        # matching pennies has full minimax supports, so the restricted sweep
-        # forbids nothing and reuses the plain one: 4 partitions per side
+        # matching pennies has full minimax supports, so the restricted
+        # radius forbids nothing and reuses the plain one. Per side, bound
+        # and prune solves the 2 singletons (0.1 each, an incumbent of 0.1)
+        # and then the pair, whose bound 0.2 exceeds it: 3 LPs, not the
+        # sweep's 4 partitions
         calls = []  # one entry per stack member, each an LP
 
         def counting(constraints, lower, upper, objective, tol):
@@ -139,7 +142,7 @@ class TestPipelines:
             stdin_text=game_json,
         )
         assert code == EXIT_OK
-        assert len(calls) == 8
+        assert len(calls) == 6
 
     def test_traced_bench_run_accounts_for_every_lp(self, monkeypatch, capsys):
         # the traced benchmark checks its per-module solve_lp spans against
@@ -261,6 +264,34 @@ class TestExitCodes:
 
 
 class TestDeterminism:
+    def test_one_parser_serves_a_sequence_as_fresh_ones_do(self, monkeypatch, capsys):
+        # run() builds its parser once per process; a usage error or a
+        # budget error between two valid calls leaves nothing behind in it
+        game_json = serialize.canonical_dumps(serialize.game_to_dict(sn.meeting_game(3)))
+        sequence = [
+            (["oracle", "--tol-eq", "1e-6", "--max-support", "2"], EXIT_OK),
+            (["oracle", "--max-support", "two"], EXIT_USAGE),
+            (["oracle", "--budget", "1"], EXIT_BUDGET),
+            (["oracle"], EXIT_OK),
+        ]
+
+        def outcomes():
+            return [
+                run_cli(monkeypatch, capsys, argv, stdin_text=game_json)
+                for argv, _ in sequence
+            ]
+
+        cli._parser()
+        built = cli._parser.cache_info()
+        cached = outcomes()
+        after = cli._parser.cache_info()
+        assert (after.misses, after.hits) == (built.misses, built.hits + len(sequence))
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)  # one per call
+        assert cached == outcomes()
+        assert [code for code, _, _ in cached] == [code for _, code in sequence]
+        assert json.loads(cached[0][1])["method"]["tol_eq"] == 1e-6
+        assert json.loads(cached[3][1])["method"]["tol_eq"] != 1e-6
+
     def test_identical_argv_identical_bytes(self, monkeypatch, capsys):
         _, game_json, _ = run_cli(
             monkeypatch, capsys, ["generate", "--family", "meeting", "--n", "3"]

@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablenash as sn
+from stablenash import stability
+from stablenash.config import DEFAULT_PARTITION_BUDGET
 from stablenash.errors import DomainError, ParameterError, ResourceBudgetError
-from stablenash.lp import OPTIMAL, LinearProgram, solve_lp
-from stablenash.stability import partition_sweep
+from stablenash.lp import OPTIMAL, LinearProgram, solve_lp, solve_stack
+from stablenash.stability import max_distance, partition_sweep
+from stablenash.support import lmm_sample
 
-from conftest import random_simplex
+from conftest import random_simplex, subset_max_distance
 
 
 def dominant_row_game():
@@ -197,8 +200,8 @@ class TestWellSupportedParameters:
 
 
 def test_radius_capped_at_one():
-    # the sweep's LP optimum plus the partition constant rounds to
-    # 2.000000000000003 here, while no variation distance exceeds 1
+    # the largest distance rounds to 2.0000000000000004 here, while no
+    # variation distance exceeds 1
     cert = sn.strong_stability_parameters(sn.random_constant_sum_game(14, 140), 0.1)
     assert cert.max_objective > 2.0
     assert cert.delta == 1.0
@@ -215,3 +218,148 @@ def test_interchangeability(seed):
             crossed = sn.StrategyProfile(a.row, b.col)
             rep = sn.regrets(g, crossed)
             assert max(rep.max_regret, rep.max_ws_gap) <= 1e-7
+
+
+def _value_regions(game, mm, alpha):
+    """Each side's value region (as the certifier states it) and its
+    minimax strategy."""
+    for payoff_cols, value, optimal in (
+        (game.R, mm.v_R, mm.p_star),
+        (np.ascontiguousarray(game.C.T), mm.v_C, mm.q_star),
+    ):
+        n, k = payoff_cols.shape
+        region = [(np.ones(n), "=", 1.0)]
+        region += [(payoff_cols[:, j], ">=", value - alpha) for j in range(k)]
+        yield region, n, optimal
+
+
+def _circulant(n, rng):
+    """R[i, j] = v[(j - i) mod n]: the uniform strategies are minimax, so
+    both supports are full."""
+    return rng.uniform(size=n)[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+
+
+@st.composite
+def _certifier_cases(draw):
+    kind = draw(st.sampled_from(["random", "rectangular", "ties", "circulant", "dominant_row"]))
+    rng = np.random.default_rng(draw(st.integers(0, 100_000)))
+    n = draw(st.integers(2, 6))
+    if kind == "random":
+        R = sn.random_constant_sum_game(n, int(rng.integers(2**31))).R
+    elif kind == "rectangular":
+        R = rng.uniform(size=(n, draw(st.integers(2, 6))))
+    elif kind == "ties":
+        R = rng.integers(0, 3, size=(n, n)) / 2.0
+    elif kind == "circulant":
+        R = _circulant(n, rng)
+    else:
+        R = np.array([[1.0, 1.0], [0.0, 0.0]])
+    anchor = draw(st.sampled_from(["minimax", "resampled", "foreign"]))
+    return sn.BimatrixGame(R, 1.0 - R), draw(st.sampled_from([0.05, 0.1, 0.3])), anchor, rng
+
+
+class TestPrunedMaximum:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_certifier_cases())
+    def test_matches_every_subset_and_the_full_sweep(self, case):
+        # the pruned maximum over both sides' plain and restricted regions,
+        # in one call, equals one scalar LP per subset and the largest
+        # sign-partition objective; "resampled" anchors sit below the minimax
+        # support and "foreign" ones put mass where the restriction forbids it
+        # while it allows more than the minimax support
+        game, alpha, anchor_kind, rng = case
+        mm = sn.minimax_solve(game)
+        requests = []
+        for region, n, optimal in _value_regions(game, mm, alpha):
+            ref = optimal.probs
+            if anchor_kind == "resampled":
+                ref = lmm_sample(optimal, max(1, len(optimal.support) - 1), rng).probs
+            elif anchor_kind == "foreign":
+                ref = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)
+                ref[rng.integers(n)] += 0.1
+                ref /= ref.sum()
+            upper = np.zeros(n)
+            if anchor_kind == "foreign":  # a superset of the minimax support
+                upper[rng.random(n) < 0.5] = np.inf
+            upper[list(optimal.support)] = np.inf
+            requests += [(region, n, ref, None), (region, n, ref, upper)]
+        got = max_distance(requests, DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS)
+        for (region, n, ref, upper), value in zip(requests, got):
+            (sweep,) = partition_sweep(
+                region, n, [(ref, upper)], DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS
+            )
+            assert value == pytest.approx(
+                max([0.0] + [objective for objective, _ in sweep]), abs=1e-12
+            )
+            assert value == pytest.approx(
+                subset_max_distance(region, n, ref, upper, sn.DEFAULT_TOLS), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("seed, rounds", [(0, 4), (1, 5), (40, 6)])
+    def test_rounds_past_the_first_batch_match_every_subset(self, monkeypatch, seed, rounds):
+        # full-support 6x6 anchors whose bounds stay above the incumbent
+        # for several rounds of at most 2k subsets each
+        game = sn.BimatrixGame(R := _circulant(6, np.random.default_rng(seed)), 1.0 - R)
+        mm = sn.minimax_solve(game)
+        stacks = []
+
+        def counting(constraints, lower, upper, objective, tol):
+            stacks.append(len(lower))
+            return solve_stack(constraints, lower, upper, objective, tol)
+
+        monkeypatch.setattr(stability, "solve_stack", counting)
+        region, n, optimal = next(_value_regions(game, mm, 0.05))
+        (got,) = max_distance(
+            [(region, n, optimal.probs, None)], DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS
+        )
+        assert len(stacks) == rounds and max(stacks) <= 12
+        assert got == pytest.approx(
+            subset_max_distance(region, n, optimal.probs, None, sn.DEFAULT_TOLS), abs=1e-12
+        )
+
+    def test_empty_region_reads_zero(self):
+        region = [(np.ones(3), "=", 1.0), (np.array([1.0, 1.0, 1.0]), ">=", 2.0)]
+        ref = np.array([0.5, 0.5, 0.0])
+        pinned = np.array([0.0, np.inf, np.inf])  # nothing left movable but 1
+        assert max_distance(
+            [(region, 3, ref, None), (region, 3, ref, pinned)],
+            DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS,
+        ) == [0.0, 0.0]
+
+    def test_budget_raises_before_any_lp(self, matching_pennies, monkeypatch):
+        # the pruned maximum ranks every subset's bound, so 2^k above the
+        # budget raises before its first LP, in the kernel as in the
+        # certifier; at the budget the first LP is reached
+        def no_lp(*args):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(stability, "solve_stack", no_lp)
+        region = [(np.ones(3), "=", 1.0)]
+        ref = np.array([0.5, 0.25, 0.25])
+        pinned = np.array([0.0, np.inf, np.inf])  # leaves two movable entries
+        for zero_upper, budget in ((None, 8), (pinned, 4)):
+            with pytest.raises(ResourceBudgetError):
+                max_distance([(region, 3, ref, zero_upper)], budget - 1, sn.DEFAULT_TOLS)
+            with pytest.raises(AssertionError):
+                max_distance([(region, 3, ref, zero_upper)], budget, sn.DEFAULT_TOLS)
+        for certify in (sn.strong_stability_parameters, sn.well_supported_stability_parameters):
+            with pytest.raises(ResourceBudgetError):
+                certify(matching_pennies, 0.1, partition_budget=3)
+
+    def test_lp_count_on_audit_shaped_game(self, monkeypatch):
+        # a 12x12 game with minimax support 5 on both sides, the shape of the
+        # benchmark's certify-zs games: the full sweep solves 2^5 LPs per
+        # side and variant (128); bound and prune solves 43, in two stacks
+        # that hold both sides
+        game = sn.random_constant_sum_game(12, 0)
+        mm = sn.minimax_solve(game)
+        assert len(mm.p_star.support) == len(mm.q_star.support) == 5
+        stacks = []
+
+        def counting(constraints, lower, upper, objective, tol):
+            stacks.append(len(lower))
+            return solve_stack(constraints, lower, upper, objective, tol)
+
+        monkeypatch.setattr(stability, "solve_stack", counting)
+        sn.well_supported_stability_parameters(game, 0.1)
+        assert stacks == [20, 23]
