@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .errors import ParameterError
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -16,7 +18,7 @@ class Tolerances:
 
     zero    - support truncation and generic numeric-zero threshold
     sum     - allowed deviation of a probability vector's total mass from 1
-    lp      - simplex pivot / feasibility tolerance
+    lp      - simplex pivot / feasibility tolerance, below 1
     eq      - equilibrium verification threshold on regrets
     dedup   - variation distance below which two profiles are merged
     """
@@ -26,6 +28,12 @@ class Tolerances:
     lp: float = 1e-8
     eq: float = 1e-7
     dedup: float = 1e-6
+
+    def __post_init__(self) -> None:
+        # below 1, the simplex's phase-1 drive-out always has a real pivot
+        # (lp.solve_lp)
+        if not self.lp < 1.0:
+            raise ParameterError(f"the lp tolerance {self.lp} must be below 1")
 
     def with_overrides(self, **kwargs: float) -> "Tolerances":
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
@@ -47,8 +55,9 @@ PROBE_REFERENCE_COEFF = 27.0
 # pairs and raises above it before any work, for every caller alike.
 DEFAULT_ENUM_BUDGET = 100_000
 
-# Sign partitions one distance sweep may solve, an LP each: the sweep
-# raises above it, in the constant-sum certifier and in the
+# Subsets of a reference's movable support one distance maximization may
+# cover, an LP each (stability.max_distance and stability.subset_sweep): it
+# raises above it before any LP, in the constant-sum certifier and in the
 # approximation-stability estimators alike.
 DEFAULT_PARTITION_BUDGET = 2 ** 20
 

@@ -3,20 +3,20 @@
 For constant-sum games the set of near-optimal strategies of each player is
 a polytope cut out by the value guarantees, so the radius of the set of
 alpha/2-equilibria around a small-support anchor can be computed exactly:
-:func:`stablenash.stability.max_distance` maximizes the variation distance
-to the anchor over each side's region by bound and prune. The distance is
-the largest anchor(M) - x(M) over the subsets M of the anchor's support,
-one LP per subset; the singletons bound every other subset, and a subset
-is solved only while its bound exceeds the best distance found. The
-certified sandwich is (alpha/2, 2*delta) stable but not (alpha, delta/2)
-stable. ``partition_budget`` bounds the 2^k subsets of a k-action anchor
-support, as it bounded the 2^k sign partitions of the full sweep: above it
-the certifier raises before any LP rather than certify from a partial
-search. The well-supported variant's restricted radius adds zero upper
-bounds outside the minimax support to the same regions, and every plain
-and restricted request of both sides goes to one call, whose rounds stack
-the two sides' LPs together when their regions have one shape (every
-square game). The minimax LPs stay single
+:func:`stablenash.stability.max_distance`, the subset-LP kernel the
+stability estimators share, maximizes the variation distance to the anchor
+over each side's region by bound and prune. The distance is the largest
+anchor(M) - x(M) over the subsets M of the anchor's support, one LP per
+subset; the singletons bound every other subset, and a subset is solved
+only while its bound exceeds the best distance found. The certified
+sandwich is (alpha/2, 2*delta) stable but not (alpha, delta/2) stable.
+``partition_budget`` bounds the 2^k subsets of a k-action anchor support:
+above it the certifier raises before any LP rather than certify from a
+partial search. The well-supported variant's restricted radius adds zero
+upper bounds outside the minimax support to the same regions, and every
+plain and restricted request of both sides goes to one call, whose rounds
+stack the two sides' LPs together when their regions have one shape
+(every square game). The minimax LPs stay single
 :func:`stablenash.lp.solve_lp` calls.
 """
 
@@ -176,7 +176,7 @@ def _max_objectives(
     against all opponent actions; its restriction also forbids mass outside
     the minimax support. One :func:`max_distance` call finds twice the
     largest variation distance to the anchor over each region of both sides
-    by bound and prune, not one LP per sign partition. A side's restriction
+    by bound and prune, not one LP per subset. A side's restriction
     is requested only when ``well_supported`` and its minimax support is
     not full; otherwise its restricted distance is its plain one, since a
     full support forbids nothing.

@@ -11,12 +11,11 @@ There are two paths over the same algorithm. :func:`solve_lp` solves one
 lockstep (after Gurung & Ray, "Simultaneous solving of batched linear
 programs on a GPU", ICPE 2019): each member has its own constraint rows,
 relations, right-hand sides, variable bounds and objective, and a row that
-every member shares is given once and broadcast, as the sign partitions of
-one distance sweep do. Each member's standardized tableau is padded to the
-stack's shape, and the padding never changes a member's pivots, so every
-member's outcome is bitwise that of :func:`solve_lp` on the same LP. A
-stack of one costs more than :func:`solve_lp`, so callers holding a single
-LP keep calling it.
+every member shares is given once and broadcast. Each member's standardized
+tableau is padded to the stack's shape, and the padding never changes a
+member's pivots, so every member's outcome is bitwise that of
+:func:`solve_lp` on the same LP. A stack of one costs more than
+:func:`solve_lp`, so callers holding a single LP keep calling it.
 """
 
 from __future__ import annotations
@@ -277,23 +276,15 @@ def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOLS) -> LpOutcome:
         scale = max(1.0, float(np.abs(b).max()) if m else 1.0)
         if -T[-1, -1] > eps * scale:
             return LpOutcome(INFEASIBLE)
-        # Drive leftover zero-value artificials out of the basis, dropping
-        # redundant rows that offer no real pivot. A row whose basic variable
-        # is an artificial holds that artificial's own surplus column at
-        # exactly -1 (the two start as exact negatives and stay so through
-        # every pivot), so a row is dropped only when tol.lp >= 1.
-        keep = np.ones(m, dtype=bool)
+        # Drive leftover zero-value artificials out of the basis. A row whose
+        # basic variable is an artificial holds that artificial's own surplus
+        # column at exactly -1 (the two start as exact negatives and stay so
+        # through every pivot), and Tolerances keeps tol.lp below 1, so every
+        # such row offers a real pivot.
         for i in range(m):
             if basis[i] >= n_real:
                 real = np.nonzero(np.abs(T[i, :n_real]) > eps)[0]
-                if real.size:
-                    _pivot(T, basis, i, int(real[0]))
-                else:
-                    keep[i] = False
-        if not keep.all():
-            T = T[np.concatenate([np.nonzero(keep)[0], [m]])]
-            basis = basis[keep]
-            m = int(basis.size)
+                _pivot(T, basis, i, int(real[0]))
         T = np.delete(T, np.s_[n_real : n_real + n_art], axis=1)
 
     def extract() -> np.ndarray:
@@ -335,11 +326,6 @@ def _verify(lp: LinearProgram, x: np.ndarray, eps: float) -> None:
             raise SolverError(f"constraint violated: {v} == {rhs}")
     if (x < lp.lower - slack).any() or (x > lp.upper + slack).any():
         raise SolverError("bound violated in LP solution")
-
-
-# Basis index of a row a stack's drive-out drops: above every column, so the
-# zeroed row is never priced, extracted or chosen to leave.
-_DROPPED = np.iinfo(np.intp).max
 
 
 def _pivot_stack(
@@ -384,7 +370,8 @@ def _bland_stack(T: np.ndarray, basis: np.ndarray, n_cols: int, tol: float) -> n
         ratios = np.full(pos.shape, np.inf)
         np.divide(W[:, :m, -1], col, out=ratios, where=pos)
         tied = pos & (ratios <= ratios.min(axis=1, keepdims=True) + tol)
-        leaving = np.where(tied, Wb, _DROPPED).argmin(axis=1)
+        # the lowest basic index among the tied rows; the others rank last
+        leaving = np.where(tied, Wb, np.iinfo(Wb.dtype).max).argmin(axis=1)
         _pivot_stack(W, Wb, leaving, entering)
     return unbounded
 
@@ -427,14 +414,12 @@ def solve_stack(
     The members' tableaus are padded to one shape. A member with fewer
     standardized rows (fewer equalities or finite upper bounds) gets
     all-zero rows after its own, each with its own slack basic at 0; one
-    with fewer artificials gets all-zero artificial columns; a row the
-    drive-out drops is zeroed and given a basis index above every column.
-    No padding can enter, leave or price a pivot. Rows, bounds and
-    objectives are validated as arrays, never one LP at a time; every
-    solution is verified against its member's own rows with
-    :func:`solve_lp`'s slack rule. A stack is solved in chunks whose
-    tableaus, working copies and pivot temporaries together hold fewer than
-    ``STACK_FLOATS`` floats.
+    with fewer artificials gets all-zero artificial columns. No padding can
+    enter, leave or price a pivot. Rows, bounds and objectives are
+    validated as arrays, never one LP at a time; every solution is verified
+    against its member's own rows with :func:`solve_lp`'s slack rule. A
+    stack is solved in chunks whose tableaus, working copies and pivot
+    temporaries together hold fewer than ``STACK_FLOATS`` floats.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -554,21 +539,15 @@ def _solve_chunk(
         scale = np.maximum(1.0, B.max(axis=1, initial=0.0))
         feasible = ~(-T[:, -1, -1] > eps * scale)
         # drive leftover zero-value artificials out, row by row as solve_lp
-        # (a pivot changes only its own row's basic variable); as there, a
-        # row is dropped only when eps >= 1
+        # (a pivot changes only its own row's basic variable); as there,
+        # every such row offers a real pivot
         left = feasible[:, None] & (basis >= n_real)
         for r in np.flatnonzero(left.any(axis=0)):
             need = np.flatnonzero(left[:, r])
             real = np.abs(T[need, r, :n_real]) > eps
-            has = real.any(axis=1)
-            piv = need[has]
-            if piv.size:
-                V, Vb = T[piv], basis[piv]
-                _pivot_stack(V, Vb, np.full(piv.size, r), real[has].argmax(axis=1))
-                T[piv], basis[piv] = V, Vb
-            drop = need[~has]
-            T[drop, r, :] = 0.0
-            basis[drop, r] = _DROPPED
+            V, Vb = T[need], basis[need]
+            _pivot_stack(V, Vb, np.full(need.size, r), real.argmax(axis=1))
+            T[need], basis[need] = V, Vb
 
     live = np.flatnonzero(feasible)
     T = np.concatenate((T[live, :, :n_real], T[live, :, -1:]), axis=2)

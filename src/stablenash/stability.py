@@ -7,19 +7,21 @@ certification is only available for constant-sum games (see
 :mod:`stablenash.constant_sum`), because general-game verification would
 require enumerating equilibria of every admissible perturbation.
 
-:func:`partition_sweep` is the one sign-partition distance sweep, whose
-vertices the estimators take as witness candidates. It states each
-partition as variable bounds, solves all partitions of the sweeps it is
-given over one region as one :func:`stablenash.lp.solve_stack` stack, and
-raises above ``DEFAULT_PARTITION_BUDGET`` partitions. The constant-sum
-certifier needs only the largest distance, which :func:`max_distance`
-finds exactly by bound and prune over the subsets of the anchor's support,
-usually with far fewer LPs; it raises above the certifier's
-``partition_budget`` as the sweep does.
-The estimators request their sweeps through :func:`_sweeps`, which solves
-each distinct request once. The well-supported estimator takes its
-declared support pairs from :func:`stablenash.oracle.screened_pairs`, the
-one support-pair walk, which screens them and enforces ``budget``.
+Every distance maximization here is one kernel. For x and ref on the
+simplex, the variation distance is the largest ref(M) - x(M) over the
+subsets M of ref's support, so the largest distance from ref over a
+polytope is the largest ref(M) - min x(M): one LP per subset, which
+:func:`_subset_round` solves as :func:`stablenash.lp.solve_stack` stacks.
+The constant-sum certifier needs only the largest distance, which
+:func:`max_distance` finds exactly by bound and prune over the subsets,
+usually with far fewer LPs. The estimators take every subset LP's vertex as
+a witness candidate through :func:`subset_sweep`, which solves each
+distinct request once. Both raise before any LP when a request's 2^k
+subsets exceed their budget: the certifier's ``partition_budget``, and
+``DEFAULT_PARTITION_BUDGET`` in the estimators. The well-supported
+estimator takes its declared support pairs from
+:func:`stablenash.oracle.screened_pairs`, the one support-pair walk, which
+screens them and enforces ``budget``.
 """
 
 from __future__ import annotations
@@ -267,71 +269,6 @@ def sample_approximate_equilibria(
     return out
 
 
-def partition_sweep(
-    base_rows: list[tuple[np.ndarray, str, float]],
-    n: int,
-    requests: list[tuple[np.ndarray, Optional[np.ndarray]]],
-    budget: int,
-    tol: Tolerances,
-) -> list[list[tuple[float, np.ndarray]]]:
-    """Sign-partition distance sweeps over one polytope, as one LP stack.
-
-    The polytope is cut out by ``base_rows``. Each request ``(ref,
-    zero_upper)`` sweeps around ``ref``, with the optional upper bounds
-    ``zero_upper``, each 0 (mass forbidden) or +inf, added to the polytope.
-    A sweep has one LP per sign partition of ref's movable support (entries
-    whose upper bound is not zero; pinned ones stay below ref), stated as
-    variable bounds: a plus entry is at least ref, a minus entry at most
-    ref. The objective counts the plus part's excess, the minus part's
-    shortfall and all mass outside ref's support, so each feasible
-    partition yields (objective + partition constant, vertex), which is
-    ||vertex - ref||_1, twice the variation distance. Returns one such list
-    per request, in partition (bit mask) order.
-
-    The partitions of every request differ only in their bounds and
-    objective signs, so they are built as arrays and solved in one
-    :func:`stablenash.lp.solve_stack` call, with the outcomes of one
-    :func:`stablenash.lp.solve_lp` per partition. This is the one place that
-    bounds a sweep: it raises :class:`ResourceBudgetError` before any LP
-    when some request's 2^k partitions exceed ``budget``.
-    """
-    lowers, uppers, signs, parts = [], [], [], []
-    for ref, zero_upper in requests:
-        upper = np.full(n, np.inf) if zero_upper is None else zero_upper
-        movable = np.flatnonzero((ref != 0) & (upper > 0.0))
-        if 2 ** len(movable) > budget:
-            raise ResourceBudgetError(
-                f"2^{len(movable)} sign partitions exceed the budget {budget}"
-            )
-        masks = np.arange(2 ** len(movable))
-        plus = np.zeros((masks.size, n), dtype=bool)
-        plus[:, movable] = (masks[:, None] >> np.arange(len(movable))) & 1 == 1
-        minus = (ref != 0) & ~plus
-        lowers.append(np.where(plus, ref, 0.0))
-        uppers.append(np.where(minus, np.minimum(upper, ref), upper))
-        signs.append(np.where(minus, -1.0, 1.0))
-        parts.append((ref, plus, minus))
-    outcomes = iter(
-        solve_stack(
-            base_rows,
-            np.concatenate(lowers),
-            np.concatenate(uppers),
-            np.concatenate(signs),
-            tol,
-        )
-    )
-    results: list[list[tuple[float, np.ndarray]]] = []
-    for ref, plus, minus in parts:
-        sweep = []
-        for k in range(plus.shape[0]):
-            out = next(outcomes)
-            if out.status == OPTIMAL:
-                constant = float(ref[minus[k]].sum() - ref[plus[k]].sum())
-                sweep.append((float(out.objective_value) + constant, out.solution))
-        results.append(sweep)
-    return results
-
-
 def _subset_sums(values: np.ndarray) -> np.ndarray:
     """``sums[M]``, the sum of ``values[i]`` over the set bits i of M, for
     every bit mask M below 2^len(values)."""
@@ -343,11 +280,11 @@ def _subset_sums(values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Search:
-    """One request's bound-and-prune state: its region's rows as arrays,
-    its upper bounds, its movable entries and pinned mass, the incumbent
-    ``best`` (a variation distance) and, once the singletons are solved,
-    every subset's ``bound`` in descending ``order`` with ``taken`` of them
-    solved or skipped."""
+    """One request's subset-LP state: its region's rows as arrays, its
+    upper bounds, its movable entries and pinned mass, the incumbent
+    ``best`` (a variation distance) and, for bound and prune once the
+    singletons are solved, every subset's ``bound`` in descending ``order``
+    with ``taken`` of them solved or skipped."""
 
     A: np.ndarray
     rel: np.ndarray
@@ -362,45 +299,23 @@ class _Search:
     taken: int = 0
 
 
-def max_distance(
-    requests: list[tuple[list, int, np.ndarray, Optional[np.ndarray]]],
-    budget: int,
-    tol: Tolerances,
-) -> list[float]:
-    """The largest L1 distance from each request's ``ref`` to its region,
-    found exactly by bound and prune.
+_Request = tuple[list, int, np.ndarray, Optional[np.ndarray]]
 
-    A request ``(base_rows, n, ref, zero_upper)`` names the polytope of
-    :func:`partition_sweep`. For x and ref on the simplex, the variation
-    distance is the largest ref(M) - x(M) over the subsets M of ref's
-    support, so the largest distance over the region is the largest g(M) =
-    ref(M) - min x(M): one LP per subset, minimizing x(M) over the region
-    alone. An entry whose upper bound is zero always belongs to M (x is 0
-    there), so only the k movable entries are branched on, as in the sweep.
-    min x(M) is superadditive, so g(M) - pinned mass is at most the smaller
-    of ref(M) and the sum of its singletons' values; this is the classic
-    branch and bound for convex maximization (Falk & Soland 1969). The worst
-    case stays exponential.
 
-    The k singletons are solved first. Every solved vertex x also raises
-    the incumbent to its own distance, the sum of (ref - x)^+, a feasible
-    point's and so a lower bound. Then each round solves, for every
-    request, at most 2k of its subsets in descending bound order whose
-    bound exceeds its incumbent; the maximum is exact once no bound does.
-    Each round is one :func:`stablenash.lp.solve_stack` call per region
-    shape, with per-member rows, so regions of one shape share a stack. A
-    request whose region is empty reads 0. Like the sweep, it raises
-    :class:`ResourceBudgetError` before any LP when some request's 2^k
-    subsets exceed ``budget``, since it ranks the bounds of all of them.
+def _searches(requests: list[_Request], budget: int) -> list[_Search]:
+    """One :class:`_Search` per request, as :func:`max_distance` reads it.
+
+    ref's movable entries are those of its support whose upper bound is not
+    zero. This is the one place that bounds the subset LPs: it raises
+    :class:`ResourceBudgetError`, before any LP, when some request's 2^k
+    subsets of its k movable entries exceed ``budget``.
     """
     searches = []
     for base_rows, n, ref, zero_upper in requests:
         upper = np.full(n, np.inf) if zero_upper is None else zero_upper
         movable = np.flatnonzero((ref != 0) & (upper > 0.0))
         if 2 ** len(movable) > budget:
-            raise ResourceBudgetError(
-                f"2^{len(movable)} subsets exceed the budget {budget}"
-            )
+            raise ResourceBudgetError(f"2^{len(movable)} subsets exceed the budget {budget}")
         searches.append(_Search(
             A=np.array([c for c, _, _ in base_rows], dtype=float).reshape(-1, n),
             rel=np.array([rel for _, rel, _ in base_rows]),
@@ -410,12 +325,44 @@ def max_distance(
             movable=movable,
             pinned=float(ref[(ref != 0) & (upper <= 0.0)].sum()),
         ))
+    return searches
+
+
+def max_distance(requests: list[_Request], budget: int, tol: Tolerances) -> list[float]:
+    """The largest L1 distance from each request's ``ref`` to its region,
+    found exactly by bound and prune.
+
+    A request ``(base_rows, n, ref, zero_upper)`` names the region of x >= 0
+    in R^n cut out by the rows ``base_rows``, each ``(coefficients,
+    relation, rhs)``, and the optional upper bounds ``zero_upper``, each 0
+    (mass forbidden) or +inf. For x and ref on the simplex, the variation
+    distance is the largest ref(M) - x(M) over the subsets M of ref's
+    support, so the largest distance over the region is the largest g(M) =
+    ref(M) - min x(M): one LP per subset, minimizing x(M) over the region
+    alone. An entry whose upper bound is zero always belongs to M (x is 0
+    there), so only the k movable entries are branched on. min x(M) is
+    superadditive, so g(M) - pinned mass is at most the smaller of ref(M)
+    and the sum of its singletons' values; this is the classic branch and
+    bound for convex maximization (Falk & Soland 1969). The worst case
+    stays exponential.
+
+    The k singletons are solved first. Every solved vertex x also raises
+    the incumbent to its own distance, the sum of (ref - x)^+, a feasible
+    point's and so a lower bound. Then each round solves, for every
+    request, at most 2k of its subsets in descending bound order whose
+    bound exceeds its incumbent; the maximum is exact once no bound does.
+    Each round is one :func:`_subset_round`. A request whose region is
+    empty reads 0. It raises :class:`ResourceBudgetError` before any LP
+    when some request's 2^k subsets exceed ``budget``, since it ranks the
+    bounds of all of them.
+    """
+    searches = _searches(requests, budget)
     # the singletons, or the empty set when nothing is movable
     todo = [
         1 << np.arange(len(s.movable)) if len(s.movable) else np.zeros(1, dtype=int)
         for s in searches
     ]
-    for s, values in zip(searches, _subset_round(searches, todo, tol)):
+    for s, (values, _) in zip(searches, _subset_round(searches, todo, tol)):
         k = len(s.movable)
         gain = (values - s.pinned)[:k]  # the empty set's value when k = 0 is dropped
         s.bound = s.pinned + np.minimum(_subset_sums(s.ref[s.movable]), _subset_sums(gain))
@@ -434,12 +381,47 @@ def max_distance(
         _subset_round(searches, todo, tol)
 
 
+def subset_sweep(
+    requests: list[_Request], budget: int, tol: Tolerances
+) -> list[list[tuple[float, np.ndarray]]]:
+    """Every subset LP of each request, whose vertices the estimators take
+    as witness candidates.
+
+    Requests have :func:`max_distance`'s form. Each of the 2^k subsets M of
+    a request's movable entries gets the LP min x(M) over its region, as
+    there, and each feasible one yields (||x - ref||_1, x) for its vertex x,
+    twice the vertex's variation distance to ref. Returns one such list per
+    request, in subset (bit mask) order. Their largest is
+    :func:`max_distance`'s value, since the vertex of the farthest subset M
+    lies at least g(M) from ref.
+
+    Requests are keyed by their bytes, so each distinct one is solved once,
+    and all of them go to one :func:`_subset_round`. It raises
+    :class:`ResourceBudgetError` before any LP, as :func:`max_distance`
+    does.
+    """
+    keys = [
+        (n, *((c.tobytes(), rel, float(rhs).hex()) for c, rel, rhs in base_rows),
+         ref.tobytes(), None if zero_upper is None else zero_upper.tobytes())
+        for base_rows, n, ref, zero_upper in requests
+    ]
+    distinct = dict(zip(keys, requests))
+    searches = _searches(list(distinct.values()), budget)
+    todo = [np.arange(2 ** len(s.movable)) for s in searches]
+    sweeps = {
+        key: [(float(np.abs(x - s.ref).sum()), x) for x in vertices if x is not None]
+        for key, s, (_, vertices) in zip(distinct, searches, _subset_round(searches, todo, tol))
+    }
+    return [sweeps[key] for key in keys]
+
+
 def _subset_round(
     searches: list[_Search], todo: list[np.ndarray], tol: Tolerances
-) -> list[np.ndarray]:
+) -> list[tuple[np.ndarray, list[Optional[np.ndarray]]]]:
     """Solve the subset LPs ``todo[i]`` (bit masks over the movable entries)
-    of every search i, raising its incumbent; returns each LP's g(M),
-    pinned mass included and -inf when infeasible, per search.
+    of every search i, raising its incumbent; returns, per search, each
+    LP's g(M), pinned mass included, and its vertex, -inf and None when it
+    is infeasible.
 
     Members are grouped by region shape (rows, variables), and each group
     is one :func:`stablenash.lp.solve_stack` call with per-member rows.
@@ -449,6 +431,7 @@ def _subset_round(
         if masks.size:
             groups.setdefault(searches[i].A.shape, []).append(i)
     values = [np.full(masks.size, -np.inf) for masks in todo]
+    vertices: list[list[Optional[np.ndarray]]] = [[None] * masks.size for masks in todo]
     for (m, n), members in groups.items():
         sizes = [todo[i].size for i in members]
         objective = np.zeros((sum(sizes), n))
@@ -473,39 +456,14 @@ def _subset_round(
             if out.status == OPTIMAL:
                 s = searches[i]
                 values[i][j] = s.pinned - float(s.ref @ obj) + float(out.objective_value)
+                vertices[i][j] = out.solution
                 farthest = float(np.maximum(s.ref - out.solution, 0.0).sum())
                 s.best = max(s.best, values[i][j], farthest)
-    return values
+    return list(zip(values, vertices))
 
 
 def _simplex_rows(n: int) -> list[tuple[np.ndarray, str, float]]:
     return [(np.ones(n), "=", 1.0)]
-
-
-def _sweeps(
-    requests: list[tuple[list, int, np.ndarray, Optional[np.ndarray]]], tol: Tolerances
-) -> list[list[tuple[float, np.ndarray]]]:
-    """The sweeps of ``requests``, each ``(base_rows, n, ref, zero_upper)``,
-    in order.
-
-    Requests are keyed by their bytes: each distinct one is solved once,
-    and those over one region (the same rows) share one
-    :func:`partition_sweep` stack.
-    """
-    regions: dict = {}
-    keys = []
-    for base_rows, n, ref, zero_upper in requests:
-        region = (n, *((c.tobytes(), rel, float(rhs).hex()) for c, rel, rhs in base_rows))
-        key = (ref.tobytes(), None if zero_upper is None else zero_upper.tobytes())
-        regions.setdefault(region, (base_rows, n, {}))[2].setdefault(key, (ref, zero_upper))
-        keys.append((region, key))
-    solved = {}
-    for region, (base_rows, n, distinct) in regions.items():
-        sweeps = partition_sweep(
-            base_rows, n, list(distinct.values()), DEFAULT_PARTITION_BUDGET, tol
-        )
-        solved.update(((region, key), sweep) for key, sweep in zip(distinct, sweeps))
-    return [solved[key] for key in keys]
 
 
 def _plain_candidates(
@@ -515,9 +473,9 @@ def _plain_candidates(
 
     With q fixed, both players' eps-best-response conditions are linear in
     p, so distance to each reference equilibrium can be maximized exactly
-    by the partition sweep; symmetrically with p fixed. Equilibria sharing
-    a side pin the same region, so :func:`_sweeps` solves each distinct
-    sweep once.
+    by the subset LPs of :func:`subset_sweep`; symmetrically with p fixed.
+    Equilibria sharing a side pin the same region, and the sweep solves
+    each distinct request once.
     """
     rows, cols = game.shape
     R, C = game.R, game.C
@@ -544,18 +502,12 @@ def _plain_candidates(
         for r_idx, ref in enumerate(base.equilibria):
             requests.append((q_rows, cols, ref.col.probs, None))
             pinned.append((f"lp:fix-p:{a_idx}:ref:{r_idx}", p_star, None))
-    out: list[tuple[str, StrategyProfile]] = []
-    for (label, p, q), sweep in zip(pinned, _sweeps(requests, tol)):
-        for _, vertex in sweep:
-            out.append(
-                (
-                    label,
-                    StrategyProfile.from_vectors(
-                        vertex if p is None else p, vertex if q is None else q, tol
-                    ),
-                )
-            )
-    return out
+    sweeps = subset_sweep(requests, DEFAULT_PARTITION_BUDGET, tol)
+    return [
+        (label, StrategyProfile.from_vectors(x if p is None else p, x if q is None else q, tol))
+        for (label, p, q), sweep in zip(pinned, sweeps)
+        for _, x in sweep
+    ]
 
 
 def _ws_region_rows(
@@ -586,8 +538,8 @@ def _ws_candidates(
     Only the pairs that pass :func:`stablenash.oracle.screened_pairs` at eps
     reach the LPs, visited by row subset, then column subset (by size, then
     lexicographically). A side's region depends only on the opponent's
-    declared support, so :func:`_sweeps` stacks the sweeps of every pair
-    sharing it and solves a sweep requested twice once.
+    declared support, so every pair's requests go to one
+    :func:`subset_sweep` call, which solves a request made twice once.
     """
     rows, cols = game.shape
     sizes = list(itertools.product(range(1, rows + 1), range(1, cols + 1)))
@@ -613,19 +565,14 @@ def _ws_candidates(
         for ref in base.equilibria:
             requests.append((p_rows, rows, ref.row.probs, p_upper))
             requests.append((q_rows, cols, ref.col.probs, q_upper))
-    sweeps = iter(_sweeps(requests, tol))
+    sweeps = iter(subset_sweep(requests, DEFAULT_PARTITION_BUDGET, tol))
     out: list[tuple[str, StrategyProfile]] = []
     for label, p_feas, q_feas in feasible:
         out.append((label, StrategyProfile.from_vectors(p_feas, q_feas, tol)))
         for r_idx in range(len(base.equilibria)):
             p_far = _farthest(next(sweeps), p_feas)
             q_far = _farthest(next(sweeps), q_feas)
-            out.append(
-                (
-                    f"{label}:ref:{r_idx}",
-                    StrategyProfile.from_vectors(p_far, q_far, tol),
-                )
-            )
+            out.append((f"{label}:ref:{r_idx}", StrategyProfile.from_vectors(p_far, q_far, tol)))
     return out
 
 
@@ -633,7 +580,7 @@ def _farthest(
     sweep: list[tuple[float, np.ndarray]], fallback: np.ndarray
 ) -> np.ndarray:
     """The sweep's vertex at the largest distance (the first on ties), or
-    ``fallback`` when no partition is feasible."""
+    ``fallback`` when no subset LP is feasible."""
     return max(sweep, key=lambda item: item[0], default=(0.0, fallback))[1]
 
 
@@ -663,7 +610,7 @@ def estimate_approximation_stability(
     """Largest observed distance from a (well-supported) eps-equilibrium to
     the exact equilibrium set.
 
-    Searches with (i) LP distance maximization per support/sign pattern and
+    Searches with (i) LP distance maximization per support pattern and
     (ii) random sampling with repair; every candidate is re-verified against
     the mode's regret predicate before it can contribute.
     """

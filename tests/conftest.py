@@ -99,51 +99,12 @@ def scalar_sampler(game, eps, count, seed, well_supported, eqs, steps=48, zero=1
     return out
 
 
-def row_encoded_sweep(base_rows, n, ref, zero_upper, tol):
-    """Reference sign-partition sweep: each partition as one row per entry.
-
-    Solves the partitions of ref's movable support in the library's mask
-    order, stating ``x_i >= ref_i`` for the plus part and ``x_i <= ref_i``
-    for the minus part as constraint rows instead of variable bounds, and
-    returns (mask, objective + partition constant, vertex) per feasible one.
-    """
-    support = [int(i) for i in np.nonzero(ref)[0]]
-    movable = [i for i in support if zero_upper is None or zero_upper[i] > 0.0]
-    fixed_minus = [i for i in support if i not in movable]
-    outside = np.ones(n, dtype=bool)
-    outside[support] = False
-    results = []
-    for mask in range(2 ** len(movable)):
-        plus = [movable[b] for b in range(len(movable)) if mask >> b & 1]
-        minus = [i for i in movable if i not in plus] + fixed_minus
-        lp = LinearProgram(n, upper=zero_upper.copy() if zero_upper is not None else None)
-        for coeffs, rel, rhs in base_rows:
-            lp.add_constraint(coeffs, rel, rhs)
-        obj = np.where(outside, 1.0, 0.0)
-        constant = 0.0
-        for i in plus:
-            row = np.zeros(n)
-            row[i] = 1.0
-            lp.add_constraint(row, ">=", float(ref[i]))
-            obj[i] = 1.0
-            constant -= float(ref[i])
-        for i in minus:
-            row = np.zeros(n)
-            row[i] = 1.0
-            lp.add_constraint(row, "<=", float(ref[i]))
-            obj[i] = -1.0
-            constant += float(ref[i])
-        lp.set_objective(obj, maximize=True)
-        out = solve_lp(lp, tol)
-        if out.status == OPTIMAL:
-            results.append((mask, float(out.objective_value) + constant, out.solution))
-    return results
-
-
-def subset_max_distance(base_rows, n, ref, zero_upper, tol):
+def subset_max_distance(base_rows, n, ref, zero_upper, tol, values=None):
     """Reference largest L1 distance from ref to the region: one scalar LP
     per subset M of ref's whole support, minimizing x(M), and twice the
-    largest ref(M) - min x(M); 0 when the region is empty."""
+    largest g(M) = ref(M) - min x(M); 0 when the region is empty. A dict
+    ``values`` receives g(M) for each feasible M, keyed by M's sorted
+    tuple of indices."""
     support = [int(i) for i in np.nonzero(ref)[0]]
     best = 0.0
     for size in range(len(support) + 1):
@@ -156,7 +117,10 @@ def subset_max_distance(base_rows, n, ref, zero_upper, tol):
             lp.set_objective(obj, maximize=True)
             out = solve_lp(lp, tol)
             if out.status == OPTIMAL:
-                best = max(best, 2.0 * (sum(float(ref[i]) for i in M) + out.objective_value))
+                g = sum(float(ref[i]) for i in M) + out.objective_value
+                best = max(best, 2.0 * g)
+                if values is not None:
+                    values[M] = g
     return best
 
 
@@ -312,11 +276,11 @@ def unscreened_ws_candidates(game, eps, base, tol=DEFAULT_TOLS):
             label = f"ws-lp:{S_p}:{S_q}"
             out.append((label, sn.StrategyProfile.from_vectors(p_feas, q_feas, tol)))
             for r_idx, ref in enumerate(base.equilibria):
-                (p_sweep,) = stability.partition_sweep(
-                    p_rows, rows, [(ref.row.probs, p_upper)], DEFAULT_PARTITION_BUDGET, tol
+                (p_sweep,) = stability.subset_sweep(
+                    [(p_rows, rows, ref.row.probs, p_upper)], DEFAULT_PARTITION_BUDGET, tol
                 )
-                (q_sweep,) = stability.partition_sweep(
-                    q_rows, cols, [(ref.col.probs, q_upper)], DEFAULT_PARTITION_BUDGET, tol
+                (q_sweep,) = stability.subset_sweep(
+                    [(q_rows, cols, ref.col.probs, q_upper)], DEFAULT_PARTITION_BUDGET, tol
                 )
                 p_far = stability._farthest(p_sweep, p_feas)
                 q_far = stability._farthest(q_sweep, q_feas)

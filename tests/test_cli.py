@@ -126,8 +126,8 @@ class TestPipelines:
         # matching pennies has full minimax supports, so the restricted
         # radius forbids nothing and reuses the plain one. Per side, bound
         # and prune solves the 2 singletons (0.1 each, an incumbent of 0.1)
-        # and then the pair, whose bound 0.2 exceeds it: 3 LPs, not the
-        # sweep's 4 partitions
+        # and then the pair, whose bound 0.2 exceeds it: 3 LPs, not all 4
+        # subsets
         calls = []  # one entry per stack member, each an LP
 
         def counting(constraints, lower, upper, objective, tol):
@@ -261,6 +261,14 @@ class TestExitCodes:
             stdin_text=game_json,
         )
         assert code == EXIT_INVALID  # meeting game is not constant-sum
+
+    def test_lp_tolerance_of_one_or_more_is_invalid(self, monkeypatch, capsys):
+        _, game_json, _ = run_cli(monkeypatch, capsys, ["generate", "--family", "mp"])
+        code, out, err = run_cli(
+            monkeypatch, capsys, ["oracle", "--tol-lp", "1.5"], stdin_text=game_json
+        )
+        assert code == EXIT_INVALID
+        assert out == "" and "lp tolerance" in err
 
 
 class TestDeterminism:

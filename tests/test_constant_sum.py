@@ -7,7 +7,7 @@ from stablenash import stability
 from stablenash.config import DEFAULT_PARTITION_BUDGET
 from stablenash.errors import DomainError, ParameterError, ResourceBudgetError
 from stablenash.lp import OPTIMAL, LinearProgram, solve_lp, solve_stack
-from stablenash.stability import max_distance, partition_sweep
+from stablenash.stability import max_distance, subset_sweep
 from stablenash.support import lmm_sample
 
 from conftest import random_simplex, subset_max_distance
@@ -141,8 +141,9 @@ class TestStrongStabilityParameters:
         assert found > 0
 
     def test_partition_objective_equals_twice_distance(self, matching_pennies):
-        # re-derive one partition LP by hand, and run the sweep itself, and
-        # compare each objective with the variation distance of its optimizer
+        # re-derive one subset LP by hand, min x(M) for M = {0}, and run the
+        # sweep itself: twice g(M) = anchor(M) - min x(M) is the L1 distance
+        # of its optimizer, which the sweep lists for mask 1
         mm = sn.minimax_solve(matching_pennies)
         anchor = mm.p_star.probs
         alpha = 0.1
@@ -151,17 +152,16 @@ class TestStrongStabilityParameters:
         lp = LinearProgram(2)
         for coeffs, rel, rhs in region:
             lp.add_constraint(coeffs, rel, rhs)
-        lp.add_constraint([1.0, 0.0], ">=", anchor[0])  # index 0 in the plus part
-        lp.add_constraint([0.0, 1.0], "<=", anchor[1])
-        lp.set_objective([1.0, -1.0])
+        lp.set_objective([-1.0, 0.0])
         out = solve_lp(lp)
         assert out.status == OPTIMAL
-        by_hand = (out.objective_value - anchor[0] + anchor[1], out.solution)
-        (sweep,) = partition_sweep(region, 2, [(anchor, None)], 4, sn.DEFAULT_TOLS)
-        assert len(sweep) == 4  # every sign partition is feasible here
-        for objective, vertex in [by_hand] + sweep:
-            dist = 0.5 * np.abs(vertex - anchor).sum()
-            assert objective == pytest.approx(2 * dist, abs=1e-8)
+        g = anchor[0] + out.objective_value
+        assert 2 * g == pytest.approx(np.abs(out.solution - anchor).sum(), abs=1e-12)
+        (sweep,) = subset_sweep([(region, 2, anchor, None)], 4, sn.DEFAULT_TOLS)
+        assert len(sweep) == 4  # every subset LP is feasible here
+        assert sweep[1][0] == pytest.approx(2 * g, abs=1e-12)
+        np.testing.assert_allclose(sweep[1][1], out.solution, atol=1e-12)
+        assert max(d for d, _ in sweep) == pytest.approx(0.2, abs=1e-12)  # radius 0.1
 
     def test_partition_budget_is_never_skipped(self, matching_pennies):
         # an upper-bound certificate may not skip a partition: the anchor's
@@ -263,10 +263,10 @@ class TestPrunedMaximum:
     @given(_certifier_cases())
     def test_matches_every_subset_and_the_full_sweep(self, case):
         # the pruned maximum over both sides' plain and restricted regions,
-        # in one call, equals one scalar LP per subset and the largest
-        # sign-partition objective; "resampled" anchors sit below the minimax
-        # support and "foreign" ones put mass where the restriction forbids it
-        # while it allows more than the minimax support
+        # in one call, equals one scalar LP per subset and the farthest
+        # vertex of the full subset sweep; "resampled" anchors sit below the
+        # minimax support and "foreign" ones put mass where the restriction
+        # forbids it while it allows more than the minimax support
         game, alpha, anchor_kind, rng = case
         mm = sn.minimax_solve(game)
         requests = []
@@ -284,13 +284,9 @@ class TestPrunedMaximum:
             upper[list(optimal.support)] = np.inf
             requests += [(region, n, ref, None), (region, n, ref, upper)]
         got = max_distance(requests, DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS)
-        for (region, n, ref, upper), value in zip(requests, got):
-            (sweep,) = partition_sweep(
-                region, n, [(ref, upper)], DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS
-            )
-            assert value == pytest.approx(
-                max([0.0] + [objective for objective, _ in sweep]), abs=1e-12
-            )
+        sweeps = subset_sweep(requests, DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS)
+        for (region, n, ref, upper), value, sweep in zip(requests, got, sweeps):
+            assert value == pytest.approx(max([0.0] + [d for d, _ in sweep]), abs=1e-12)
             assert value == pytest.approx(
                 subset_max_distance(region, n, ref, upper, sn.DEFAULT_TOLS), abs=1e-12
             )

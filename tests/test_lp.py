@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import stablenash
 from stablenash import lp as lp_module
 from stablenash.config import DEFAULT_TOLS, Tolerances
-from stablenash.errors import SolverError, ValidationError
+from stablenash.errors import ParameterError, SolverError, ValidationError
 from stablenash.lp import (
     FEASIBLE,
     INFEASIBLE,
@@ -215,13 +215,6 @@ def test_every_solve_lp_caller_is_traced():
 
 # --- the lockstep stack against the scalar path ------------------------------
 
-# With 1.5 as the pivot tolerance, phase 1 can end with artificials in the
-# basis whose rows hold no larger entry, so the drive-out drops those rows.
-# At the default tolerance it never drops one (the artificial's own surplus
-# column holds -1 in its row), but it does pivot.
-_COARSE = Tolerances(lp=1.5)
-
-
 def _random_stack(seed, real=False):
     """Shared constraints plus a stack of bounds and objectives. On a
     half-integer grid, degenerate, infeasible and unbounded members are
@@ -305,23 +298,21 @@ def _outcome_bytes(out):
     )
 
 
-def _assert_stack_is_scalar(constraints, lower, upper, objective, tol):
+def _assert_stack_is_scalar(constraints, lower, upper, objective):
     """Each member bitwise as solve_lp, also when the stack is permuted or
     split; returns the statuses."""
     try:
         want = [
-            _outcome_bytes(solve_lp(_member_lp(constraints, lower, upper, objective, k), tol))
+            _outcome_bytes(solve_lp(_member_lp(constraints, lower, upper, objective, k)))
             for k in range(len(lower))
         ]
     except SolverError:
         with pytest.raises(SolverError):
-            solve_stack(constraints, lower, upper, objective, tol)
+            solve_stack(constraints, lower, upper, objective)
         return []
 
     def solved(part):
-        outs = solve_stack(
-            _rows_of(constraints, part), lower[part], upper[part], objective[part], tol
-        )
+        outs = solve_stack(_rows_of(constraints, part), lower[part], upper[part], objective[part])
         return [_outcome_bytes(out) for out in outs]
 
     everything = slice(None)
@@ -334,22 +325,22 @@ def _assert_stack_is_scalar(constraints, lower, upper, objective, tol):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(st.integers(0, 100_000), st.booleans(), st.sampled_from([DEFAULT_TOLS, _COARSE]))
-def test_stack_matches_solve_lp_bitwise(seed, real, tol):
-    _assert_stack_is_scalar(*_random_stack(seed, real), tol)
+@given(st.integers(0, 100_000), st.booleans())
+def test_stack_matches_solve_lp_bitwise(seed, real):
+    _assert_stack_is_scalar(*_random_stack(seed, real))
 
 
 def test_random_stacks_reach_every_status():
     seen = set()
     for seed in range(60):
-        seen.update(_assert_stack_is_scalar(*_random_stack(seed), DEFAULT_TOLS))
+        seen.update(_assert_stack_is_scalar(*_random_stack(seed)))
     assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(st.integers(0, 100_000), st.booleans(), st.sampled_from([DEFAULT_TOLS, _COARSE]))
-def test_member_row_stack_matches_solve_lp_bitwise(seed, real, tol):
-    _assert_stack_is_scalar(*_random_member_stack(seed, real), tol)
+@given(st.integers(0, 100_000), st.booleans())
+def test_member_row_stack_matches_solve_lp_bitwise(seed, real):
+    _assert_stack_is_scalar(*_random_member_stack(seed, real))
 
 
 def _degenerate_vertex(lp, x):
@@ -365,7 +356,7 @@ def test_member_row_stacks_reach_every_status():
     degenerate = 0
     for seed in range(60):
         stack = _random_member_stack(seed)
-        seen.update(_assert_stack_is_scalar(*stack, DEFAULT_TOLS))
+        seen.update(_assert_stack_is_scalar(*stack))
         for k in range(len(stack[1])):
             lp = _member_lp(*stack, k)
             out = solve_lp(lp)
@@ -375,25 +366,35 @@ def test_member_row_stacks_reach_every_status():
 
 
 @pytest.mark.parametrize(
-    "constraints, upper, tol",
+    "constraints, upper",
     [
         # a redundant >= row: phase 1 ends with two artificials basic at 0,
         # which the drive-out pivots out
-        ([([1.0, 1.0], "=", 1.0), ([1.0, 1.0], ">=", 1.0)], [np.inf, np.inf], DEFAULT_TOLS),
-        # the drive-out drops the artificial's row
-        ([([1.0, 1.0], "=", 1.0)], [np.inf, np.inf], _COARSE),
-        ([([1.0, 0.0], ">=", 1.0)], [0.5, np.inf], DEFAULT_TOLS),  # infeasible
-        ([([1.0, -1.0], "<=", 1.0)], [np.inf, np.inf], DEFAULT_TOLS),  # unbounded
+        ([([1.0, 1.0], "=", 1.0), ([1.0, 1.0], ">=", 1.0)], [np.inf, np.inf]),
+        ([([1.0, 0.0], ">=", 1.0)], [0.5, np.inf]),  # infeasible
+        ([([1.0, -1.0], "<=", 1.0)], [np.inf, np.inf]),  # unbounded
     ],
-    ids=["drive_out", "dropped_row", "infeasible", "unbounded"],
+    ids=["drive_out", "infeasible", "unbounded"],
 )
-def test_stack_matches_solve_lp_on_each_phase_one_path(constraints, upper, tol):
+def test_stack_matches_solve_lp_on_each_phase_one_path(constraints, upper):
     # the same system under members of mixed shapes: pinned, shifted and
     # capped variables change the row and artificial counts
     lower = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.0], [0.0, -1.0]])
     upper = np.array([upper, upper, [0.5, 0.5], [np.inf, 2.0]])
     objective = np.array([[1.0, -1.0], [1.0, 0.0], [-1.0, 1.0], [0.0, 1.0]])
-    assert _assert_stack_is_scalar(constraints, lower, upper, objective, tol)
+    assert _assert_stack_is_scalar(constraints, lower, upper, objective)
+
+
+@pytest.mark.parametrize("lp_tol", [1.0, 1.5, np.inf, np.nan])
+def test_tolerances_reject_an_lp_tolerance_of_one_or_more(lp_tol):
+    # a row whose basic variable is an artificial after phase 1 holds -1 in
+    # that artificial's surplus column, so below 1 the drive-out always has
+    # a real pivot; from 1 on it could have none
+    with pytest.raises(ParameterError):
+        Tolerances(lp=lp_tol)
+    with pytest.raises(ParameterError):
+        DEFAULT_TOLS.with_overrides(lp=lp_tol)
+    assert Tolerances(lp=0.5).lp == 0.5
 
 
 def test_chunked_stack_matches_one_stack(monkeypatch):

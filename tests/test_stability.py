@@ -17,7 +17,12 @@ from stablenash.lp import INFEASIBLE, OPTIMAL, LpOutcome, solve_lp, solve_stack
 from stablenash.stability import MODE_PLAIN, MODE_WELL_SUPPORTED, perturbation_battery
 from stablenash.support import heavy_light_partition, light_sample_size
 
-from conftest import profile_bytes, row_encoded_sweep, scalar_sampler, unscreened_ws_candidates
+from conftest import (
+    profile_bytes,
+    scalar_sampler,
+    subset_max_distance,
+    unscreened_ws_candidates,
+)
 
 
 class TestPerturbationStability:
@@ -140,7 +145,7 @@ class TestApproximationStability:
         assert rep.mode == MODE_PLAIN
 
     def test_partition_budget_raises_before_any_lp(self, meeting3, monkeypatch):
-        # the sweep alone bounds its partitions: above its budget it raises
+        # the subset sweep bounds its subsets: above its budget it raises
         # before its first LP, in the estimators as in the certifier
         calls = []  # one entry per stack member, each an LP
 
@@ -153,14 +158,11 @@ class TestApproximationStability:
         ref = np.array([0.5, 0.25, 0.25])
         pinned = np.array([0.0, np.inf, np.inf])  # leaves two movable entries
         for zero_upper, budget in ((None, 8), (pinned, 4)):
+            request = [(region, 3, ref, zero_upper)]
             with pytest.raises(ResourceBudgetError):
-                stability.partition_sweep(
-                    region, 3, [(ref, zero_upper)], budget - 1, sn.DEFAULT_TOLS
-                )
+                stability.subset_sweep(request, budget - 1, sn.DEFAULT_TOLS)
             assert calls == []
-            assert stability.partition_sweep(
-                region, 3, [(ref, zero_upper)], budget, sn.DEFAULT_TOLS
-            ) == [[]]
+            assert stability.subset_sweep(request, budget, sn.DEFAULT_TOLS) == [[]]
             assert len(calls) == budget
             calls.clear()
         monkeypatch.setattr(stability, "DEFAULT_PARTITION_BUDGET", 1)
@@ -224,20 +226,22 @@ class TestScreenedWsSearch:
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 5), st.booleans())
-def test_bounds_sweep_matches_row_encoded_sweep(seed, n, restricted):
-    # a partition stated as variable bounds is the same LP as one stated as
-    # rows: the same partitions are feasible, with the same objectives
+def test_subset_sweep_matches_scalar_subset_lps(seed, n, pin):
+    # one call holds an unrestricted request, a restricted one (pinning
+    # ref's mass outside the allowed entries when ``pin``) and the first
+    # again: the same subsets are feasible as with one scalar LP per subset,
+    # each vertex realizes its subset's g(M), and the farthest vertex is at
+    # the pruned maximum
     rng = np.random.default_rng(seed)
-    allowed = np.ones(n, dtype=bool)
-    zero_upper = None
-    if restricted:
-        allowed = rng.random(n) < 0.6
-        allowed[rng.integers(n)] = True
-        zero_upper = np.where(allowed, np.inf, 0.0)
+    allowed = rng.random(n) < 0.6
+    allowed[rng.integers(n)] = True
+    zero_upper = np.where(allowed, np.inf, 0.0)
     inner = np.where(allowed, rng.dirichlet(np.ones(n)), 0.0)
-    inner /= inner.sum()  # a point of the region
+    inner /= inner.sum()  # a point of the restricted region
     ref = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)
     ref[rng.integers(n)] += 0.1
+    if pin:
+        ref[np.flatnonzero(~allowed)] += 0.1
     ref /= ref.sum()
     region = [(np.ones(n), "=", 1.0)]
     for _ in range(rng.integers(1, 4)):
@@ -247,6 +251,7 @@ def test_bounds_sweep_matches_row_encoded_sweep(seed, n, restricted):
             region.append((a, ">=", float(a @ inner) - slack))
         else:
             region.append((a, "<=", float(a @ inner) + slack))
+    requests = [(region, n, ref, None), (region, n, ref, zero_upper), (region, n, ref, None)]
     statuses = []
 
     def recording(constraints, lower, upper, objective, tol):
@@ -256,16 +261,33 @@ def test_bounds_sweep_matches_row_encoded_sweep(seed, n, restricted):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stability, "solve_stack", recording)
-        (sweep,) = stability.partition_sweep(
-            region, n, [(ref, zero_upper)], DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS
-        )
-    expected = row_encoded_sweep(region, n, ref, zero_upper, sn.DEFAULT_TOLS)
-    feasible = [mask for mask, status in enumerate(statuses) if status == OPTIMAL]
-    assert feasible == [mask for mask, _, _ in expected]
-    assert expected  # the partition holding the region's point is feasible
-    for (objective, vertex), (_, want, _) in zip(sweep, expected):
-        assert objective == pytest.approx(want, abs=1e-9)
-        assert objective == pytest.approx(np.abs(vertex - ref).sum(), abs=1e-8)
+        sweeps = stability.subset_sweep(requests, DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS)
+    assert [(d, v.tobytes()) for d, v in sweeps[2]] == [(d, v.tobytes()) for d, v in sweeps[0]]
+    pruned = stability.max_distance(requests[:2], DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS)
+    assert sweeps[1]  # the subsets hold the region's point
+    for upper, sweep, largest in zip((None, zero_upper), sweeps, pruned):
+        open_ = np.ones(n, dtype=bool) if upper is None else allowed
+        movable = [int(i) for i in np.flatnonzero((ref != 0) & open_)]
+        pinned = {int(i) for i in np.flatnonzero((ref != 0) & ~open_)}
+        masks = range(2 ** len(movable))
+        feasible = [mask for mask, status in zip(masks, statuses) if status == OPTIMAL]
+        del statuses[: len(masks)]
+        subsets = [
+            tuple(sorted(pinned | {i for b, i in enumerate(movable) if mask >> b & 1}))
+            for mask in feasible
+        ]
+        values = {}
+        want = subset_max_distance(region, n, ref, upper, sn.DEFAULT_TOLS, values)
+        assert sorted(subsets) == sorted(M for M in values if pinned <= set(M))
+        assert len(sweep) == len(subsets)
+        for M, (distance, vertex) in zip(subsets, sweep):
+            assert ref[list(M)].sum() - vertex[list(M)].sum() == pytest.approx(
+                values[M], abs=1e-12
+            )
+            assert distance == np.abs(vertex - ref).sum()
+        assert max([0.0] + [d for d, _ in sweep]) == pytest.approx(largest, abs=1e-12)
+        assert largest == pytest.approx(want, abs=1e-12)
+    assert statuses == []
 
 
 def test_sweep_over_several_chunks_matches_one_stack(monkeypatch):
@@ -273,12 +295,13 @@ def test_sweep_over_several_chunks_matches_one_stack(monkeypatch):
     # same bytes as in one piece
     region = [(np.ones(4), "=", 1.0), (np.array([1.0, -1.0, 0.5, 0.0]), ">=", -0.25)]
     ref = np.array([0.4, 0.3, 0.2, 0.1])
-    requests = [(ref, None), (ref, np.array([np.inf, np.inf, 0.0, np.inf]))]
+    requests = [
+        (region, 4, ref, None),
+        (region, 4, ref, np.array([np.inf, np.inf, 0.0, np.inf])),
+    ]
 
     def swept():
-        sweeps = stability.partition_sweep(
-            region, 4, requests, DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS
-        )
+        sweeps = stability.subset_sweep(requests, DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS)
         return [[(np.float64(d).tobytes(), v.tobytes()) for d, v in s] for s in sweeps]
 
     whole = swept()
