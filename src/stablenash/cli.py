@@ -205,7 +205,7 @@ def _dispatch(args) -> dict:
         emb = serialize.embedded_from_dict(_read_json(args))
         with open(args.profile, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        if "profile" in raw:
+        if isinstance(raw, dict) and "profile" in raw:
             raw = raw["profile"]
         profile = serialize.profile_from_dict(raw, tol)
         out = embedding.extract(emb, profile, tol)

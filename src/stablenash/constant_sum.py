@@ -188,14 +188,17 @@ def _max_objectives(
         (np.ascontiguousarray(game.C.T), mm.v_C, q_prime, mm.q_star),
     ):
         n, k = payoff_cols.shape
-        region = [(np.ones(n), "=", 1.0)]
-        region += [(payoff_cols[:, j], ">=", value - alpha) for j in range(k)]
+        region = (
+            np.vstack((np.ones(n), payoff_cols.T)),
+            np.array(["="] + [">="] * k),
+            np.concatenate(([1.0], np.full(k, value - alpha))),
+        )
         plain_at = len(requests)
-        requests.append((region, n, anchor.probs, None))
+        requests.append((*region, anchor.probs, None))
         if well_supported and len(optimal.support) < n:
             upper = np.zeros(n)
             upper[list(optimal.support)] = np.inf
-            requests.append((region, n, anchor.probs, upper))
+            requests.append((*region, anchor.probs, upper))
         sides.append((plain_at, len(requests) - 1))
     best = max_distance(requests, partition_budget, tol)
     plain = max(best[at] for at, _ in sides)

@@ -10,8 +10,8 @@ There are two paths over the same algorithm. :func:`solve_lp` solves one
 :class:`LinearProgram`. :func:`solve_stack` pivots a stack of LPs in
 lockstep (after Gurung & Ray, "Simultaneous solving of batched linear
 programs on a GPU", ICPE 2019): each member has its own constraint rows,
-relations, right-hand sides, variable bounds and objective, and a row that
-every member shares is given once and broadcast. Each member's standardized
+relations, right-hand sides, variable bounds and objective, all given as
+arrays with one leading entry per member. Each member's standardized
 tableau is padded to the stack's shape, and the padding never changes a
 member's pivots, so every member's outcome is bitwise that of
 :func:`solve_lp` on the same LP. A stack of one costs more than
@@ -391,7 +391,9 @@ def _price_out_stack(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None
 
 
 def solve_stack(
-    constraints,
+    A,
+    relations,
+    rhs,
     lower,
     upper,
     objective,
@@ -399,28 +401,30 @@ def solve_stack(
 ) -> list[LpOutcome]:
     """Maximize a stack of LPs in lockstep.
 
-    ``lower``, ``upper`` and ``objective`` are (members, n) arrays, and the
-    lower bounds must be finite. Each row ``(coefficients, relation, rhs)``
-    of ``constraints`` gives member k the row ``(coefficients[k],
-    relation[k], rhs[k])``, with (members, n) coefficients, one relation
-    and one right-hand side per member; a row every member shares is the
-    broadcast of one, an (n,) vector, a relation string and a float. Member
-    k is ``LinearProgram(n, objective[k], True, its rows, lower[k],
-    upper[k])``, and its outcome (``optimal``, ``infeasible`` or
-    ``unbounded``) is bitwise that of :func:`solve_lp` on that LP: the same
-    standardization, entering and ratio-tie rules, pivot arithmetic,
-    phase-1 scale test and drive-out.
+    Member k has the rows ``A[k]`` (an (m, n) array), ``relations[k]`` and
+    ``rhs[k]``, the bounds ``lower[k]`` and ``upper[k]`` and the objective
+    ``objective[k]``: ``A`` is (members, m, n), ``relations`` and ``rhs``
+    are (members, m), and ``lower``, ``upper`` and ``objective`` are
+    (members, n), with finite lower bounds. Member k is
+    ``LinearProgram(n, objective[k], True, its rows, lower[k], upper[k])``,
+    and its outcome (``optimal``, ``infeasible`` or ``unbounded``) is
+    bitwise that of :func:`solve_lp` on that LP: the same standardization,
+    entering and ratio-tie rules, pivot arithmetic, phase-1 scale test and
+    drive-out.
 
     The members' tableaus are padded to one shape. A member with fewer
     standardized rows (fewer equalities or finite upper bounds) gets
     all-zero rows after its own, each with its own slack basic at 0; one
     with fewer artificials gets all-zero artificial columns. No padding can
-    enter, leave or price a pivot. Rows, bounds and objectives are
-    validated as arrays, never one LP at a time; every solution is verified
-    against its member's own rows with :func:`solve_lp`'s slack rule. A
-    stack is solved in chunks whose tableaus, working copies and pivot
-    temporaries together hold fewer than ``STACK_FLOATS`` floats.
+    enter, leave or price a pivot. Every input is validated as an array,
+    before any pivot; every solution is verified against its member's own
+    rows with :func:`solve_lp`'s slack rule. A stack is solved in chunks
+    whose tableaus, working copies and pivot temporaries together hold
+    fewer than ``STACK_FLOATS`` floats.
     """
+    A = np.asarray(A, dtype=float)
+    relations = np.asarray(relations)
+    rhs = np.asarray(rhs, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     objective = np.asarray(objective, dtype=float)
@@ -429,31 +433,25 @@ def solve_stack(
     members, n = lower.shape
     if n < 1:
         raise ValidationError("linear program needs at least one variable")
-    rows = []
-    for c, rel, rhs in constraints:
-        c = np.asarray(c, dtype=float)
-        rel = np.asarray(rel)
-        rhs = np.asarray(rhs, dtype=float)
-        if c.shape[-1:] != (n,):
-            raise ValidationError("constraint length does not match num_vars")
-        if any(a.shape not in ((), (members,)) for a in (c[..., 0], rel, rhs)):
-            raise ValidationError("a constraint row does not match the stack's members")
-        eq, ge = rel == EQUAL, rel == GREATER_EQUAL
-        known = eq | ge | (rel == LESS_EQUAL)
-        if not known.all():
-            raise ValidationError(f"unknown relation {str(rel[~known].flat[0])!r}")
-        rows.append((c, eq + 2 * ge, rhs))  # relations as indices into _RELATIONS
+    rows_ok = A.ndim == 3 and A.shape[::2] == (members, n)
+    if not (rows_ok and relations.shape == rhs.shape == A.shape[:2]):
+        raise ValidationError("rows, relations and rhs do not match the stack's members")
+    eq, ge = relations == EQUAL, relations == GREATER_EQUAL
+    known = eq | ge | (relations == LESS_EQUAL)
+    if not known.all():
+        raise ValidationError(f"unknown relation {str(relations[~known][0])!r}")
+    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
+        raise ValidationError("constraint contains non-finite entries")
     _check_bounds(lower, upper)
     if not np.isfinite(objective).all():
         raise ValidationError("objective contains non-finite entries")
     if not np.isfinite(lower).all():
         raise ValidationError("stack members need finite lower bounds")
+    code = eq + 2 * ge  # relations as indices into _RELATIONS
 
     # a member's standardized rows: one per inequality, two per equality,
     # one per finite upper bound
-    height = np.isfinite(upper).sum(axis=1)
-    for _, code, _ in rows:
-        height = height + 1 + (code == 1)
+    height = A.shape[1] + eq.sum(axis=1) + np.isfinite(upper).sum(axis=1)
     # a lockstep pass holds a chunk's tableau, a working copy and a pivot's
     # temporary at once; a quarter of STACK_FLOATS each keeps them below it
     top = int(height.max(initial=0))
@@ -461,18 +459,9 @@ def solve_stack(
     out: list[LpOutcome] = []
     for start in range(0, members, chunk):
         part = slice(start, start + chunk)
-        K = lower[part].shape[0]
-        A = np.empty((K, len(rows), n))
-        code = np.empty((K, len(rows)), dtype=int)
-        b = np.empty((K, len(rows)))
-        for i, (c, rel, rhs) in enumerate(rows):
-            A[:, i] = c[part] if c.ndim == 2 else c
-            code[:, i] = rel[part] if rel.ndim else rel
-            b[:, i] = rhs[part] if rhs.ndim else rhs
-        # checked chunk by chunk: a bad row raises before any outcome returns
-        if not (np.isfinite(A).all() and np.isfinite(b).all()):
-            raise ValidationError("constraint contains non-finite entries")
-        out += _solve_chunk(A, code, b, lower[part], upper[part], objective[part], tol.lp)
+        out += _solve_chunk(
+            A[part], code[part], rhs[part], lower[part], upper[part], objective[part], tol.lp
+        )
     return out
 
 

@@ -133,8 +133,7 @@ def _support_lps(
             lp.add_constraint(row, str(relation), b)
         outcomes = [solve_lp(lp, tol)]
     else:
-        rows = [(A[:, i], relations[:, i], rhs[:, i]) for i in range(A.shape[1])]
-        outcomes = solve_stack(rows, lower, upper, objective, tol)
+        outcomes = solve_stack(A, relations, rhs, lower, upper, objective, tol)
     out: list[Optional[np.ndarray]] = []
     for m, lp_out in enumerate(outcomes):
         if lp_out.status != OPTIMAL or lp_out.objective_value <= tol.zero:

@@ -46,12 +46,12 @@ def game_from_dict(d: dict) -> BimatrixGame:
     try:
         R = np.asarray(d["R"], dtype=float)
         C = np.asarray(d["C"], dtype=float)
+        lo, hi = (float(x) for x in d.get("range", (0.0, 1.0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed game object: {exc}") from exc
-    rng = tuple(d.get("range", (0.0, 1.0)))
-    if "rows" in d and (R.shape[0] != d["rows"] or R.shape[1] != d.get("cols", R.shape[1])):
+    if "rows" in d and (R.ndim != 2 or R.shape != (d["rows"], d.get("cols", R.shape[1]))):
         raise ValidationError("declared rows/cols do not match the matrices")
-    return BimatrixGame(R, C, (float(rng[0]), float(rng[1])))
+    return BimatrixGame(R, C, (lo, hi))
 
 
 def profile_to_dict(profile: StrategyProfile) -> dict:
@@ -60,9 +60,11 @@ def profile_to_dict(profile: StrategyProfile) -> dict:
 
 def profile_from_dict(d: dict, tol: Tolerances = DEFAULT_TOLS) -> StrategyProfile:
     try:
-        return StrategyProfile.from_vectors(d["p"], d["q"], tol)
-    except (KeyError, TypeError) as exc:
+        p = np.asarray(d["p"], dtype=float)
+        q = np.asarray(d["q"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed profile object: {exc}") from exc
+    return StrategyProfile.from_vectors(p, q, tol)
 
 
 def equilibrium_set_to_dict(eqs: EquilibriumSet) -> dict:
@@ -129,15 +131,14 @@ def embedded_to_dict(embedded: EmbeddedGame) -> dict:
 
 
 def embedded_from_dict(d: dict) -> EmbeddedGame:
-    meta = d.get("meta")
-    if not meta:
-        raise ValidationError("embedded game object is missing its meta block")
-    return EmbeddedGame(
-        game=game_from_dict(d),
-        epsilon=float(meta["eps"]),
-        delta=float(meta["delta"]),
-        source_shape=int(meta["source_shape"]),
-    )
+    game = game_from_dict(d)
+    try:
+        meta = d["meta"]
+        epsilon, delta = float(meta["eps"]), float(meta["delta"])
+        source_shape = int(meta["source_shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed embedded game meta block: {exc}") from exc
+    return EmbeddedGame(game, epsilon, delta, source_shape)
 
 
 def canonical_dumps(obj, indent: int | None = None) -> str:

@@ -11,17 +11,19 @@ Every distance maximization here is one kernel. For x and ref on the
 simplex, the variation distance is the largest ref(M) - x(M) over the
 subsets M of ref's support, so the largest distance from ref over a
 polytope is the largest ref(M) - min x(M): one LP per subset, which
-:func:`_subset_round` solves as :func:`stablenash.lp.solve_stack` stacks.
-The constant-sum certifier needs only the largest distance, which
-:func:`max_distance` finds exactly by bound and prune over the subsets,
-usually with far fewer LPs. The estimators take every subset LP's vertex as
-a witness candidate through :func:`subset_sweep`, which solves each
-distinct request once. Both raise before any LP when a request's 2^k
-subsets exceed their budget: the certifier's ``partition_budget``, and
-``DEFAULT_PARTITION_BUDGET`` in the estimators. The well-supported
-estimator takes its declared support pairs from
-:func:`stablenash.oracle.screened_pairs`, the one support-pair walk, which
-screens them and enforces ``budget``.
+:func:`_subset_round` solves as :func:`stablenash.lp.solve_stack` stacks. A
+region stays the arrays ``(A, rel, b)`` that :func:`_pinned_region` or
+:func:`stablenash.support.ws_region` makes, from the request ``(A, rel, b,
+ref, zero_upper)`` to the stack. The constant-sum certifier needs only the
+largest distance, which :func:`max_distance` finds exactly by bound and
+prune over the subsets, usually with far fewer LPs. The estimators take
+every subset LP's vertex as a witness candidate through
+:func:`subset_sweep`, which solves each distinct request once. Both raise
+before any LP when a request's 2^k subsets exceed their budget: the
+certifier's ``partition_budget``, and ``DEFAULT_PARTITION_BUDGET`` in the
+estimators. The well-supported estimator takes its declared support pairs
+from :func:`stablenash.oracle.screened_pairs`, the one support-pair walk,
+which screens them and enforces ``budget``.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from .oracle import (
     enumerate_stack,
     screened_pairs,
 )
-from .support import HeavyLightSplit, heavy_light_partition, light_sample_size
+from .support import HeavyLightSplit, heavy_light_partition, light_sample_size, ws_region
 
 log = logging.getLogger(__name__)
 
@@ -299,7 +301,7 @@ class _Search:
     taken: int = 0
 
 
-_Request = tuple[list, int, np.ndarray, Optional[np.ndarray]]
+_Request = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 
 def _searches(requests: list[_Request], budget: int) -> list[_Search]:
@@ -311,20 +313,13 @@ def _searches(requests: list[_Request], budget: int) -> list[_Search]:
     subsets of its k movable entries exceed ``budget``.
     """
     searches = []
-    for base_rows, n, ref, zero_upper in requests:
-        upper = np.full(n, np.inf) if zero_upper is None else zero_upper
+    for A, rel, b, ref, zero_upper in requests:
+        upper = np.full(A.shape[1], np.inf) if zero_upper is None else zero_upper
         movable = np.flatnonzero((ref != 0) & (upper > 0.0))
         if 2 ** len(movable) > budget:
             raise ResourceBudgetError(f"2^{len(movable)} subsets exceed the budget {budget}")
-        searches.append(_Search(
-            A=np.array([c for c, _, _ in base_rows], dtype=float).reshape(-1, n),
-            rel=np.array([rel for _, rel, _ in base_rows]),
-            b=np.array([rhs for _, _, rhs in base_rows], dtype=float),
-            ref=ref,
-            upper=upper,
-            movable=movable,
-            pinned=float(ref[(ref != 0) & (upper <= 0.0)].sum()),
-        ))
+        pinned = float(ref[(ref != 0) & (upper <= 0.0)].sum())
+        searches.append(_Search(A, rel, b, ref, upper, movable, pinned))
     return searches
 
 
@@ -332,13 +327,13 @@ def max_distance(requests: list[_Request], budget: int, tol: Tolerances) -> list
     """The largest L1 distance from each request's ``ref`` to its region,
     found exactly by bound and prune.
 
-    A request ``(base_rows, n, ref, zero_upper)`` names the region of x >= 0
-    in R^n cut out by the rows ``base_rows``, each ``(coefficients,
-    relation, rhs)``, and the optional upper bounds ``zero_upper``, each 0
-    (mass forbidden) or +inf. For x and ref on the simplex, the variation
-    distance is the largest ref(M) - x(M) over the subsets M of ref's
-    support, so the largest distance over the region is the largest g(M) =
-    ref(M) - min x(M): one LP per subset, minimizing x(M) over the region
+    A request ``(A, rel, b, ref, zero_upper)`` names the region of x >= 0
+    in R^n cut out by the rows ``A x rel b``, one relation and right-hand
+    side per row of the (m, n) array ``A``, and the optional upper bounds
+    ``zero_upper``, each 0 (mass forbidden) or +inf. For x and ref on the
+    simplex, the variation distance is the largest ref(M) - x(M) over the
+    subsets M of ref's support, so the largest distance over the region is
+    the largest g(M) = ref(M) - min x(M): one LP per subset, minimizing x(M) over the region
     alone. An entry whose upper bound is zero always belongs to M (x is 0
     there), so only the k movable entries are branched on. min x(M) is
     superadditive, so g(M) - pinned mass is at most the smaller of ref(M)
@@ -395,16 +390,12 @@ def subset_sweep(
     :func:`max_distance`'s value, since the vertex of the farthest subset M
     lies at least g(M) from ref.
 
-    Requests are keyed by their bytes, so each distinct one is solved once,
-    and all of them go to one :func:`_subset_round`. It raises
+    Requests are keyed by their arrays' bytes, so each distinct one is
+    solved once, and all of them go to one :func:`_subset_round`. It raises
     :class:`ResourceBudgetError` before any LP, as :func:`max_distance`
     does.
     """
-    keys = [
-        (n, *((c.tobytes(), rel, float(rhs).hex()) for c, rel, rhs in base_rows),
-         ref.tobytes(), None if zero_upper is None else zero_upper.tobytes())
-        for base_rows, n, ref, zero_upper in requests
-    ]
+    keys = [tuple(None if a is None else a.tobytes() for a in request) for request in requests]
     distinct = dict(zip(keys, requests))
     searches = _searches(list(distinct.values()), budget)
     todo = [np.arange(2 ** len(s.movable)) for s in searches]
@@ -432,7 +423,7 @@ def _subset_round(
             groups.setdefault(searches[i].A.shape, []).append(i)
     values = [np.full(masks.size, -np.inf) for masks in todo]
     vertices: list[list[Optional[np.ndarray]]] = [[None] * masks.size for masks in todo]
-    for (m, n), members in groups.items():
+    for (_, n), members in groups.items():
         sizes = [todo[i].size for i in members]
         objective = np.zeros((sum(sizes), n))
         owners = []  # (search, mask position) per member
@@ -445,13 +436,7 @@ def _subset_round(
             np.repeat(np.stack([getattr(searches[i], f) for i in members]), sizes, axis=0)
             for f in ("A", "rel", "b", "upper")
         )
-        outcomes = solve_stack(
-            [(A[:, r], rel[:, r], b[:, r]) for r in range(m)],
-            np.zeros_like(objective),
-            upper,
-            objective,
-            tol,
-        )
+        outcomes = solve_stack(A, rel, b, np.zeros_like(objective), upper, objective, tol)
         for (i, j), obj, out in zip(owners, objective, outcomes):
             if out.status == OPTIMAL:
                 s = searches[i]
@@ -462,8 +447,17 @@ def _subset_round(
     return list(zip(values, vertices))
 
 
-def _simplex_rows(n: int) -> list[tuple[np.ndarray, str, float]]:
-    return [(np.ones(n), "=", 1.0)]
+def _pinned_region(
+    gain: np.ndarray, deviations: np.ndarray, base: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``(A, rel, b)`` of the x that are eps-best against the
+    opponent's fixed strategy, which stays eps-best against x: ``gain`` is
+    x's payoff vector, ``deviations[j] @ x`` the opponent's payoff from
+    action j and ``base @ x`` from its fixed strategy."""
+    A = np.vstack((np.ones(gain.size), gain, deviations - base))
+    rel = np.array(["=", ">="] + ["<="] * len(deviations))
+    b = np.concatenate(([1.0, float(gain.max()) - eps], np.full(len(deviations), eps)))
+    return A, rel, b
 
 
 def _plain_candidates(
@@ -477,30 +471,19 @@ def _plain_candidates(
     Equilibria sharing a side pin the same region, and the sweep solves
     each distinct request once.
     """
-    rows, cols = game.shape
     R, C = game.R, game.C
     requests = []
     pinned = []  # (label, p, q) with the swept side None
     for a_idx, anchor in enumerate(base.equilibria):
         q_star = anchor.col.probs
-        rq = R @ q_star
-        cq = C @ q_star
-        p_rows = _simplex_rows(rows)
-        p_rows.append((rq.copy(), ">=", float(rq.max()) - eps))
-        for j in range(cols):
-            p_rows.append((C[:, j] - cq, "<=", eps))
+        p_region = _pinned_region(R @ q_star, C.T, C @ q_star, eps)
         for r_idx, ref in enumerate(base.equilibria):
-            requests.append((p_rows, rows, ref.row.probs, None))
+            requests.append((*p_region, ref.row.probs, None))
             pinned.append((f"lp:fix-q:{a_idx}:ref:{r_idx}", None, q_star))
         p_star = anchor.row.probs
-        cp = p_star @ C
-        rp = p_star @ R
-        q_rows = _simplex_rows(cols)
-        q_rows.append((cp.copy(), ">=", float(cp.max()) - eps))
-        for i in range(rows):
-            q_rows.append((R[i, :] - rp, "<=", eps))
+        q_region = _pinned_region(p_star @ C, R, p_star @ R, eps)
         for r_idx, ref in enumerate(base.equilibria):
-            requests.append((q_rows, cols, ref.col.probs, None))
+            requests.append((*q_region, ref.col.probs, None))
             pinned.append((f"lp:fix-p:{a_idx}:ref:{r_idx}", p_star, None))
     sweeps = subset_sweep(requests, DEFAULT_PARTITION_BUDGET, tol)
     return [
@@ -508,19 +491,6 @@ def _plain_candidates(
         for (label, p, q), sweep in zip(pinned, sweeps)
         for _, x in sweep
     ]
-
-
-def _ws_region_rows(
-    payoff: np.ndarray, opp_support: tuple[int, ...], eps: float
-) -> list[tuple[np.ndarray, str, float]]:
-    n = payoff.shape[1]
-    rows = _simplex_rows(n)
-    for i in opp_support:
-        for a in range(payoff.shape[0]):
-            if a == i:
-                continue
-            rows.append((payoff[i, :] - payoff[a, :], ">=", -eps))
-    return rows
 
 
 def _ws_candidates(
@@ -549,22 +519,22 @@ def _ws_candidates(
     feasible = []
     requests = []
     for S_p, S_q in pairs:
-        q_rows = _ws_region_rows(game.R, S_p, eps)
+        q_region = ws_region(game.R, S_p, eps)
         q_upper = np.zeros(cols)
         q_upper[list(S_q)] = np.inf
-        q_feas = _feasible_point(q_rows, cols, q_upper, tol)
+        q_feas = _feasible_point(*q_region, q_upper, tol)
         if q_feas is None:
             continue
-        p_rows = _ws_region_rows(CT, S_q, eps)
+        p_region = ws_region(CT, S_q, eps)
         p_upper = np.zeros(rows)
         p_upper[list(S_p)] = np.inf
-        p_feas = _feasible_point(p_rows, rows, p_upper, tol)
+        p_feas = _feasible_point(*p_region, p_upper, tol)
         if p_feas is None:
             continue
         feasible.append((f"ws-lp:{S_p}:{S_q}", p_feas, q_feas))
         for ref in base.equilibria:
-            requests.append((p_rows, rows, ref.row.probs, p_upper))
-            requests.append((q_rows, cols, ref.col.probs, q_upper))
+            requests.append((*p_region, ref.row.probs, p_upper))
+            requests.append((*q_region, ref.col.probs, q_upper))
     sweeps = iter(subset_sweep(requests, DEFAULT_PARTITION_BUDGET, tol))
     out: list[tuple[str, StrategyProfile]] = []
     for label, p_feas, q_feas in feasible:
@@ -585,14 +555,11 @@ def _farthest(
 
 
 def _feasible_point(
-    constraint_rows: list[tuple[np.ndarray, str, float]],
-    n: int,
-    upper: Optional[np.ndarray],
-    tol: Tolerances,
+    A: np.ndarray, rel: np.ndarray, b: np.ndarray, upper: Optional[np.ndarray], tol: Tolerances
 ) -> Optional[np.ndarray]:
-    lp = LinearProgram(n, upper=upper)
-    for coeffs, rel, rhs in constraint_rows:
-        lp.add_constraint(coeffs, rel, rhs)
+    lp = LinearProgram(A.shape[1], upper=upper)
+    for coeffs, relation, rhs in zip(A, rel, b):
+        lp.add_constraint(coeffs, str(relation), rhs)
     out = solve_lp(lp, tol)
     return out.solution if out.status == FEASIBLE else None
 

@@ -3,12 +3,14 @@
 The well-supported condition decouples: the constraints certifying the row
 player's supported actions involve only q, and the column player's only p.
 Each candidate support pair is therefore screened, then reduces to two
-independent feasibility LPs. The pairs come from the one support-pair walk,
-:func:`stablenash.oracle.screened_pairs`, which enforces ``budget`` and drops
-a pair when a declared action cannot be eps-best against any distribution
-on the opponent's declared support. The LPs are solved with a max-slack
-objective so near-ties at the epsilon boundary surface as feasible with
-tiny slack instead of flapping on round-off.
+independent feasibility LPs over the region :func:`ws_region` states, the
+only code that states it: the well-supported estimator in
+:mod:`stablenash.stability` sweeps the same rows. The pairs come from the one
+support-pair walk, :func:`stablenash.oracle.screened_pairs`, which enforces
+``budget`` and drops a pair when a declared action cannot be eps-best
+against any distribution on the opponent's declared support. The LPs are
+solved with a max-slack objective so near-ties at the epsilon boundary
+surface as feasible with tiny slack instead of flapping on round-off.
 """
 
 from __future__ import annotations
@@ -54,6 +56,22 @@ class HeavyLightSplit:
     terminated_by: str
 
 
+def ws_region(
+    payoff: np.ndarray, opp_support: tuple[int, ...], eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``(A, rel, b)`` of the distributions x under which every action
+    in ``opp_support`` is an eps-best response, ``payoff[a] @ x`` being
+    opponent action a's payoff: the mass row first, then ``(payoff[i] -
+    payoff[a]) @ x >= -eps`` for each i in ``opp_support`` and each other a.
+    """
+    others = np.asarray(opp_support, dtype=int)[:, None] != np.arange(payoff.shape[0])
+    diffs = (payoff[list(opp_support), None, :] - payoff)[others]
+    A = np.vstack((np.ones(payoff.shape[1]), diffs))
+    rel = np.array(["="] + [">="] * len(diffs))
+    b = np.array([1.0] + [-eps] * len(diffs))
+    return A, rel, b
+
+
 def _side_lp(
     payoff: np.ndarray,
     own_support: tuple[int, ...],
@@ -64,32 +82,22 @@ def _side_lp(
     """Distribution on ``own_support`` making every opponent action in
     ``opp_support`` an eps-best response, or None.
 
-    ``payoff[a, :]`` is opponent action a's payoff as a function of our
-    distribution. Maximizes the worst constraint slack s; the support pair
-    is declared feasible when s >= -lp tolerance.
+    The rows are :func:`ws_region`'s on the support's columns, each
+    best-response row less a slack s. Maximizes the worst constraint slack
+    s; the support pair is declared feasible when s >= -lp tolerance.
     """
     k = len(own_support)
     cols = list(own_support)
-    sub = payoff[:, cols]
-    n_opp = payoff.shape[0]
-    nv = k + 1  # probabilities then the slack s
-    lp = LinearProgram(nv)
+    A, rel, b = ws_region(payoff, opp_support, eps)
+    slack = np.where(rel == "=", 0.0, -1.0)[:, None]
+    lp = LinearProgram(k + 1)  # probabilities then the slack s
     spread = float(np.abs(payoff).max())
     # finite, never binding, and below the cap eps even when eps < 0
     lp.lower[k] = -(2.0 * spread + abs(eps) + 1.0)
     lp.upper[k] = eps  # so the objective cannot run away on loose instances
-    mass = np.zeros(nv)
-    mass[:k] = 1.0
-    lp.add_constraint(mass, "=", 1.0)
-    for i in opp_support:
-        for a in range(n_opp):
-            if a == i:
-                continue
-            row = np.zeros(nv)
-            row[:k] = sub[i] - sub[a]
-            row[k] = -1.0
-            lp.add_constraint(row, ">=", -eps)
-    obj = np.zeros(nv)
+    for row, relation, rhs in zip(np.hstack((A[:, cols], slack)), rel, b):
+        lp.add_constraint(row, str(relation), rhs)
+    obj = np.zeros(k + 1)
     obj[k] = 1.0
     lp.set_objective(obj, maximize=True)
     out = solve_lp(lp, tol)

@@ -99,19 +99,42 @@ def scalar_sampler(game, eps, count, seed, well_supported, eqs, steps=48, zero=1
     return out
 
 
-def subset_max_distance(base_rows, n, ref, zero_upper, tol, values=None):
-    """Reference largest L1 distance from ref to the region: one scalar LP
-    per subset M of ref's whole support, minimizing x(M), and twice the
-    largest g(M) = ref(M) - min x(M); 0 when the region is empty. A dict
-    ``values`` receives g(M) for each feasible M, keyed by M's sorted
-    tuple of indices."""
+def region_arrays(rows):
+    """A region given as ``(coefficients, relation, rhs)`` rows, as the
+    arrays ``(A, rel, b)`` of a subset-LP request."""
+    return (
+        np.array([c for c, _, _ in rows], dtype=float),
+        np.array([rel for _, rel, _ in rows]),
+        np.array([rhs for _, _, rhs in rows], dtype=float),
+    )
+
+
+def ws_region_rows(payoff, opp_support, eps):
+    """Reference well-supported region, row by row: the mass row, then
+    ``payoff[i] - payoff[a] >= -eps`` for each declared opponent action i
+    and each other action a."""
+    rows = [(np.ones(payoff.shape[1]), "=", 1.0)]
+    for i in opp_support:
+        for a in range(payoff.shape[0]):
+            if a != i:
+                rows.append((payoff[i, :] - payoff[a, :], ">=", -eps))
+    return rows
+
+
+def subset_max_distance(A, rels, b, ref, zero_upper, tol, values=None):
+    """Reference largest L1 distance from ref to a subset-LP request's
+    region: one scalar LP per subset M of ref's whole support, minimizing
+    x(M), and twice the largest g(M) = ref(M) - min x(M); 0 when the region
+    is empty. A dict ``values`` receives g(M) for each feasible M, keyed by
+    M's sorted tuple of indices."""
+    n = A.shape[1]
     support = [int(i) for i in np.nonzero(ref)[0]]
     best = 0.0
     for size in range(len(support) + 1):
         for M in itertools.combinations(support, size):
             lp = LinearProgram(n, upper=zero_upper.copy() if zero_upper is not None else None)
-            for coeffs, rel, rhs in base_rows:
-                lp.add_constraint(coeffs, rel, rhs)
+            for coeffs, rel, rhs in zip(A, rels, b):
+                lp.add_constraint(coeffs, str(rel), rhs)
             obj = np.zeros(n)
             obj[list(M)] = -1.0
             lp.set_objective(obj, maximize=True)
@@ -261,26 +284,26 @@ def unscreened_ws_candidates(game, eps, base, tol=DEFAULT_TOLS):
     out = []
     for S_p in subsets(rows):
         for S_q in subsets(cols):
-            q_rows = stability._ws_region_rows(game.R, S_p, eps)
+            q_region = region_arrays(ws_region_rows(game.R, S_p, eps))
             q_upper = np.zeros(cols)
             q_upper[list(S_q)] = np.inf
-            q_feas = stability._feasible_point(q_rows, cols, q_upper, tol)
+            q_feas = stability._feasible_point(*q_region, q_upper, tol)
             if q_feas is None:
                 continue
-            p_rows = stability._ws_region_rows(CT, S_q, eps)
+            p_region = region_arrays(ws_region_rows(CT, S_q, eps))
             p_upper = np.zeros(rows)
             p_upper[list(S_p)] = np.inf
-            p_feas = stability._feasible_point(p_rows, rows, p_upper, tol)
+            p_feas = stability._feasible_point(*p_region, p_upper, tol)
             if p_feas is None:
                 continue
             label = f"ws-lp:{S_p}:{S_q}"
             out.append((label, sn.StrategyProfile.from_vectors(p_feas, q_feas, tol)))
             for r_idx, ref in enumerate(base.equilibria):
                 (p_sweep,) = stability.subset_sweep(
-                    [(p_rows, rows, ref.row.probs, p_upper)], DEFAULT_PARTITION_BUDGET, tol
+                    [(*p_region, ref.row.probs, p_upper)], DEFAULT_PARTITION_BUDGET, tol
                 )
                 (q_sweep,) = stability.subset_sweep(
-                    [(q_rows, cols, ref.col.probs, q_upper)], DEFAULT_PARTITION_BUDGET, tol
+                    [(*q_region, ref.col.probs, q_upper)], DEFAULT_PARTITION_BUDGET, tol
                 )
                 p_far = stability._farthest(p_sweep, p_feas)
                 q_far = stability._farthest(q_sweep, q_feas)

@@ -130,9 +130,9 @@ class TestPipelines:
         # subsets
         calls = []  # one entry per stack member, each an LP
 
-        def counting(constraints, lower, upper, objective, tol):
-            calls.extend(lower)
-            return solve_stack(constraints, lower, upper, objective, tol)
+        def counting(A, *rest):
+            calls.extend(A)
+            return solve_stack(A, *rest)
 
         monkeypatch.setattr("stablenash.stability.solve_stack", counting)
         game_json = serialize.canonical_dumps(serialize.game_to_dict(sn.matching_pennies()))
@@ -147,7 +147,8 @@ class TestPipelines:
     def test_traced_bench_run_accounts_for_every_lp(self, monkeypatch, capsys):
         # the traced benchmark checks its per-module solve_lp spans against
         # the calls of lp._validate, which solve_lp runs once per LP; a sweep
-        # member routed through _validate would make it report a problem
+        # member routed through _validate would make it report a problem.
+        # The three calls reach every module that calls solve_lp
         path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
         spec = importlib.util.spec_from_file_location("bench_spans", path)
         spans = importlib.util.module_from_spec(spec)
@@ -160,6 +161,7 @@ class TestPipelines:
                  sn.random_constant_sum_game(4, 3)),
                 (["certify", "--mode", "ws", "--eps", "0.05", "--trials", "4"],
                  sn.meeting_game(3)),
+                (["solve", "--eps", "0.01"], sn.embed(sn.random_game(3, 3, 0), 0.0002).game),
             ):
                 code, _, _ = run_cli(
                     monkeypatch, capsys, args,
@@ -171,6 +173,8 @@ class TestPipelines:
         metrics, problems = spans.layer_metrics(rec)
         assert rec.counts_lp_solves
         assert metrics["lp.calls"] > 0
+        for module in ("constant_sum", "oracle", "stability", "support"):
+            assert metrics[f"lp.{module}.calls"] > 0, module
         assert problems == []
 
     def test_certify_modes(self, monkeypatch, capsys):
@@ -261,6 +265,42 @@ class TestExitCodes:
             stdin_text=game_json,
         )
         assert code == EXIT_INVALID  # meeting game is not constant-sum
+
+    @pytest.mark.parametrize(
+        "command, document, profile",
+        [
+            ("oracle", {"range": 5}, None),
+            ("oracle", {"range": [0]}, None),
+            ("oracle", {"range": [0, "x"]}, None),
+            ("oracle", {"rows": 2, "R": [1, 2], "C": [1, 2]}, None),
+            ("extract", {}, '{"p": "abc", "q": [1]}'),
+            ("extract", {}, "5"),
+            ("extract", {"meta": {"eps": 0.0002, "source_shape": 2}}, '{"p": [1], "q": [1]}'),
+        ],
+        ids=[
+            "range_not_a_list",
+            "range_of_one",
+            "range_not_numeric",
+            "one_dimensional_matrices",
+            "profile_not_numeric",
+            "profile_not_an_object",
+            "meta_without_delta",
+        ],
+    )
+    def test_malformed_input_is_validation_error(
+        self, monkeypatch, capsys, tmp_path, command, document, profile
+    ):
+        # each document is a valid embedded game but for the keys it replaces
+        base = serialize.embedded_to_dict(sn.embed(sn.matching_pennies(), 0.0002))
+        argv = [command]
+        if profile is not None:
+            (tmp_path / "profile.json").write_text(profile, encoding="utf-8")
+            argv += ["--profile", str(tmp_path / "profile.json")]
+        code, out, err = run_cli(
+            monkeypatch, capsys, argv, stdin_text=json.dumps({**base, **document})
+        )
+        assert code == EXIT_INVALID
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     def test_lp_tolerance_of_one_or_more_is_invalid(self, monkeypatch, capsys):
         _, game_json, _ = run_cli(monkeypatch, capsys, ["generate", "--family", "mp"])

@@ -10,7 +10,7 @@ from stablenash.lp import OPTIMAL, LinearProgram, solve_lp, solve_stack
 from stablenash.stability import max_distance, subset_sweep
 from stablenash.support import lmm_sample
 
-from conftest import random_simplex, subset_max_distance
+from conftest import random_simplex, region_arrays, subset_max_distance
 
 
 def dominant_row_game():
@@ -147,17 +147,17 @@ class TestStrongStabilityParameters:
         mm = sn.minimax_solve(matching_pennies)
         anchor = mm.p_star.probs
         alpha = 0.1
-        region = [(np.ones(2), "=", 1.0)]
-        region += [(matching_pennies.R[:, j], ">=", mm.v_R - alpha) for j in range(2)]
+        rows = [(np.ones(2), "=", 1.0)]
+        rows += [(matching_pennies.R[:, j], ">=", mm.v_R - alpha) for j in range(2)]
         lp = LinearProgram(2)
-        for coeffs, rel, rhs in region:
+        for coeffs, rel, rhs in rows:
             lp.add_constraint(coeffs, rel, rhs)
         lp.set_objective([-1.0, 0.0])
         out = solve_lp(lp)
         assert out.status == OPTIMAL
         g = anchor[0] + out.objective_value
         assert 2 * g == pytest.approx(np.abs(out.solution - anchor).sum(), abs=1e-12)
-        (sweep,) = subset_sweep([(region, 2, anchor, None)], 4, sn.DEFAULT_TOLS)
+        (sweep,) = subset_sweep([(*region_arrays(rows), anchor, None)], 4, sn.DEFAULT_TOLS)
         assert len(sweep) == 4  # every subset LP is feasible here
         assert sweep[1][0] == pytest.approx(2 * g, abs=1e-12)
         np.testing.assert_allclose(sweep[1][1], out.solution, atol=1e-12)
@@ -221,8 +221,8 @@ def test_interchangeability(seed):
 
 
 def _value_regions(game, mm, alpha):
-    """Each side's value region (as the certifier states it) and its
-    minimax strategy."""
+    """Each side's value region (as the certifier states it), as arrays,
+    and its minimax strategy."""
     for payoff_cols, value, optimal in (
         (game.R, mm.v_R, mm.p_star),
         (np.ascontiguousarray(game.C.T), mm.v_C, mm.q_star),
@@ -230,7 +230,7 @@ def _value_regions(game, mm, alpha):
         n, k = payoff_cols.shape
         region = [(np.ones(n), "=", 1.0)]
         region += [(payoff_cols[:, j], ">=", value - alpha) for j in range(k)]
-        yield region, n, optimal
+        yield region_arrays(region), n, optimal
 
 
 def _circulant(n, rng):
@@ -282,13 +282,13 @@ class TestPrunedMaximum:
             if anchor_kind == "foreign":  # a superset of the minimax support
                 upper[rng.random(n) < 0.5] = np.inf
             upper[list(optimal.support)] = np.inf
-            requests += [(region, n, ref, None), (region, n, ref, upper)]
+            requests += [(*region, ref, None), (*region, ref, upper)]
         got = max_distance(requests, DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS)
         sweeps = subset_sweep(requests, DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS)
-        for (region, n, ref, upper), value, sweep in zip(requests, got, sweeps):
+        for request, value, sweep in zip(requests, got, sweeps):
             assert value == pytest.approx(max([0.0] + [d for d, _ in sweep]), abs=1e-12)
             assert value == pytest.approx(
-                subset_max_distance(region, n, ref, upper, sn.DEFAULT_TOLS), abs=1e-12
+                subset_max_distance(*request, sn.DEFAULT_TOLS), abs=1e-12
             )
 
     @pytest.mark.parametrize("seed, rounds", [(0, 4), (1, 5), (40, 6)])
@@ -299,26 +299,25 @@ class TestPrunedMaximum:
         mm = sn.minimax_solve(game)
         stacks = []
 
-        def counting(constraints, lower, upper, objective, tol):
-            stacks.append(len(lower))
-            return solve_stack(constraints, lower, upper, objective, tol)
+        def counting(A, *rest):
+            stacks.append(len(A))
+            return solve_stack(A, *rest)
 
         monkeypatch.setattr(stability, "solve_stack", counting)
-        region, n, optimal = next(_value_regions(game, mm, 0.05))
-        (got,) = max_distance(
-            [(region, n, optimal.probs, None)], DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS
-        )
+        region, _, optimal = next(_value_regions(game, mm, 0.05))
+        request = (*region, optimal.probs, None)
+        (got,) = max_distance([request], DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS)
         assert len(stacks) == rounds and max(stacks) <= 12
-        assert got == pytest.approx(
-            subset_max_distance(region, n, optimal.probs, None, sn.DEFAULT_TOLS), abs=1e-12
-        )
+        assert got == pytest.approx(subset_max_distance(*request, sn.DEFAULT_TOLS), abs=1e-12)
 
     def test_empty_region_reads_zero(self):
-        region = [(np.ones(3), "=", 1.0), (np.array([1.0, 1.0, 1.0]), ">=", 2.0)]
+        region = region_arrays(
+            [(np.ones(3), "=", 1.0), (np.array([1.0, 1.0, 1.0]), ">=", 2.0)]
+        )
         ref = np.array([0.5, 0.5, 0.0])
         pinned = np.array([0.0, np.inf, np.inf])  # nothing left movable but 1
         assert max_distance(
-            [(region, 3, ref, None), (region, 3, ref, pinned)],
+            [(*region, ref, None), (*region, ref, pinned)],
             DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS,
         ) == [0.0, 0.0]
 
@@ -330,14 +329,14 @@ class TestPrunedMaximum:
             raise AssertionError("an LP was solved")
 
         monkeypatch.setattr(stability, "solve_stack", no_lp)
-        region = [(np.ones(3), "=", 1.0)]
+        region = region_arrays([(np.ones(3), "=", 1.0)])
         ref = np.array([0.5, 0.25, 0.25])
         pinned = np.array([0.0, np.inf, np.inf])  # leaves two movable entries
         for zero_upper, budget in ((None, 8), (pinned, 4)):
             with pytest.raises(ResourceBudgetError):
-                max_distance([(region, 3, ref, zero_upper)], budget - 1, sn.DEFAULT_TOLS)
+                max_distance([(*region, ref, zero_upper)], budget - 1, sn.DEFAULT_TOLS)
             with pytest.raises(AssertionError):
-                max_distance([(region, 3, ref, zero_upper)], budget, sn.DEFAULT_TOLS)
+                max_distance([(*region, ref, zero_upper)], budget, sn.DEFAULT_TOLS)
         for certify in (sn.strong_stability_parameters, sn.well_supported_stability_parameters):
             with pytest.raises(ResourceBudgetError):
                 certify(matching_pennies, 0.1, partition_budget=3)
@@ -352,9 +351,9 @@ class TestPrunedMaximum:
         assert len(mm.p_star.support) == len(mm.q_star.support) == 5
         stacks = []
 
-        def counting(constraints, lower, upper, objective, tol):
-            stacks.append(len(lower))
-            return solve_stack(constraints, lower, upper, objective, tol)
+        def counting(A, *rest):
+            stacks.append(len(A))
+            return solve_stack(A, *rest)
 
         monkeypatch.setattr(stability, "solve_stack", counting)
         sn.well_supported_stability_parameters(game, 0.1)

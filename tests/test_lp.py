@@ -215,6 +215,19 @@ def test_every_solve_lp_caller_is_traced():
 
 # --- the lockstep stack against the scalar path ------------------------------
 
+def _shared(rows, members, n):
+    """Rows ``(coefficients, relation, rhs)`` every member shares, as the
+    broadcast arrays ``(A, relations, rhs)`` of a stack."""
+    A = np.array([c for c, _, _ in rows], dtype=float).reshape(-1, n)
+    relations = np.array([rel for _, rel, _ in rows], dtype=str)
+    rhs = np.array([b for _, _, b in rows], dtype=float)
+    return (
+        np.broadcast_to(A, (members, *A.shape)),
+        np.broadcast_to(relations, (members, relations.size)),
+        np.broadcast_to(rhs, (members, rhs.size)),
+    )
+
+
 def _random_stack(seed, real=False):
     """Shared constraints plus a stack of bounds and objectives. On a
     half-integer grid, degenerate, infeasible and unbounded members are
@@ -236,14 +249,14 @@ def _random_stack(seed, real=False):
     members = int(rng.integers(1, 9))
     lower = np.where(rng.random((members, n)) < 0.5, 0.0, draw((members, n)))
     upper = np.where(rng.random((members, n)) < 0.5, np.inf, lower + np.abs(draw((members, n))))
-    return constraints, lower, upper, draw((members, n))
+    return (*_shared(constraints, members, n), lower, upper, draw((members, n)))
 
 
 def _random_member_stack(seed, real=False):
     """A stack whose members have their own rows: each row is either shared
-    (the broadcast of one) or holds per-member coefficients, right-hand
-    sides and relations, so equalities sit at different rows in different
-    members and the members' standardized row counts differ."""
+    (one row set for every member) or holds per-member coefficients,
+    right-hand sides and relations, so equalities sit at different rows in
+    different members and the members' standardized row counts differ."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 7 if real else 5))
     if real:
@@ -253,41 +266,29 @@ def _random_member_stack(seed, real=False):
         def draw(size):
             return rng.integers(-2, 3, size) / 2.0
     members = int(rng.integers(2, 9))
-    constraints = []
-    for _ in range(rng.integers(1, 6)):
+    m = int(rng.integers(1, 6))
+    A = np.empty((members, m, n))
+    relations = np.empty((members, m), dtype="<U2")
+    rhs = np.empty((members, m))
+    for i in range(m):
         if rng.random() < 0.25:
-            constraints.append((draw(n), ("<=", "=", ">=")[rng.integers(3)], float(draw(1)[0])))
+            A[:, i], relations[:, i], rhs[:, i] = (
+                draw(n), ("<=", "=", ">=")[rng.integers(3)], float(draw(1)[0])
+            )
         else:
-            relations = np.array(["<=", "=", ">="])[rng.integers(3, size=members)]
-            constraints.append((draw((members, n)), relations, draw(members)))
+            relations[:, i] = np.array(["<=", "=", ">="])[rng.integers(3, size=members)]
+            A[:, i], rhs[:, i] = draw((members, n)), draw(members)
     lower = np.where(rng.random((members, n)) < 0.5, 0.0, draw((members, n)))
     upper = np.where(rng.random((members, n)) < 0.5, np.inf, lower + np.abs(draw((members, n))))
-    return constraints, lower, upper, draw((members, n))
+    return A, relations, rhs, lower, upper, draw((members, n))
 
 
-def _member_lp(constraints, lower, upper, objective, k):
+def _member_lp(A, relations, rhs, lower, upper, objective, k):
     """Member k of a stack as one ``LinearProgram``."""
-    members, n = lower.shape
-    lp = LinearProgram(n, objective[k], True, lower=lower[k], upper=upper[k])
-    for c, rel, rhs in constraints:
-        lp.add_constraint(
-            np.broadcast_to(c, (members, n))[k],
-            str(np.broadcast_to(rel, (members,))[k]),
-            np.broadcast_to(rhs, (members,))[k],
-        )
+    lp = LinearProgram(A.shape[2], objective[k], True, lower=lower[k], upper=upper[k])
+    for c, rel, b in zip(A[k], relations[k], rhs[k]):
+        lp.add_constraint(c, str(rel), b)
     return lp
-
-
-def _rows_of(constraints, part):
-    """The stack's rows for the members ``part``; shared rows stay shared."""
-    return [
-        (
-            c[part] if np.ndim(c) == 2 else c,
-            rel[part] if np.ndim(rel) == 1 else rel,
-            rhs[part] if np.ndim(rhs) == 1 else rhs,
-        )
-        for c, rel, rhs in constraints
-    ]
 
 
 def _outcome_bytes(out):
@@ -298,22 +299,21 @@ def _outcome_bytes(out):
     )
 
 
-def _assert_stack_is_scalar(constraints, lower, upper, objective):
-    """Each member bitwise as solve_lp, also when the stack is permuted or
-    split; returns the statuses."""
+def _assert_stack_is_scalar(*stack):
+    """Each member of ``(A, relations, rhs, lower, upper, objective)``
+    bitwise as solve_lp, also when the stack is permuted or split; returns
+    the statuses."""
     try:
         want = [
-            _outcome_bytes(solve_lp(_member_lp(constraints, lower, upper, objective, k)))
-            for k in range(len(lower))
+            _outcome_bytes(solve_lp(_member_lp(*stack, k))) for k in range(len(stack[0]))
         ]
     except SolverError:
         with pytest.raises(SolverError):
-            solve_stack(constraints, lower, upper, objective)
+            solve_stack(*stack)
         return []
 
     def solved(part):
-        outs = solve_stack(_rows_of(constraints, part), lower[part], upper[part], objective[part])
-        return [_outcome_bytes(out) for out in outs]
+        return [_outcome_bytes(out) for out in solve_stack(*(a[part] for a in stack))]
 
     everything = slice(None)
     assert solved(everything) == want
@@ -357,7 +357,7 @@ def test_member_row_stacks_reach_every_status():
     for seed in range(60):
         stack = _random_member_stack(seed)
         seen.update(_assert_stack_is_scalar(*stack))
-        for k in range(len(stack[1])):
+        for k in range(len(stack[0])):
             lp = _member_lp(*stack, k)
             out = solve_lp(lp)
             degenerate += out.status == OPTIMAL and _degenerate_vertex(lp, out.solution)
@@ -382,7 +382,7 @@ def test_stack_matches_solve_lp_on_each_phase_one_path(constraints, upper):
     lower = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.0], [0.0, -1.0]])
     upper = np.array([upper, upper, [0.5, 0.5], [np.inf, 2.0]])
     objective = np.array([[1.0, -1.0], [1.0, 0.0], [-1.0, 1.0], [0.0, 1.0]])
-    assert _assert_stack_is_scalar(constraints, lower, upper, objective)
+    assert _assert_stack_is_scalar(*_shared(constraints, 4, 2), lower, upper, objective)
 
 
 @pytest.mark.parametrize("lp_tol", [1.0, 1.5, np.inf, np.nan])
@@ -397,52 +397,58 @@ def test_tolerances_reject_an_lp_tolerance_of_one_or_more(lp_tol):
     assert Tolerances(lp=0.5).lp == 0.5
 
 
-def test_chunked_stack_matches_one_stack(monkeypatch):
-    constraints, lower, upper, objective = _random_stack(7)
-    lower, upper, objective = (np.tile(a, (5, 1)) for a in (lower, upper, objective))
-    whole = [_outcome_bytes(out) for out in solve_stack(constraints, lower, upper, objective)]
+def _assert_chunks_match(stack, monkeypatch):
+    """The stack repeated five times, solved whole and one member per
+    chunk, with the same bytes."""
+    picks = np.tile(np.arange(len(stack[0])), 5)
+    stack = [a[picks] for a in stack]
+    whole = [_outcome_bytes(out) for out in solve_stack(*stack)]
     monkeypatch.setattr(lp_module, "STACK_FLOATS", 1)  # one member per chunk
-    chunked = [_outcome_bytes(out) for out in solve_stack(constraints, lower, upper, objective)]
+    chunked = [_outcome_bytes(out) for out in solve_stack(*stack)]
     assert chunked == whole
+
+
+def test_chunked_stack_matches_one_stack(monkeypatch):
+    _assert_chunks_match(_random_stack(7), monkeypatch)
+
 
 def test_chunked_member_row_stack_matches_one_stack(monkeypatch):
-    constraints, lower, upper, objective = _random_member_stack(7)
-    picks = np.tile(np.arange(len(lower)), 5)
-    constraints = _rows_of(constraints, picks)
-    lower, upper, objective = lower[picks], upper[picks], objective[picks]
-    whole = [_outcome_bytes(out) for out in solve_stack(constraints, lower, upper, objective)]
-    monkeypatch.setattr(lp_module, "STACK_FLOATS", 1)  # one member per chunk
-    chunked = [_outcome_bytes(out) for out in solve_stack(constraints, lower, upper, objective)]
-    assert chunked == whole
+    _assert_chunks_match(_random_member_stack(7), monkeypatch)
 
 
-def test_stack_rejects_malformed_members():
-    rows = [(np.ones(2), "=", 1.0)]
-    ok = np.zeros((3, 2)), np.full((3, 2), np.inf), np.ones((3, 2))
-    assert len(solve_stack(rows, *ok)) == 3
-    bad = {
-        "shape": (np.zeros((3, 2)), np.full((2, 2), np.inf), np.ones((3, 2))),
-        "free": (np.full((3, 2), -np.inf), np.full((3, 2), np.inf), np.ones((3, 2))),
-        "crossed": (np.ones((3, 2)), np.zeros((3, 2)), np.ones((3, 2))),
-        "objective": (np.zeros((3, 2)), np.full((3, 2), np.inf), np.full((3, 2), np.nan)),
+def test_stack_rejects_malformed_members(monkeypatch):
+    # each malformed input raises before any pivot: with the chunk solver
+    # stubbed to fail, only validation can raise
+    good = {
+        "A": np.ones((3, 1, 2)),
+        "relations": np.array([["="], ["<="], [">="]]),
+        "rhs": np.ones((3, 1)),
+        "lower": np.zeros((3, 2)),
+        "upper": np.full((3, 2), np.inf),
+        "objective": np.ones((3, 2)),
     }
-    for lower, upper, objective in bad.values():
-        with pytest.raises(ValidationError):
-            solve_stack(rows, lower, upper, objective)
-    with pytest.raises(ValidationError):
-        solve_stack([(np.ones(3), "=", 1.0)], *ok)
-    with pytest.raises(ValidationError):
-        solve_stack([(np.ones(2), "<", 1.0)], *ok)
-    # per-member rows: one row, relation and right-hand side per member
-    per_member = [(np.ones((3, 2)), np.array(["=", "<=", ">="]), np.ones(3))]
-    assert len(solve_stack(per_member, *ok)) == 3
-    for bad_row in (
-        (np.ones((2, 2)), "=", 1.0),
-        (np.ones(2), np.array(["=", "<="]), 1.0),
-        (np.ones(2), "=", np.ones(4)),
-        (np.ones(2), np.array(["=", "<", ">="]), 1.0),
-        (np.array([[1.0, 1.0], [np.nan, 1.0], [1.0, 1.0]]), "=", 1.0),
-        (np.ones(2), "=", np.array([1.0, np.inf, 1.0])),
-    ):
-        with pytest.raises(ValidationError):
-            solve_stack([bad_row], *ok)
+    assert len(solve_stack(**good)) == 3
+    nan_row = good["A"].copy()
+    nan_row[1, 0, 0] = np.nan
+    bad = {
+        # too few members, too many variables, one row not given per member
+        "A": [np.ones((2, 1, 2)), np.ones((3, 1, 3)), np.ones((1, 2)), nan_row],
+        "relations": [
+            np.array([["="], ["<="]]),
+            np.full((3, 2), "="),
+            np.array([["="], ["<"], [">="]]),
+        ],
+        "rhs": [np.ones(3), np.ones((3, 2)), np.array([[1.0], [np.inf], [1.0]])],
+        "lower": [np.full((3, 2), -np.inf)],
+        "upper": [np.full((2, 2), np.inf), np.full((3, 2), -1.0)],
+        "objective": [np.full((3, 2), np.nan)],
+    }
+
+    def no_pivot(*args):
+        raise AssertionError("a chunk was solved")
+
+    monkeypatch.setattr(lp_module, "_solve_chunk", no_pivot)
+    for name, values in bad.items():
+        for value in values:
+            with pytest.raises(ValidationError):
+                solve_stack(**{**good, name: value})

@@ -400,9 +400,9 @@ def _kernel_calls(monkeypatch):
 
         return wrapper
 
-    def stacked(constraints, lower, *args, **kwargs):
-        calls.extend(["solve_stack"] * len(lower))
-        return real_stack(constraints, lower, *args, **kwargs)
+    def stacked(A, *args, **kwargs):
+        calls.extend(["solve_stack"] * len(A))
+        return real_stack(A, *args, **kwargs)
 
     for module in (oracle, support, stability):
         monkeypatch.setattr(module, "solve_lp", counted(module.solve_lp))

@@ -19,6 +19,7 @@ from stablenash.support import heavy_light_partition, light_sample_size
 
 from conftest import (
     profile_bytes,
+    region_arrays,
     scalar_sampler,
     subset_max_distance,
     unscreened_ws_candidates,
@@ -72,9 +73,9 @@ class TestPerturbationStability:
             lps.append(1)
             return real_lp(lp, tol)
 
-        def stacked(constraints, lower, upper, objective, tol):
-            stacks.append(len(lower))
-            return real_stack(constraints, lower, upper, objective, tol)
+        def stacked(A, *rest):
+            stacks.append(len(A))
+            return real_stack(A, *rest)
 
         monkeypatch.setattr(oracle, "solve_lp", counted)
         monkeypatch.setattr(oracle, "solve_stack", stacked)
@@ -149,16 +150,16 @@ class TestApproximationStability:
         # before its first LP, in the estimators as in the certifier
         calls = []  # one entry per stack member, each an LP
 
-        def infeasible(constraints, lower, upper, objective, tol):
-            calls.extend(lower)
-            return [LpOutcome(INFEASIBLE)] * len(lower)
+        def infeasible(A, *rest):
+            calls.extend(A)
+            return [LpOutcome(INFEASIBLE)] * len(A)
 
         monkeypatch.setattr(stability, "solve_stack", infeasible)
-        region = [(np.ones(3), "=", 1.0)]
+        region = region_arrays([(np.ones(3), "=", 1.0)])
         ref = np.array([0.5, 0.25, 0.25])
         pinned = np.array([0.0, np.inf, np.inf])  # leaves two movable entries
         for zero_upper, budget in ((None, 8), (pinned, 4)):
-            request = [(region, 3, ref, zero_upper)]
+            request = [(*region, ref, zero_upper)]
             with pytest.raises(ResourceBudgetError):
                 stability.subset_sweep(request, budget - 1, sn.DEFAULT_TOLS)
             assert calls == []
@@ -211,9 +212,9 @@ class TestScreenedWsSearch:
             calls["feasibility" if lp.objective is None else "sweep"] += 1
             return solve_lp(lp, tol)
 
-        def stacked(constraints, lower, upper, objective, tol):
-            calls["sweep"] += len(lower)
-            return solve_stack(constraints, lower, upper, objective, tol)
+        def stacked(A, *rest):
+            calls["sweep"] += len(A)
+            return solve_stack(A, *rest)
 
         monkeypatch.setattr(stability, "solve_lp", counted)
         monkeypatch.setattr(stability, "solve_stack", stacked)
@@ -243,19 +244,20 @@ def test_subset_sweep_matches_scalar_subset_lps(seed, n, pin):
     if pin:
         ref[np.flatnonzero(~allowed)] += 0.1
     ref /= ref.sum()
-    region = [(np.ones(n), "=", 1.0)]
+    rows = [(np.ones(n), "=", 1.0)]
     for _ in range(rng.integers(1, 4)):
         a = rng.uniform(-1.0, 1.0, n)
         slack = rng.uniform(0.0, 0.2)
         if rng.random() < 0.5:
-            region.append((a, ">=", float(a @ inner) - slack))
+            rows.append((a, ">=", float(a @ inner) - slack))
         else:
-            region.append((a, "<=", float(a @ inner) + slack))
-    requests = [(region, n, ref, None), (region, n, ref, zero_upper), (region, n, ref, None)]
+            rows.append((a, "<=", float(a @ inner) + slack))
+    region = region_arrays(rows)
+    requests = [(*region, ref, None), (*region, ref, zero_upper), (*region, ref, None)]
     statuses = []
 
-    def recording(constraints, lower, upper, objective, tol):
-        outs = solve_stack(constraints, lower, upper, objective, tol)
+    def recording(*args):
+        outs = solve_stack(*args)
         statuses.extend(out.status for out in outs)
         return outs
 
@@ -277,7 +279,7 @@ def test_subset_sweep_matches_scalar_subset_lps(seed, n, pin):
             for mask in feasible
         ]
         values = {}
-        want = subset_max_distance(region, n, ref, upper, sn.DEFAULT_TOLS, values)
+        want = subset_max_distance(*region, ref, upper, sn.DEFAULT_TOLS, values)
         assert sorted(subsets) == sorted(M for M in values if pinned <= set(M))
         assert len(sweep) == len(subsets)
         for M, (distance, vertex) in zip(subsets, sweep):
@@ -293,11 +295,13 @@ def test_subset_sweep_matches_scalar_subset_lps(seed, n, pin):
 def test_sweep_over_several_chunks_matches_one_stack(monkeypatch):
     # a stack larger than its float bound is solved chunk by chunk, with the
     # same bytes as in one piece
-    region = [(np.ones(4), "=", 1.0), (np.array([1.0, -1.0, 0.5, 0.0]), ">=", -0.25)]
+    region = region_arrays(
+        [(np.ones(4), "=", 1.0), (np.array([1.0, -1.0, 0.5, 0.0]), ">=", -0.25)]
+    )
     ref = np.array([0.4, 0.3, 0.2, 0.1])
     requests = [
-        (region, 4, ref, None),
-        (region, 4, ref, np.array([np.inf, np.inf, 0.0, np.inf])),
+        (*region, ref, None),
+        (*region, ref, np.array([np.inf, np.inf, 0.0, np.inf])),
     ]
 
     def swept():

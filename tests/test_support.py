@@ -9,9 +9,49 @@ from stablenash import oracle, support
 from stablenash.config import DEFAULT_ENUM_BUDGET, DEFAULT_TOLS
 from stablenash.embedding import embed
 from stablenash.errors import DomainError, ParameterError, ResourceBudgetError
+from stablenash.lp import LinearProgram, solve_lp
 from stablenash.support import light_sample_size
 
-from conftest import profile_bytes, random_simplex, unscreened_find_well_supported
+from conftest import (
+    profile_bytes,
+    random_simplex,
+    region_arrays,
+    unscreened_find_well_supported,
+    ws_region_rows,
+)
+
+
+def _side_lp_row_by_row(payoff, own_support, opp_support, eps):
+    """The side LP of the well-supported search, one row at a time: the mass
+    row, then each declared opponent action i against each other action a,
+    less the slack s, which is maximized."""
+    k = len(own_support)
+    sub = payoff[:, list(own_support)]
+    lp = LinearProgram(k + 1)
+    lp.lower[k] = -(2.0 * float(np.abs(payoff).max()) + abs(eps) + 1.0)
+    lp.upper[k] = eps
+    mass = np.zeros(k + 1)
+    mass[:k] = 1.0
+    lp.add_constraint(mass, "=", 1.0)
+    for i in opp_support:
+        for a in range(payoff.shape[0]):
+            if a != i:
+                row = np.zeros(k + 1)
+                row[:k] = sub[i] - sub[a]
+                row[k] = -1.0
+                lp.add_constraint(row, ">=", -eps)
+    objective = np.zeros(k + 1)
+    objective[k] = 1.0
+    lp.set_objective(objective)
+    return lp
+
+
+def _outcome_bytes(out):
+    return (
+        out.status,
+        None if out.solution is None else out.solution.tobytes(),
+        None if out.objective_value is None else np.float64(out.objective_value).tobytes(),
+    )
 
 
 class TestWellSupportedFeasible:
@@ -52,6 +92,40 @@ class TestWellSupportedFeasible:
         eps = float(rng.uniform(0.0, 0.3))
         if sn.well_supported_feasible(g, S_p, S_q, eps) is not None:
             assert sn.well_supported_feasible(g, S_p, S_q, eps + 0.1) is not None
+
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.integers(0, 100_000), st.integers(1, 5), st.integers(1, 5), st.booleans())
+    def test_ws_region_and_side_lp_match_row_by_row(self, seed, n_opp, n, real):
+        # the library's region against the nested loop, row order included
+        # (Bland's rule depends on it), and the side LP built on it against
+        # the same LP added one row at a time
+        rng = np.random.default_rng(seed)
+        if real:
+            payoff = rng.uniform(-1.0, 1.0, (n_opp, n))
+        else:
+            payoff = rng.integers(-2, 3, (n_opp, n)) / 2.0
+        opp_support = tuple(np.flatnonzero(rng.random(n_opp) < 0.6).tolist()) or (0,)
+        own_support = tuple(np.flatnonzero(rng.random(n) < 0.6).tolist()) or (n - 1,)
+        eps = float(rng.choice([0.0, 0.25, rng.uniform(-0.2, 0.4)]))
+        got = support.ws_region(payoff, opp_support, eps)
+        want = region_arrays(ws_region_rows(payoff, opp_support, eps))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        seen = []
+
+        def recording(lp, tol):
+            seen.append(solve_lp(lp, tol))
+            return seen[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(support, "solve_lp", recording)
+            x = support._side_lp(payoff, own_support, opp_support, eps, DEFAULT_TOLS)
+        want = solve_lp(_side_lp_row_by_row(payoff, own_support, opp_support, eps))
+        assert [_outcome_bytes(out) for out in seen] == [_outcome_bytes(want)]
+        assert (x is None) == (want.objective_value < -DEFAULT_TOLS.lp)
+        if x is not None:
+            assert x[list(own_support)].tobytes() == want.solution[:-1].tobytes()
 
 
 class TestFindWellSupported:
