@@ -91,7 +91,7 @@ def embed(game: BimatrixGame, eps: float) -> EmbeddedGame:
         raise ShapeError("only square games can be embedded")
     if (game.R < 0).any() or (game.R > 1).any() or (game.C < 0).any() or (game.C > 1).any():
         raise ValidationError("embedding requires payoffs in [0, 1]")
-    if eps <= 0:
+    if not eps > 0:
         raise ParameterError("eps must be positive")
     delta = (8.0 * eps) ** 0.25
     if delta > EMBED_MAX_DELTA + 1e-12:

@@ -25,9 +25,10 @@ Both passes work on a list of same-shape games at once, so a perturbation
 battery is enumerated as one stack (:func:`enumerate_stack`;
 :func:`enumerate_equilibria` is its one-game case). The batched pass stacks
 the pair chunks of every game still in it, and a game leaves it at its
-first degeneracy witness. The LP loop groups the screened pairs of every
-game that fell back by (|S_p|, |S_q|) and solves each group's LPs as one
-:func:`stablenash.lp.solve_stack` stack, a lone LP with
+first degeneracy witness. The LP loop solves the column player's LPs of
+the screened pairs of every game that fell back, whatever their sizes, as
+one :func:`stablenash.lp.solve_stack` stack, each LP padded to the largest
+support, then the row player's LPs as a second; a lone LP goes to
 :func:`stablenash.lp.solve_lp`. Each game gets the equilibria, order and
 completeness it gets alone, bit for bit.
 
@@ -86,49 +87,57 @@ def _support_lps(
 ) -> list[Optional[np.ndarray]]:
     """Best-response-consistent distributions on a stack of own supports.
 
-    Member m asks for a distribution x on ``own[m]`` against
-    ``payoffs[game[m]]``, whose row a is opponent action a's payoff as a
-    function of x. The actions in ``ties[m]`` must tie at a common level u,
-    all others must not exceed it; the minimum supported probability t is
-    maximized so the declared support is genuine. Returns each member's x
-    over every own action, or None when its LP has no optimum with t above
-    ``tol.zero``.
+    Member m asks for a distribution x on the own actions of the mask
+    ``own[m]`` against ``payoffs[game[m]]``, whose row a is opponent action
+    a's payoff as a function of x. The actions of the mask ``ties[m]`` must
+    tie at a common level u, all others must not exceed it; the minimum
+    supported probability t is maximized so the declared support is
+    genuine. Returns each member's x over every own action, or None when
+    its LP has no optimum with t above ``tol.zero``.
 
-    The LPs are built as arrays and solved as one
-    :func:`stablenash.lp.solve_stack` stack; a single LP goes to
+    Member m's own LP has the columns (x, u, t), x in the order of its k_m
+    own actions, and the rows: the mass, one tie row per opponent action,
+    then t <= x_j per own action. The LPs are built as arrays and solved as
+    one :func:`stablenash.lp.solve_stack` stack, each padded to the stack's
+    largest k: zero columns after its own, with objective 0 and bounds
+    [0, inf), and ``0 <= 0`` rows after its own. A zero column with zero
+    cost never prices as improving, a zero row never passes the ratio test,
+    and the padding keeps the order of the real columns and rows, which is
+    all Bland's choices compare; so each member's status, solution prefix
+    and objective are bitwise those of its own LP. A single LP goes to
     :func:`stablenash.lp.solve_lp`, which is faster alone.
     """
-    members, k = own.shape
-    n_opp, n_own = payoffs.shape[1:]
-    # variables: k probabilities, then the payoff level u, then t; rows: the
-    # mass, one tie row per opponent action, then t <= x_j per own action
-    nv = k + 2
-    A = np.zeros((members, 1 + n_opp + k, nv))
-    A[:, 0, :k] = 1.0
-    ties_block = payoffs[game[:, None, None], np.arange(n_opp)[:, None], own[:, None, :]]
-    A[:, 1 : n_opp + 1, :k] = ties_block
-    A[:, 1 : n_opp + 1, k] = -1.0
-    A[:, n_opp + 1 + np.arange(k), np.arange(k)] = 1.0
-    A[:, n_opp + 1 :, k + 1] = -1.0
-    tied = np.zeros((members, n_opp), dtype=bool)
-    tied[np.arange(members)[:, None], ties] = True
+    members, n_own = own.shape
+    n_opp = payoffs.shape[1]
+    k = own.sum(axis=1)
+    width = int(k.max())
+    each = np.arange(members)
+    opp = np.arange(n_opp)
+    mj, j = np.nonzero(own)
+    col = (np.cumsum(own, axis=1) - 1)[mj, j]  # own action j's column in member mj
+    A = np.zeros((members, 1 + n_opp + width, width + 2))
+    A[mj, 0, col] = 1.0
+    A[mj[:, None], 1 + opp, col[:, None]] = payoffs[game[mj][:, None], opp, j[:, None]]
+    A[each[:, None], 1 + opp, k[:, None]] = -1.0
+    A[mj, 1 + n_opp + col, col] = 1.0
+    A[mj, 1 + n_opp + col, k[mj] + 1] = -1.0
     relations = np.concatenate(
         (
             np.full((members, 1), "="),
-            np.where(tied, "=", "<="),
-            np.full((members, k), ">="),
+            np.where(ties, "=", "<="),
+            np.where(np.arange(width) < k[:, None], ">=", "<="),
         ),
         axis=1,
     )
     rhs = np.zeros(A.shape[:2])
     rhs[:, 0] = 1.0
-    lower = np.zeros((members, nv))
-    lower[:, k] = payoffs.min(axis=(1, 2))[game] - 1.0  # u never binds below payoffs
-    upper = np.full((members, nv), np.inf)
-    objective = np.zeros((members, nv))
-    objective[:, k + 1] = 1.0
+    lower = np.zeros((members, width + 2))
+    lower[each, k] = payoffs.min(axis=(1, 2))[game] - 1.0  # u never binds below payoffs
+    upper = np.full_like(lower, np.inf)
+    objective = np.zeros_like(lower)
+    objective[each, k + 1] = 1.0
     if members == 1:
-        lp = LinearProgram(nv, objective[0], True, lower=lower[0], upper=upper[0])
+        lp = LinearProgram(width + 2, objective[0], True, lower=lower[0], upper=upper[0])
         for row, relation, b in zip(A[0], relations[0], rhs[0]):
             lp.add_constraint(row, str(relation), b)
         outcomes = [solve_lp(lp, tol)]
@@ -140,7 +149,7 @@ def _support_lps(
             out.append(None)
             continue
         full = np.zeros(n_own)
-        full[own[m]] = lp_out.solution[:k]
+        full[own[m]] = lp_out.solution[: k[m]]
         out.append(full)
     return out
 
@@ -269,60 +278,54 @@ def _lp_pass(
     sizes, for each of a list of same-shape games.
 
     Every game's screened pairs are listed first, so the support-pair budget
-    fires before any LP. The pairs of all games are then grouped by
-    (|S_p|, |S_q|): the column player's LPs of a group are solved as one
-    stack, then the row player's LPs of the pairs whose column LP found a
-    distribution. Returns, per game, the equilibria in visit order and
-    whether a found equilibrium marks a component: its supports differ in
-    size, so the side with more own actions than tied opponent actions is
-    underdetermined, or one of its square tie systems is singular.
+    fires before any LP. The column player's LPs of all of them, whatever
+    their sizes, are then solved as one padded stack (:func:`_support_lps`,
+    ``_CHUNK`` pairs at a time), and the row player's LPs of the pairs whose
+    column LP found a distribution as a second. Returns, per game, the
+    equilibria in visit order and whether a found equilibrium marks a
+    component: its supports differ in size, so the side with more own
+    actions than tied opponent actions is underdetermined, or one of its
+    square tie systems is singular.
     """
     R = np.array([game.R for game in games])
     CT = np.array([game.C.T for game in games])
     sizes = list(itertools.product(range(1, max_support + 1), repeat=2))
     pairs = [
-        [(S_p, S_q) for _, S_p, S_q in screened_pairs(game, sizes, 0.0, budget, tol)]
-        for game in games
+        (g, S_p, S_q)
+        for g, game in enumerate(games)
+        for _, S_p, S_q in screened_pairs(game, sizes, 0.0, budget, tol)
     ]
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for g, game_pairs in enumerate(pairs):
-        for i, (S_p, S_q) in enumerate(game_pairs):
-            groups.setdefault((len(S_p), len(S_q)), []).append((g, i))
-    solved: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    for members in groups.values():
-        for start in range(0, len(members), _CHUNK):
-            part = members[start : start + _CHUNK]
-            at = np.array([g for g, _ in part])
-            S_p = np.array([pairs[g][i][0] for g, i in part])
-            S_q = np.array([pairs[g][i][1] for g, i in part])
-            qs = _support_lps(R, at, S_q, S_p, tol)
-            kept = [m for m, q in enumerate(qs) if q is not None]
-            if not kept:
-                continue
-            ps = _support_lps(CT, at[kept], S_p[kept], S_q[kept], tol)
-            for m, p in zip(kept, ps):
-                if p is not None:
-                    solved[part[m]] = p, qs[m]
+    at = np.array([g for g, _, _ in pairs], dtype=int)
+    rows = np.zeros((len(pairs), R.shape[1]), dtype=bool)
+    cols = np.zeros((len(pairs), R.shape[2]), dtype=bool)
+    for i, (_, S_p, S_q) in enumerate(pairs):
+        rows[i, list(S_p)] = True
+        cols[i, list(S_q)] = True
+    solved: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for start in range(0, len(pairs), _CHUNK):
+        part = np.arange(start, min(start + _CHUNK, len(pairs)))
+        qs = _support_lps(R, at[part], cols[part], rows[part], tol)
+        kept = np.array([i for i, q in zip(part, qs) if q is not None], dtype=int)
+        if not kept.size:
+            continue
+        ps = _support_lps(CT, at[kept], rows[kept], cols[kept], tol)
+        for i, p in zip(kept.tolist(), ps):
+            if p is not None:
+                solved[i] = p, qs[i - start]
 
-    out = []
-    for g, game in enumerate(games):
-        found: list[StrategyProfile] = []
-        degenerate = False
-        for i, (S_p, S_q) in enumerate(pairs[g]):
-            if (g, i) not in solved:
-                continue
-            p, q = solved[g, i]
-            if not _admit(game, found, p, q, tol):
-                continue
-            if len(S_p) != len(S_q):
-                degenerate = True
-                continue
-            P, Q = np.array([S_p]), np.array([S_q])
-            A = np.concatenate((_tie_systems(R[[g]], Q, P), _tie_systems(CT[[g]], P, Q)))
-            if (np.linalg.matrix_rank(A, tol=_RANK_TOL) < len(S_p) + 1).any():
-                degenerate = True
-        out.append((found, degenerate))
-    return out
+    found: list[list[StrategyProfile]] = [[] for _ in games]
+    degenerate = [False] * len(games)
+    for i, (g, S_p, S_q) in enumerate(pairs):
+        if i not in solved or not _admit(games[g], found[g], *solved[i], tol):
+            continue
+        if len(S_p) != len(S_q):
+            degenerate[g] = True
+            continue
+        P, Q = np.array([S_p]), np.array([S_q])
+        A = np.concatenate((_tie_systems(R[[g]], Q, P), _tie_systems(CT[[g]], P, Q)))
+        if (np.linalg.matrix_rank(A, tol=_RANK_TOL) < len(S_p) + 1).any():
+            degenerate[g] = True
+    return list(zip(found, degenerate))
 
 
 def _inverse_column(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -504,8 +507,8 @@ def enumerate_stack(
     """:func:`enumerate_equilibria` of each of a list of same-shape games.
 
     The games go through each layer together: one batched pass over all of
-    them, then one LP pass over those that fell back, each LP shape solved
-    as one stack across the games. Every set is the one
+    them, then one LP pass over those that fell back, each player's LPs
+    solved as one padded stack across the games. Every set is the one
     :func:`enumerate_equilibria` returns for its game alone, and the budget
     raises as it would on the first game that exceeds it, before any LP.
     """

@@ -164,8 +164,10 @@ def estimate_perturbation_stability(
     distance from a perturbed-game equilibrium to the original equilibrium
     set. Ties keep the earliest witness, so output is seed-deterministic.
     """
-    if eps < 0:
-        raise ParameterError("eps must be non-negative")
+    if not 0.0 <= eps < math.inf:
+        raise ParameterError("eps must be finite and non-negative")
+    if trials < 0:
+        raise ParameterError("trials must be non-negative")
     base = enumerate_equilibria(game, max_support, budget, tol)
     candidates = perturbation_battery(game, eps)
     rng = np.random.default_rng(seed)
@@ -218,8 +220,8 @@ def sample_approximate_equilibria(
     Samples are returned in the order they were drawn; at most
     ``STACK_FLOATS`` probabilities are stacked at a time.
     """
-    if eps < tol.eq:
-        raise ParameterError("eps below the equilibrium verification tolerance")
+    if not tol.eq <= eps < math.inf:
+        raise ParameterError("eps must be finite and at least the equilibrium tolerance")
     if eqs is None:
         eqs = enumerate_equilibria(game, tol=tol)
     if len(eqs) == 0:
@@ -585,8 +587,10 @@ def estimate_approximation_stability(
         mode = MODE_PLAIN
     if mode not in (MODE_PLAIN, MODE_WELL_SUPPORTED):
         raise ParameterError(f"unknown mode {mode!r}")
-    if eps < 0:
-        raise ParameterError("eps must be non-negative")
+    if not 0.0 <= eps < math.inf:
+        raise ParameterError("eps must be finite and non-negative")
+    if trials < 0:
+        raise ParameterError("trials must be non-negative")
     base = enumerate_equilibria(game, max_support, budget, tol)
 
     candidates: list[tuple[str, StrategyProfile]] = []
@@ -634,8 +638,8 @@ def perturbation_witness(
     that level; symmetrically for columns. A well-supported 2*eps profile
     admits exactly these shifts within [-eps, eps].
     """
-    if eps < 0:
-        raise ParameterError("eps must be non-negative")
+    if not 0.0 <= eps < math.inf:
+        raise ParameterError("eps must be finite and non-negative")
     rep = regrets(game, profile, tol)
     if rep.max_ws_gap > 2.0 * eps + tol.eq:
         raise PreconditionError(
@@ -684,8 +688,8 @@ def internal_deviation(
     the unchanged column strategy the result is a well-supported 2*alpha
     equilibrium (verified before returning).
     """
-    if alpha < 0:
-        raise ParameterError("alpha must be non-negative")
+    if not 0.0 <= alpha < math.inf:
+        raise ParameterError("alpha must be finite and non-negative")
     rep = regrets(game, profile, tol)
     if max(rep.max_regret, rep.max_ws_gap) > tol.eq:
         raise PreconditionError("profile must be an exact equilibrium")
@@ -736,8 +740,8 @@ def random_split_deviation(
     are rejected until both coin classes can support the transfer, so with
     a single light atom the construction always fails.
     """
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ParameterError("delta must be finite and positive")
     light = list(split.light)
     if not light:
         raise PreconditionError("light part is empty")
@@ -797,8 +801,10 @@ def random_split_probe(
     size bound, whose log is reported for context; the probe samples the
     construction, it does not reproduce the full counting argument.
     """
-    if eps <= 0 or delta <= 0:
-        raise ParameterError("eps and delta must be positive")
+    if not (0.0 < eps < math.inf and 0.0 < delta < math.inf):
+        raise ParameterError("eps and delta must be finite and positive")
+    if trials < 0:
+        raise ParameterError("trials must be non-negative")
     if profile is None or references is None:
         eqs = enumerate_equilibria(game, tol=tol)
         if len(eqs) == 0:

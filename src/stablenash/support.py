@@ -153,8 +153,8 @@ def find_well_supported(
     None when nothing is feasible up to ``max_support``, and raises
     :class:`ResourceBudgetError` before any LP when those pairs exceed ``budget``.
     """
-    if eps < 0:
-        raise ParameterError("eps must be non-negative")
+    if not 0.0 <= eps < math.inf:
+        raise ParameterError("eps must be finite and non-negative")
     cap = min(game.shape)
     max_support = cap if max_support is None else min(max_support, cap)
     sizes = [pair for k in range(1, max_support + 1) for pair in _size_pairs(k)]

@@ -148,7 +148,9 @@ class TestPipelines:
         # the traced benchmark checks its per-module solve_lp spans against
         # the calls of lp._validate, which solve_lp runs once per LP; a sweep
         # member routed through _validate would make it report a problem.
-        # The three calls reach every module that calls solve_lp
+        # The four calls reach every module that calls solve_lp; the oracle
+        # solves a lone LP only when its LP pass has a single screened pair,
+        # as the last game's does
         path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
         spec = importlib.util.spec_from_file_location("bench_spans", path)
         spans = importlib.util.module_from_spec(spec)
@@ -162,6 +164,7 @@ class TestPipelines:
                 (["certify", "--mode", "ws", "--eps", "0.05", "--trials", "4"],
                  sn.meeting_game(3)),
                 (["solve", "--eps", "0.01"], sn.embed(sn.random_game(3, 3, 0), 0.0002).game),
+                (["oracle"], sn.BimatrixGame([[1, 1, 1], [0, 0, 0]], [[1, 0, 0], [0, 0, 0]])),
             ):
                 code, _, _ = run_cli(
                     monkeypatch, capsys, args,
@@ -301,6 +304,28 @@ class TestExitCodes:
         )
         assert code == EXIT_INVALID
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["certify", "--mode", "ws", "--eps", "nan"], "eps"),
+            (["certify", "--mode", "approx", "--eps", "nan"], "eps"),
+            (["certify", "--mode", "perturb", "--eps", "nan"], "eps"),
+            (["certify", "--mode", "ws", "--eps", "0.05", "--trials", "-5"], "trials"),
+            (["solve", "--eps", "nan"], "eps"),
+            (["probe", "--eps", "0.1", "--delta", "0.1", "--trials", "-2"], "trials"),
+            (["embed", "--eps", "nan"], "eps"),
+        ],
+        ids=["ws_eps_nan", "approx_eps_nan", "perturb_eps_nan", "certify_trials_negative",
+             "solve_eps_nan", "probe_trials_negative", "embed_eps_nan"],
+    )
+    def test_bad_parameter_is_invalid(self, monkeypatch, capsys, argv, name):
+        # each used to exit 0 with a meaningless report, exit 1 with a
+        # traceback, or exit 2 with a message about LPs or payoffs
+        _, game_json, _ = run_cli(monkeypatch, capsys, ["generate", "--family", "mp"])
+        code, out, err = run_cli(monkeypatch, capsys, argv, stdin_text=game_json)
+        assert code == EXIT_INVALID
+        assert out == "" and err.startswith(f"error: {name} ") and err.count("\n") == 1
 
     def test_lp_tolerance_of_one_or_more_is_invalid(self, monkeypatch, capsys):
         _, game_json, _ = run_cli(monkeypatch, capsys, ["generate", "--family", "mp"])

@@ -18,6 +18,7 @@ from stablenash.lp import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    LpOutcome,
     solve_lp,
     solve_stack,
 )
@@ -341,6 +342,78 @@ def test_random_stacks_reach_every_status():
 @given(st.integers(0, 100_000), st.booleans())
 def test_member_row_stack_matches_solve_lp_bitwise(seed, real):
     _assert_stack_is_scalar(*_random_member_stack(seed, real))
+
+
+_HALVES = st.integers(-4, 4).map(lambda v: v / 2.0)
+_REALS = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def _small_lps(draw, values):
+    """One LP ``(A, relations, rhs, lower, upper, objective)`` with up to
+    four rows of every relation and four variables, whose lower bounds are
+    mostly nonzero and whose upper bounds are finite or not."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def vector(size, elements=values):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)), dtype=float)
+
+    lower = vector(n)
+    gaps = vector(n, st.one_of(st.just(np.inf), _HALVES.map(abs)))
+    return (
+        vector(m * n).reshape(m, n),
+        np.array(draw(st.lists(st.sampled_from(["<=", "=", ">="]), min_size=m, max_size=m))),
+        vector(m),
+        lower,
+        lower + gaps,
+        vector(n),
+    )
+
+
+def _padded(lp, height, width):
+    """``lp`` with zero columns (objective 0, bounds [0, inf)) and ``0 <= 0``
+    rows after its own, to ``height`` rows and ``width`` columns."""
+    A, relations, rhs, lower, upper, objective = lp
+    rows, cols = height - A.shape[0], width - A.shape[1]
+    return (
+        np.pad(A, ((0, rows), (0, cols))),
+        np.concatenate((relations, np.full(rows, "<="))),
+        np.pad(rhs, (0, rows)),
+        np.pad(lower, (0, cols)),
+        np.pad(upper, (0, cols), constant_values=np.inf),
+        np.pad(objective, (0, cols)),
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.sampled_from([_HALVES, _REALS]).flatmap(
+        lambda values: st.lists(_small_lps(values), min_size=2, max_size=3)
+    ),
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
+def test_padded_members_match_their_own_lps_bitwise(lps, extra_rows, extra_cols):
+    # members of different sizes padded to one shape, as the oracle pads its
+    # support LPs: each member's status, solution prefix and objective are
+    # those of solve_lp on its own LP, and its padding columns stay at 0
+    height = max(lp[0].shape[0] for lp in lps) + extra_rows
+    width = max(lp[0].shape[1] for lp in lps) + extra_cols
+    stack = [np.stack(parts) for parts in zip(*(_padded(lp, height, width) for lp in lps))]
+    try:
+        want = [_outcome_bytes(solve_lp(_member_lp(*(a[None] for a in lp), 0))) for lp in lps]
+    except SolverError:
+        with pytest.raises(SolverError):
+            solve_stack(*stack)
+        return
+    got = []
+    for lp, out in zip(lps, solve_stack(*stack)):
+        n = lp[0].shape[1]
+        if out.solution is not None:
+            assert not out.solution[n:].any()
+            out = LpOutcome(out.status, out.solution[:n], out.objective_value)
+        got.append(_outcome_bytes(out))
+    assert got == want
 
 
 def _degenerate_vertex(lp, x):

@@ -338,13 +338,27 @@ def test_screened_lp_loop_matches_unscreened_on_meeting_battery():
         _assert_same_lp_pass(game)
 
 
+def test_screened_lp_loop_matches_unscreened_on_meeting_games():
+    # their column LPs span every support size in one padded stack
+    for n in (3, 4, 5):
+        _assert_same_lp_pass(sn.meeting_game(n))
+
+
 @pytest.mark.parametrize("n, lps", [(3, 16), (4, 36), (5, 74)])
 def test_lp_loop_solves_only_screened_pairs(n, lps, monkeypatch):
-    # 70, 288 and 1,124 LPs without the screen; a stack counts its members
+    # 70, 288 and 1,124 LPs without the screen; a stack counts its members.
+    # All of them go into two stacks, the column player's and then the row
+    # player's, whatever their support sizes
     calls = _kernel_calls(monkeypatch)
+    stacks = []
+    counted = oracle.solve_stack
+    monkeypatch.setattr(
+        oracle, "solve_stack", lambda A, *rest: stacks.append(len(A)) or counted(A, *rest)
+    )
     eqs = sn.enumerate_equilibria(sn.meeting_game(n))
     assert len(eqs) == n * (n + 1) // 2
     assert calls.count("solve_lp") + calls.count("solve_stack") == lps
+    assert len(stacks) == 2 and sum(stacks) == lps
 
 
 def _assert_same_midpoint_check(game):

@@ -701,3 +701,38 @@ class TestSplitProbeSharesThePartition:
             row, col = _per_trial_probe(meeting3, eps, 0.01, 20, seed, profile)
             assert report["row"] == row and report["col"] == col
         assert row["deviations"] == 20
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_raise(bad, matching_pennies):
+    # NaN slips past a plain "< 0" check, and an infinite eps or delta
+    # would make non-finite perturbations, LP rows or report fields
+    game = matching_pennies
+    eq = sn.enumerate_equilibria(game).equilibria[0]
+    p = sn.MixedStrategy.from_probs([0.4, 0.15, 0.15, 0.15, 0.15])
+    split = sn.heavy_light_partition(p, 4, 0.01)
+    calls = [
+        lambda: sn.estimate_perturbation_stability(game, bad),
+        lambda: sn.estimate_approximation_stability(game, bad),
+        lambda: sn.sample_approximate_equilibria(game, bad, 4),
+        lambda: sn.perturbation_witness(game, eq, bad),
+        lambda: sn.internal_deviation(game, eq, bad),
+        lambda: sn.random_split_deviation(p, split, bad, seed=0),
+        lambda: sn.random_split_probe(game, bad, 0.1),
+        lambda: sn.random_split_probe(game, 0.1, bad),
+        lambda: sn.find_well_supported(game, bad),
+        lambda: embed(game, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError):
+            call()
+
+
+def test_negative_trials_raise(matching_pennies):
+    for call in (
+        sn.estimate_perturbation_stability,
+        sn.estimate_approximation_stability,
+        lambda game, eps, trials: sn.random_split_probe(game, eps, eps, trials),
+    ):
+        with pytest.raises(ParameterError):
+            call(matching_pennies, 0.05, trials=-1)
