@@ -140,10 +140,14 @@ class MixedStrategy:
 
         The rows are checked, truncated and renormalized with the arithmetic
         of :meth:`from_probs`, so the strategies are bitwise those of one
-        ``from_probs`` call per row.
+        ``from_probs`` call per row. The supports come from one ``V != 0``
+        mask, read row by row.
         """
         V = _clean(np.asarray(rows, dtype=float), tol, True)
-        return [cls(v, tuple(np.flatnonzero(v).tolist())) for v in V]
+        mask = V != 0
+        cols = np.nonzero(mask)[1].tolist()  # row-major: each row's support in turn
+        ends = np.cumsum(mask.sum(axis=1)).tolist()
+        return [cls(v, tuple(cols[a:b])) for v, a, b in zip(V, [0] + ends, ends)]
 
     @classmethod
     def point_mass(cls, index: int, n: int) -> "MixedStrategy":

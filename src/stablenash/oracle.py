@@ -565,7 +565,27 @@ def enumerate_equilibria(
 
 
 def distance_to_set(profile: StrategyProfile, eqs: EquilibriumSet) -> float:
-    """Minimum profile distance from ``profile`` to the listed equilibria."""
+    """Minimum profile distance from ``profile`` to the listed equilibria;
+    the one-profile view of :func:`distances_to_set`."""
+    return float(distances_to_set([profile], eqs)[0])
+
+
+def distances_to_set(profiles: list[StrategyProfile], eqs: EquilibriumSet) -> np.ndarray:
+    """Minimum profile distance from each of ``profiles`` to the listed
+    equilibria, as one array.
+
+    Each variation distance is half the sum of one row of absolute
+    differences, so every entry is bitwise :func:`profile_distance`'s
+    minimum over the list.
+    """
     if len(eqs) == 0:
         raise DomainError("distance to an empty equilibrium set is undefined")
-    return min(profile_distance(profile, e) for e in eqs.equilibria)
+
+    def side(strategies, listed):
+        E = np.array([s.probs for s in listed])
+        X = np.array([s.probs for s in strategies]).reshape(-1, E.shape[1])
+        return 0.5 * np.abs(X[:, None, :] - E).sum(axis=2)
+
+    row = side([p.row for p in profiles], [e.row for e in eqs.equilibria])
+    col = side([p.col for p in profiles], [e.col for e in eqs.equilibria])
+    return np.maximum(row, col).min(axis=1)

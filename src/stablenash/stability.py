@@ -50,6 +50,7 @@ from .core import (
     BimatrixGame,
     MixedStrategy,
     StrategyProfile,
+    _clean,
     is_perturbation_within,
     raw_regrets,
     regrets,
@@ -67,6 +68,7 @@ from .lp import FEASIBLE, OPTIMAL, LinearProgram, solve_lp, solve_stack
 from .oracle import (
     EquilibriumSet,
     distance_to_set,
+    distances_to_set,
     enumerate_equilibria,
     enumerate_stack,
     screened_pairs,
@@ -162,7 +164,8 @@ def estimate_perturbation_stability(
     entrywise uniform [-eps, eps] perturbations, all in one
     :func:`stablenash.oracle.enumerate_stack` call, and records the worst
     distance from a perturbed-game equilibrium to the original equilibrium
-    set. Ties keep the earliest witness, so output is seed-deterministic.
+    set, all of them measured by one :func:`stablenash.oracle.distances_to_set`
+    call. Ties keep the earliest witness, so output is seed-deterministic.
     """
     if not 0.0 <= eps < math.inf:
         raise ParameterError("eps must be finite and non-negative")
@@ -178,10 +181,12 @@ def estimate_perturbation_stability(
         candidates.append((f"random:{t}", _perturbed(game, dR, dC, eps)))
 
     sets = enumerate_stack([g_prime for _, g_prime in candidates], max_support, budget, tol)
+    found = [(label, g_prime, eq) for (label, g_prime), eqs in zip(candidates, sets)
+             for eq in eqs.equilibria]
     best: Optional[Witness] = None
-    for (label, g_prime), eqs in zip(candidates, sets):
-        for eq in eqs.equilibria:
-            d = distance_to_set(eq, base)
+    if found:
+        distances = distances_to_set([eq for _, _, eq in found], base).tolist()
+        for (label, g_prime, eq), d in zip(found, distances):
             if best is None or d > best.distance + tol.zero:
                 best = Witness(d, eq, label, g_prime)
     witnesses = (best,) if best is not None else ()
@@ -211,17 +216,21 @@ def sample_approximate_equilibria(
     still passes the mode's regret predicate; every returned profile has
     its predicate re-verified, so callers receive genuine eps-equilibria.
 
-    The samples move in lockstep: the starting points and targets are drawn
-    sample by sample (p0, q0, then the target index), then one
-    :func:`raw_regrets` call checks every starting point, one call per
-    bisection step checks the midpoints of the samples that failed it, and
-    one final call verifies their repaired points. The accepted points are
-    cleaned and validated as one stack (:meth:`StrategyProfile.from_rows`).
-    Samples are returned in the order they were drawn; at most
-    ``STACK_FLOATS`` probabilities are stacked at a time.
+    The samples move in lockstep, a chunk of m at a time, at most
+    ``STACK_FLOATS`` probabilities per chunk. Each chunk is drawn as three
+    blocks, in this order: the m row starting points (one Dirichlet(1, ...,
+    1) call with ``size=m``), the m column starting points, then the m
+    target indices. Then one :func:`raw_regrets` call checks every starting
+    point, one call per bisection step checks the midpoints of the samples
+    that failed it, and one final call verifies their repaired points. The
+    accepted points are cleaned and validated as one stack
+    (:meth:`StrategyProfile.from_rows`). Samples are returned in the order
+    they were drawn.
     """
     if not tol.eq <= eps < math.inf:
         raise ParameterError("eps must be finite and at least the equilibrium tolerance")
+    if count < 0 or steps < 0:
+        raise ParameterError("count and steps must be non-negative")
     if eqs is None:
         eqs = enumerate_equilibria(game, tol=tol)
     if len(eqs) == 0:
@@ -243,13 +252,9 @@ def sample_approximate_equilibria(
     chunk = max(1, STACK_FLOATS // (rows + cols))
     for start in range(0, count, chunk):
         m = min(chunk, count - start)
-        P = np.empty((m, rows))
-        Q = np.empty((m, cols))
-        target = np.empty(m, dtype=np.intp)
-        for k in range(m):
-            P[k] = rng.dirichlet(np.ones(rows))
-            Q[k] = rng.dirichlet(np.ones(cols))
-            target[k] = rng.integers(len(eqs))
+        P = rng.dirichlet(np.ones(rows), size=m)
+        Q = rng.dirichlet(np.ones(cols), size=m)
+        target = rng.integers(len(eqs), size=m)
         passed = ok(P, Q)
         active = np.flatnonzero(~passed)
         if active.size:
@@ -725,6 +730,74 @@ def internal_deviation(
     return out
 
 
+def _split_light(
+    p: MixedStrategy, split: HeavyLightSplit, delta: float, tol: Tolerances
+) -> tuple[list[int], np.ndarray]:
+    """The light indices of ``split`` and p's probabilities there, checked
+    to carry the 8*delta mass a 3*delta split needs."""
+    light = list(split.light)
+    if not light:
+        raise PreconditionError("light part is empty")
+    light_probs = p.probs[light]
+    light_mass = float(light_probs.sum())
+    if light_mass < 8.0 * delta - tol.zero:
+        raise PreconditionError(
+            f"light mass {light_mass:.3g} below the 8*delta threshold {8 * delta:.3g}"
+        )
+    return light, light_probs
+
+
+def _split_coins(
+    light_probs: np.ndarray,
+    delta: float,
+    rng: np.random.Generator,
+    tol: Tolerances,
+    retries: int,
+) -> Optional[tuple[np.ndarray, float, float]]:
+    """Fair coins for the light entries, drawn one attempt at a time until
+    both classes can carry the transfer: ``(coins, up_mass, down_mass)``,
+    or None after ``retries`` illegal draws."""
+    for _ in range(retries):
+        coins = rng.integers(0, 2, size=light_probs.size)
+        up_mass = float(light_probs[coins == 1].sum())
+        down_mass = float(light_probs[coins == 0].sum())
+        # legality: the tails class must be able to shed 3*delta
+        if up_mass <= tol.zero or down_mass < 3.0 * delta + tol.zero:
+            continue
+        return coins, up_mass, down_mass
+    return None
+
+
+def _split_deviations(
+    probs: np.ndarray,
+    light: list[int],
+    light_probs: np.ndarray,
+    draws: list[tuple[np.ndarray, float, float]],
+    delta: float,
+    tol: Tolerances,
+) -> np.ndarray:
+    """The 3*delta split deviation of ``probs`` for each legal coin draw, one
+    cleaned row per draw (truncated, not renormalized, as
+    :meth:`MixedStrategy.from_probs` with ``renormalize=False``).
+
+    Each row's moved mass is checked to be 3*delta, raising
+    :class:`CertificateError` otherwise.
+    """
+    coins = np.array([c for c, _, _ in draws]).reshape(len(draws), len(light))
+    up = np.array([u for _, u, _ in draws])[:, None]
+    down = np.array([d for _, _, d in draws])[:, None]
+    V = np.tile(probs, (len(draws), 1))
+    V[:, light] += 3.0 * delta * light_probs * (coins / up - (1 - coins) / down)
+    V = _clean(V, tol, renormalize=False)
+    moved = 0.5 * np.abs(probs - V).sum(axis=1)
+    wrong = np.flatnonzero(np.abs(moved - 3.0 * delta) > 10.0 * tol.zero)
+    if wrong.size:
+        raise CertificateError(
+            f"split deviation moved {moved[wrong[0]]:.3g} instead of {3 * delta:.3g}"
+        )
+    return V
+
+
 def random_split_deviation(
     p: MixedStrategy,
     split: HeavyLightSplit,
@@ -738,42 +811,20 @@ def random_split_deviation(
     Light entries with heads absorb 3*delta extra mass pro rata; tails
     entries shed it pro rata. Heavy entries are untouched (bitwise). Draws
     are rejected until both coin classes can support the transfer, so with
-    a single light atom the construction always fails.
+    a single light atom the construction always fails. This is the one-row
+    view of the stacked kernel that :func:`random_split_probe` runs over all
+    its trials.
     """
     if not 0.0 < delta < math.inf:
         raise ParameterError("delta must be finite and positive")
-    light = list(split.light)
-    if not light:
-        raise PreconditionError("light part is empty")
-    light_probs = p.probs[light]
-    light_mass = float(light_probs.sum())
-    if light_mass < 8.0 * delta - tol.zero:
-        raise PreconditionError(
-            f"light mass {light_mass:.3g} below the 8*delta threshold {8 * delta:.3g}"
+    light, light_probs = _split_light(p, split, delta, tol)
+    draw = _split_coins(light_probs, delta, np.random.default_rng(seed), tol, retries)
+    if draw is None:
+        raise DegenerateInputError(
+            f"no legal coin split after {retries} draws (light part too small)"
         )
-    rng = np.random.default_rng(seed)
-    for _ in range(retries):
-        coins = rng.integers(0, 2, size=len(light))
-        up_mass = float(light_probs[coins == 1].sum())
-        down_mass = float(light_probs[coins == 0].sum())
-        # legality: the tails class must be able to shed 3*delta
-        if up_mass <= tol.zero or down_mass < 3.0 * delta + tol.zero:
-            continue
-        v = p.probs.copy()
-        adj = 3.0 * delta * light_probs * (
-            coins / up_mass - (1 - coins) / down_mass
-        )
-        v[light] += adj
-        out = MixedStrategy.from_probs(v, tol, renormalize=False)
-        moved = variation_distance(p, out)
-        if abs(moved - 3.0 * delta) > 10.0 * tol.zero:
-            raise CertificateError(
-                f"split deviation moved {moved:.3g} instead of {3 * delta:.3g}"
-            )
-        return out
-    raise DegenerateInputError(
-        f"no legal coin split after {retries} draws (light part too small)"
-    )
+    (v,) = _split_deviations(p.probs, light, light_probs, [draw], delta, tol)
+    return MixedStrategy(v, tuple(np.flatnonzero(v).tolist()))
 
 
 def random_split_probe(
@@ -791,8 +842,10 @@ def random_split_probe(
 
     For each side, partitions the strategy once at sample size
     S = coeff * (delta/eps)^2 * log(n) and measures its distance to each
-    reference once; each trial then attempts the 3*delta split (its moved
-    mass checked per trial by :func:`random_split_deviation`) and counts
+    reference once. Each trial then draws its coins for the 3*delta split
+    attempt by attempt, as :func:`random_split_deviation` does. The legal
+    deviations of all trials are built, cleaned and checked (each row's
+    moved mass) as one stack, and the probe counts
     violations of (a) the payoff-drift bound over every pure
     payoff-difference direction (their maximum is the spread of the drift
     vector, so the full n^2 family is covered exactly) and (b) the distance
@@ -819,11 +872,6 @@ def random_split_probe(
     def side_report(strategy: MixedStrategy, payoff: np.ndarray,
                     refs: list[MixedStrategy], n: int) -> dict:
         S = max(light_sample_size(n, eps, delta, coeff), 1.0)
-        degenerate = 0
-        deviations = 0
-        payoff_violations = 0
-        distance_violations = 0
-        max_drift = 0.0
         # The partition and the reference distances depend only on the
         # strategy, so all trials share them; only the coins differ.
         split = heavy_light_partition(strategy, S, min(delta, 0.125), tol)
@@ -831,32 +879,34 @@ def random_split_probe(
         concentrated = 0
         if not split.light or light_mass < 8.0 * delta - tol.zero:
             concentrated = trials
-        floors = [variation_distance(strategy, ref) for ref in refs]
-        for _ in range(trials - concentrated):
-            try:
-                dev = random_split_deviation(strategy, split, delta, rng, tol)
-            except DegenerateInputError:
-                degenerate += 1
-                continue
-            deviations += 1
-            shift = (dev.probs - strategy.probs) @ payoff
-            drift = float(shift.max() - shift.min())
-            max_drift = max(max_drift, drift)
-            if drift > eps + tol.zero:
-                payoff_violations += 1
-            for ref, floor in zip(refs, floors):
-                if variation_distance(dev, ref) <= floor - delta:
-                    distance_violations += 1
-                    break
+        draws = []
+        if trials > concentrated:
+            light, light_probs = _split_light(strategy, split, delta, tol)
+            draws = [
+                _split_coins(light_probs, delta, rng, tol, SPLIT_RETRY_LIMIT)
+                for _ in range(trials - concentrated)
+            ]
+        legal = [draw for draw in draws if draw is not None]
+        drift = np.zeros(0)
+        distance_violations = 0
+        if legal:
+            V = _split_deviations(strategy.probs, light, light_probs, legal, delta, tol)
+            # one vector @ matrix per row, as a lone deviation is measured
+            shift = ((V - strategy.probs)[:, None, :] @ payoff)[:, 0, :]
+            drift = shift.max(axis=1) - shift.min(axis=1)
+            refs_probs = np.array([ref.probs for ref in refs]).reshape(len(refs), n)
+            floors = 0.5 * np.abs(strategy.probs - refs_probs).sum(axis=1)
+            gaps = 0.5 * np.abs(V[:, None, :] - refs_probs).sum(axis=2)
+            distance_violations = int((gaps <= floors - delta).any(axis=1).sum())
         return {
             "trials": trials,
             "sample_size": S,
             "concentrated": concentrated,
-            "degenerate": degenerate,
-            "deviations": deviations,
-            "payoff_violations": payoff_violations,
+            "degenerate": len(draws) - len(legal),
+            "deviations": len(legal),
+            "payoff_violations": int((drift > eps + tol.zero).sum()),
             "distance_violations": distance_violations,
-            "max_payoff_drift": max_drift,
+            "max_payoff_drift": float(drift.max(initial=0.0)),
         }
 
     report = {

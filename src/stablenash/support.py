@@ -187,26 +187,27 @@ def heavy_light_partition(
     if not 0 < delta <= 0.125 + 1e-12:
         raise ParameterError("delta must lie in (0, 1/8]")
     probs = p.probs
-    order = sorted(p.support, key=lambda i: (-probs[i], i))
-    heavy: list[int] = []
+    support = np.asarray(p.support, dtype=np.intp)
+    # descending by probability; the stable sort keeps ties in index order
+    order = support[np.argsort(-probs[support], kind="stable")]
     pos = 0
     mass_target = 1.0 - 8.0 * delta
     while True:
         light = order[pos:]
-        light_mass = float(probs[light].sum()) if light else 0.0
-        if not light or max(probs[i] for i in light) <= light_mass / S + tol.zero:
+        light_mass = float(probs[light].sum()) if light.size else 0.0
+        # the light part's largest entry is its first
+        if not light.size or probs[light[0]] <= light_mass / S + tol.zero:
             terminated = "light-threshold"
             break
         if 1.0 - light_mass >= mass_target - tol.zero:
             terminated = "mass-threshold"
             break
-        heavy.append(order[pos])
         pos += 1
-    light = order[pos:]
-    beta = float(probs[heavy].sum()) if heavy else 0.0
+    heavy = order[:pos]
+    beta = float(probs[heavy].sum()) if heavy.size else 0.0
     return HeavyLightSplit(
-        heavy=tuple(sorted(heavy)),
-        light=tuple(sorted(light)),
+        heavy=tuple(sorted(heavy.tolist())),
+        light=tuple(sorted(order[pos:].tolist())),
         beta=beta,
         terminated_by=terminated,
     )
@@ -215,14 +216,17 @@ def heavy_light_partition(
 def lmm_sample(p: MixedStrategy, k: int, seed) -> MixedStrategy:
     """Empirical distribution of k i.i.d. draws from ``p``.
 
-    Every output entry is a multiple of 1/k and the mass is exactly 1;
-    deterministic given the seed.
+    The counts are one multinomial(k, p) draw over p's support, O(n) work
+    rather than one draw per sample, so the support stays inside p's. The
+    counts sum to k: every output entry is a multiple of 1/k and the mass
+    is 1 up to rounding. Deterministic given the seed.
     """
     if k < 1:
         raise ParameterError("sample count must be at least 1")
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(p), size=k, p=p.probs)
-    counts = np.bincount(idx, minlength=len(p))
+    support = list(p.support)
+    counts = np.zeros(len(p))
+    counts[support] = rng.multinomial(k, p.probs[support])
     return MixedStrategy.from_probs(counts / float(k))
 
 

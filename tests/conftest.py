@@ -1,11 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import stablenash as sn
 from stablenash import oracle, stability, support
-from stablenash.config import DEFAULT_PARTITION_BUDGET, DEFAULT_TOLS
+from stablenash.config import DEFAULT_PARTITION_BUDGET, DEFAULT_TOLS, STACK_FLOATS
+from stablenash.errors import PreconditionError
 from stablenash.lp import OPTIMAL, LinearProgram, solve_lp
 
 ACCEPTANCE_LINES: list[str] = []
@@ -64,39 +66,143 @@ def random_simplex(rng, n):
 def scalar_sampler(game, eps, count, seed, well_supported, eqs, steps=48, zero=1e-9):
     """Reference sampler: one sample at a time, through ``naive_regrets``.
 
-    Draws p0, q0 and the target index per sample in the library's order and
-    bisects each failing sample on its own; returns (p, q) vectors before
-    cleaning, in sample order.
+    Draws each chunk as the library does, with the library's chunk size:
+    the row starting points, the column starting points, then the target
+    indices, one block call each. Then bisects each failing sample on its
+    own; returns (p, q) vectors before cleaning, in sample order.
     """
     rng = np.random.default_rng(seed)
     rows, cols = game.shape
     key = ("row_ws_gap", "col_ws_gap") if well_supported else ("row_regret", "col_regret")
+    chunk = max(1, STACK_FLOATS // (rows + cols))
 
     def ok(p, q):
         rep = naive_regrets(game.R, game.C, p, q, zero)
         return max(rep[key[0]], rep[key[1]]) <= eps
 
     out = []
-    for _ in range(count):
-        p0 = rng.dirichlet(np.ones(rows))
-        q0 = rng.dirichlet(np.ones(cols))
-        target = eqs.equilibria[int(rng.integers(len(eqs)))]
-        tp, tq = target.row.probs, target.col.probs
-        if ok(p0, q0):
-            out.append((p0, q0))
-            continue
-        lo, hi = 0.0, 1.0
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            if ok((1 - mid) * p0 + mid * tp, (1 - mid) * q0 + mid * tq):
-                hi = mid
-            else:
-                lo = mid
-        p = (1 - hi) * p0 + hi * tp
-        q = (1 - hi) * q0 + hi * tq
-        if ok(p, q):
-            out.append((p, q))
+    for start in range(0, count, chunk):
+        m = min(chunk, count - start)
+        P = rng.dirichlet(np.ones(rows), size=m)
+        Q = rng.dirichlet(np.ones(cols), size=m)
+        targets = rng.integers(len(eqs), size=m)
+        for p0, q0, t in zip(P, Q, targets):
+            target = eqs.equilibria[int(t)]
+            tp, tq = target.row.probs, target.col.probs
+            if ok(p0, q0):
+                out.append((p0, q0))
+                continue
+            lo, hi = 0.0, 1.0
+            for _ in range(steps):
+                mid = 0.5 * (lo + hi)
+                if ok((1 - mid) * p0 + mid * tp, (1 - mid) * q0 + mid * tq):
+                    hi = mid
+                else:
+                    lo = mid
+            p = (1 - hi) * p0 + hi * tp
+            q = (1 - hi) * q0 + hi * tq
+            if ok(p, q):
+                out.append((p, q))
     return out
+
+
+def naive_heavy_light_partition(p, S, delta, tol=DEFAULT_TOLS):
+    """Reference heavy/light split: a Python sort and, before each move, a
+    Python max over the whole light part (O(n^2) work). Returns the
+    ``HeavyLightSplit`` the library's greedy rule makes."""
+    probs = p.probs
+    order = sorted(p.support, key=lambda i: (-probs[i], i))
+    heavy = []
+    pos = 0
+    while True:
+        light = order[pos:]
+        light_mass = float(probs[light].sum()) if light else 0.0
+        if not light or max(probs[i] for i in light) <= light_mass / S + tol.zero:
+            terminated = "light-threshold"
+            break
+        if 1.0 - light_mass >= 1.0 - 8.0 * delta - tol.zero:
+            terminated = "mass-threshold"
+            break
+        heavy.append(order[pos])
+        pos += 1
+    return support.HeavyLightSplit(
+        heavy=tuple(sorted(heavy)),
+        light=tuple(sorted(order[pos:])),
+        beta=float(probs[heavy].sum()) if heavy else 0.0,
+        terminated_by=terminated,
+    )
+
+
+def scalar_split_deviation(p, split, delta, rng, tol=DEFAULT_TOLS, retries=64):
+    """Reference 3*delta split deviation, one coin draw per attempt and one
+    ``from_probs`` per deviation; None when no draw is legal."""
+    light = list(split.light)
+    light_probs = p.probs[light]
+    for _ in range(retries):
+        coins = rng.integers(0, 2, size=len(light))
+        up_mass = float(light_probs[coins == 1].sum())
+        down_mass = float(light_probs[coins == 0].sum())
+        if up_mass <= tol.zero or down_mass < 3.0 * delta + tol.zero:
+            continue
+        v = p.probs.copy()
+        v[light] += 3.0 * delta * light_probs * (coins / up_mass - (1 - coins) / down_mass)
+        out = sn.MixedStrategy.from_probs(v, tol, renormalize=False)
+        assert abs(sn.variation_distance(p, out) - 3.0 * delta) <= 10.0 * tol.zero
+        return out
+    return None
+
+
+def scalar_split_probe(game, eps, delta, trials, seed, profile, references, coeff,
+                       tol=DEFAULT_TOLS):
+    """Reference split probe: one deviation, one matvec and one
+    ``variation_distance`` per reference at a time; returns the report
+    ``random_split_probe`` makes."""
+    rng = np.random.default_rng(seed)
+    rows, cols = game.shape
+
+    def side(strategy, payoff, refs, n):
+        S = max(support.light_sample_size(n, eps, delta, coeff), 1.0)
+        out = dict.fromkeys(("degenerate", "deviations", "payoff_violations",
+                             "distance_violations"), 0)
+        max_drift = 0.0
+        split = naive_heavy_light_partition(strategy, S, min(delta, 0.125), tol)
+        concentrated = 0
+        if not split.light or 1.0 - split.beta < 8.0 * delta - tol.zero:
+            concentrated = trials
+        elif float(strategy.probs[list(split.light)].sum()) < 8.0 * delta - tol.zero and trials:
+            raise PreconditionError("light mass below the 8*delta threshold")
+        floors = [sn.variation_distance(strategy, ref) for ref in refs]
+        for _ in range(trials - concentrated):
+            dev = scalar_split_deviation(strategy, split, delta, rng, tol)
+            if dev is None:
+                out["degenerate"] += 1
+                continue
+            out["deviations"] += 1
+            shift = (dev.probs - strategy.probs) @ payoff
+            drift = float(shift.max() - shift.min())
+            max_drift = max(max_drift, drift)
+            out["payoff_violations"] += drift > eps + tol.zero
+            out["distance_violations"] += any(
+                sn.variation_distance(dev, ref) <= floor - delta
+                for ref, floor in zip(refs, floors)
+            )
+        out.update(trials=trials, sample_size=S, concentrated=concentrated,
+                   max_payoff_drift=max_drift)
+        return out
+
+    return {
+        "eps": eps,
+        "delta": delta,
+        "row": side(profile.row, game.C, [r.row for r in references], rows),
+        "col": side(profile.col, np.ascontiguousarray(game.R.T),
+                    [r.col for r in references], cols),
+        "reference_family": {
+            "pure_difference_vectors": rows * rows + cols * cols,
+            "reference_distributions": len(references),
+            "log_reference_bound": sn.config.PROBE_REFERENCE_COEFF
+            * (delta / eps) ** 2 * math.log(max(rows, cols)),
+        },
+    }
 
 
 def region_arrays(rows):

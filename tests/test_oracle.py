@@ -97,6 +97,30 @@ class TestDistanceToSet:
         probe = sn.StrategyProfile.from_vectors([1, 0, 0], [1, 0, 0])
         with pytest.raises(DomainError):
             sn.distance_to_set(probe, empty)
+        with pytest.raises(DomainError):
+            oracle.distances_to_set([probe], empty)
+
+    @settings(max_examples=60, derandomize=True)
+    @given(st.integers(0, 10_000), st.integers(0, 12), st.integers(1, 6))
+    def test_stack_matches_loop_of_profile_distances(self, seed, count, listed):
+        # each entry is bitwise the minimum of a Python loop over
+        # profile_distance, the way one profile was measured before
+        rng = np.random.default_rng(seed)
+        rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+
+        def profile():
+            return sn.StrategyProfile.from_vectors(
+                rng.dirichlet(np.ones(rows)), rng.dirichlet(np.ones(cols))
+            )
+
+        eqs = sn.EquilibriumSet(tuple(profile() for _ in range(listed)), True, {})
+        profiles = [profile() for _ in range(count)]
+        got = oracle.distances_to_set(profiles, eqs)
+        assert got.shape == (count,)
+        for profile, d in zip(profiles, got.tolist()):
+            want = min(sn.profile_distance(profile, e) for e in eqs.equilibria)
+            assert d == want
+            assert sn.distance_to_set(profile, eqs) == want
 
 
 def _closed_form_2x2(R, C):

@@ -11,7 +11,8 @@ from stablenash.errors import (
     ResourceBudgetError,
 )
 from stablenash import lp, oracle, stability
-from stablenash.config import DEFAULT_ENUM_BUDGET, DEFAULT_PARTITION_BUDGET
+from stablenash.config import DEFAULT_ENUM_BUDGET, DEFAULT_PARTITION_BUDGET, SPLIT_RETRY_LIMIT
+from stablenash.serialize import canonical_dumps
 from stablenash.embedding import embed
 from stablenash.lp import INFEASIBLE, OPTIMAL, LpOutcome, solve_lp, solve_stack
 from stablenash.stability import MODE_PLAIN, MODE_WELL_SUPPORTED, perturbation_battery
@@ -21,6 +22,8 @@ from conftest import (
     profile_bytes,
     region_arrays,
     scalar_sampler,
+    scalar_split_deviation,
+    scalar_split_probe,
     subset_max_distance,
     unscreened_ws_candidates,
 )
@@ -82,6 +85,20 @@ class TestPerturbationStability:
         sn.estimate_perturbation_stability(meeting3, 0.02, trials=2, seed=5)
         assert len(lps) + sum(stacks) == 871
         assert min(stacks) > 1
+
+    def test_battery_is_measured_by_one_array_distance(self, meeting3, monkeypatch):
+        calls = []
+        real = stability.distances_to_set
+
+        def counted(profiles, eqs):
+            calls.append(len(profiles))
+            return real(profiles, eqs)
+
+        monkeypatch.setattr(stability, "distances_to_set", counted)
+        monkeypatch.setattr(stability, "distance_to_set", None)  # not reached
+        rep = sn.estimate_perturbation_stability(meeting3, 0.02, trials=2, seed=1)
+        assert len(calls) == 1 and calls[0] > len(perturbation_battery(meeting3, 0.02))
+        assert rep.delta_hat > 0.0
 
     def test_battery_is_one_enumerate_stack_call(self, meeting3, monkeypatch):
         calls = []
@@ -341,12 +358,21 @@ def test_witness_ignores_float_dust(estimate, jump_at, monkeypatch):
     # displace the earliest witness; a lead of 1e-6 still must
     seen = []
 
-    def rising(profile, eqs):
-        seen.append(profile)
-        k = len(seen) - 1
+    def distance(k):
         return 0.25 + 1e-16 * k + (1e-6 if k == jump_at else 0.0)
 
+    def rising(profile, eqs):
+        seen.append(profile)
+        return distance(len(seen) - 1)
+
+    def rising_stack(profiles, eqs):
+        seen.extend(profiles)
+        return np.array([distance(k) for k in range(len(seen) - len(profiles), len(seen))])
+
+    # the approximation estimators measure one candidate at a time, the
+    # perturbation estimator all perturbed equilibria at once
     monkeypatch.setattr(stability, "distance_to_set", rising)
+    monkeypatch.setattr(stability, "distances_to_set", rising_stack)
     rep = _ESTIMATES[estimate]()
     assert len(seen) > 4
     first = 0 if jump_at is None else jump_at
@@ -468,6 +494,27 @@ class TestLockstepSampler:
         for x, y in zip(a, b):
             assert np.array_equal(x.row.probs, y.row.probs)
             assert np.array_equal(x.col.probs, y.col.probs)
+
+    def test_chunk_is_drawn_as_three_blocks(self, meeting3):
+        class Counting(np.random.Generator):
+            def __init__(self, bit_generator):
+                super().__init__(bit_generator)
+                self.calls = []
+
+            def dirichlet(self, alpha, size=None):
+                self.calls.append(("dirichlet", len(alpha), size))
+                return super().dirichlet(alpha, size)
+
+            def integers(self, *args, **kwargs):
+                self.calls.append(("integers", kwargs.get("size")))
+                return super().integers(*args, **kwargs)
+
+        rng = Counting(np.random.PCG64(6))
+        samples = sn.sample_approximate_equilibria(meeting3, 0.05, 50, seed=rng)
+        # one chunk of 50: p0, q0, then the targets, one block call each
+        assert rng.calls == [("dirichlet", 3, 50), ("dirichlet", 3, 50), ("integers", 50)]
+        same = sn.sample_approximate_equilibria(meeting3, 0.05, 50, seed=6)
+        assert [profile_bytes(s) for s in samples] == [profile_bytes(s) for s in same]
 
 
 class TestPerturbationWitness:
@@ -631,6 +678,90 @@ class TestRandomSplitProbe:
             sn.random_split_probe(meeting3, eps=0.0, delta=0.1)
 
 
+@st.composite
+def _split_cases(draw):
+    """A strategy, a light part carrying at least 8*delta mass, delta, a
+    trial count and a seed."""
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(2, 40))
+    p = sn.MixedStrategy.from_probs(rng.dirichlet(np.full(n, draw(st.sampled_from([0.3, 1.0, 20.0])))))
+    light = tuple(sorted(rng.choice(p.support, size=draw(st.integers(1, len(p.support))),
+                                    replace=False).tolist()))
+    heavy = tuple(i for i in p.support if i not in light)
+    split = sn.HeavyLightSplit(heavy, light, float(p.probs[list(heavy)].sum()), "mass-threshold")
+    light_mass = float(p.probs[list(light)].sum())
+    delta = draw(st.floats(1e-4, 1.0)) * light_mass / 8.0
+    return p, split, delta, draw(st.integers(0, 25)), seed
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_split_cases())
+def test_stacked_split_deviations_match_per_trial(case):
+    # the probe's stack of deviations, row by row, is bitwise what one
+    # random_split_deviation call per trial makes on the same coins
+    p, split, delta, trials, seed = case
+    tol = sn.DEFAULT_TOLS
+    light, light_probs = stability._split_light(p, split, delta, tol)
+    rng = np.random.default_rng(seed)
+    draws = [stability._split_coins(light_probs, delta, rng, tol, SPLIT_RETRY_LIMIT)
+             for _ in range(trials)]
+    legal = [d for d in draws if d is not None]
+    stacked = stability._split_deviations(p.probs, light, light_probs, legal, delta, tol)
+    rng = np.random.default_rng(seed)
+    per_trial = []
+    for _ in range(trials):
+        try:
+            per_trial.append(sn.random_split_deviation(p, split, delta, rng, tol))
+        except DegenerateInputError:
+            pass
+    rng = np.random.default_rng(seed)
+    scalar = [scalar_split_deviation(p, split, delta, rng, tol) for _ in range(trials)]
+    scalar = [dev for dev in scalar if dev is not None]
+    assert len(per_trial) == len(scalar) == len(stacked) == len(legal)
+    for row, dev, ref in zip(stacked, per_trial, scalar):
+        assert row.tobytes() == dev.probs.tobytes() == ref.probs.tobytes()
+        assert tuple(np.flatnonzero(row).tolist()) == dev.support == ref.support
+
+
+@st.composite
+def _probe_cases(draw):
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    rows, cols = draw(st.integers(2, 30)), draw(st.integers(2, 30))
+    game = sn.BimatrixGame(rng.random((rows, cols)), rng.random((rows, cols)))
+
+    def strategy(n):
+        kind = draw(st.sampled_from(["uniform", "dirichlet", "spiked"]))
+        if kind == "uniform":
+            return np.full(n, 1.0 / n)
+        return rng.dirichlet(np.full(n, 5.0 if kind == "dirichlet" else 0.5))
+
+    profiles = [sn.StrategyProfile.from_vectors(strategy(rows), strategy(cols))
+                for _ in range(draw(st.integers(1, 3)))]
+    eps = draw(st.sampled_from([0.05, 0.1, 0.3]))
+    delta = draw(st.sampled_from([0.005, 0.01, 0.02, 0.05]))
+    coeff = draw(st.sampled_from([1.0, 10.0, 100.0, sn.config.LIGHT_SAMPLE_COEFF]))
+    return game, eps, delta, draw(st.integers(0, 40)), seed, profiles, coeff
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_probe_cases())
+def test_probe_reports_match_scalar_reference_bytes(case):
+    # the stacked probe's report is byte for byte the one-trial-at-a-time
+    # reference's, drifts from one vector @ matrix per deviation included
+    game, eps, delta, trials, seed, profiles, coeff = case
+    profile, refs = profiles[0], profiles
+    try:
+        want = scalar_split_probe(game, eps, delta, trials, seed, profile, refs, coeff)
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            sn.random_split_probe(game, eps, delta, trials, seed, profile, refs, coeff)
+        return
+    got = sn.random_split_probe(game, eps, delta, trials, seed, profile, refs, coeff)
+    assert canonical_dumps(got) == canonical_dumps(want)
+
+
 def _per_trial_probe(game, eps, delta, trials, seed, profile=None, references=None):
     """The probe with the partition and reference distances recomputed in
     every trial, as a reference for the per-side version."""
@@ -736,3 +867,15 @@ def test_negative_trials_raise(matching_pennies):
     ):
         with pytest.raises(ParameterError):
             call(matching_pennies, 0.05, trials=-1)
+
+
+def test_negative_sample_count_raises(matching_pennies):
+    # count=-3 would otherwise return [] as if nothing passed
+    with pytest.raises(ParameterError):
+        sn.sample_approximate_equilibria(matching_pennies, 0.05, -3)
+
+
+def test_negative_bisection_steps_raise(matching_pennies):
+    # steps=-4 would otherwise skip the bisection without a word
+    with pytest.raises(ParameterError):
+        sn.sample_approximate_equilibria(matching_pennies, 0.05, 10, steps=-4)

@@ -13,6 +13,7 @@ from stablenash.lp import LinearProgram, solve_lp
 from stablenash.support import light_sample_size
 
 from conftest import (
+    naive_heavy_light_partition,
     profile_bytes,
     random_simplex,
     region_arrays,
@@ -297,6 +298,35 @@ class TestHeavyLightPartition:
             assert split.beta >= 1.0 - 8.0 * delta - 1e-9
 
 
+    @settings(max_examples=80, derandomize=True)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 60),
+        st.sampled_from(["dirichlet", "ties", "flat", "spiked"]),
+        st.floats(0.001, 0.125),
+        st.floats(0.5, 200.0),
+    )
+    def test_bitwise_naive_reference(self, seed, n, shape, delta, S):
+        # ties and flat inputs exercise the index tie-break and the first
+        # test of the loop; the split must be bitwise the naive one's
+        rng = np.random.default_rng(seed)
+        if shape == "dirichlet":
+            v = random_simplex(rng, n)
+        elif shape == "ties":
+            v = rng.integers(0, 4, size=n).astype(float)
+            v[int(rng.integers(n))] += 1.0
+        elif shape == "flat":
+            v = np.ones(n)
+        else:
+            v = np.full(n, 0.01)
+            v[rng.permutation(n)[: max(1, n // 5)]] = 1.0
+        p = sn.MixedStrategy.from_probs(v / v.sum())
+        got = sn.heavy_light_partition(p, S, delta)
+        want = naive_heavy_light_partition(p, S, delta)
+        assert got == want
+        assert repr(got.beta) == repr(want.beta)
+
+
 class TestLmmSample:
     def test_point_mass_fixed(self):
         p = sn.MixedStrategy.point_mass(2, 5)
@@ -329,6 +359,42 @@ class TestLmmSample:
             if dev <= 0.15:
                 hits += 1
         assert hits >= 95
+
+    def test_law_of_the_multinomial(self):
+        # each entry of k draws is Binomial(k, p_i)/k, so its mean over 200
+        # seeds lies within 4 standard errors sqrt(p_i (1 - p_i) / (200 k))
+        p = sn.MixedStrategy.from_probs([0.5, 0.0, 0.3, 0.15, 0.05, 0.0])
+        k, seeds = 37, 200
+        outs = [sn.lmm_sample(p, k, seed=seed) for seed in range(seeds)]
+        for out in outs:
+            counts = np.rint(out.probs * k)
+            assert np.abs(out.probs * k - counts).max() <= 1e-9
+            assert counts.sum() == k  # so the counts/k sum to exactly 1
+            assert abs(out.probs.sum() - 1.0) <= 1e-15
+            assert set(out.support) <= set(p.support)
+        mean = np.mean([out.probs for out in outs], axis=0)
+        se = np.sqrt(p.probs * (1.0 - p.probs) / (seeds * k))
+        assert (np.abs(mean - p.probs) <= 4.0 * se).all()
+        with pytest.raises(ParameterError):
+            sn.lmm_sample(p, 0, seed=0)
+
+    def test_one_multinomial_draw(self):
+        class Counting(np.random.Generator):
+            def __init__(self, bit_generator):
+                super().__init__(bit_generator)
+                self.calls = []
+
+            def multinomial(self, *args, **kwargs):
+                self.calls.append("multinomial")
+                return super().multinomial(*args, **kwargs)
+
+            def choice(self, *args, **kwargs):
+                self.calls.append("choice")
+                return super().choice(*args, **kwargs)
+
+        rng = Counting(np.random.PCG64(4))
+        sn.lmm_sample(sn.MixedStrategy.uniform(30), 50_000, rng)
+        assert rng.calls == ["multinomial"]
 
 
 class TestSmallSupportApproximation:
