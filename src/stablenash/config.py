@@ -7,7 +7,8 @@ error stays far below 1e-9.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 from .errors import ParameterError
 
@@ -21,6 +22,8 @@ class Tolerances:
     lp      - simplex pivot / feasibility tolerance, below 1
     eq      - equilibrium verification threshold on regrets
     dedup   - variation distance below which two profiles are merged
+
+    Every tolerance must be finite and non-negative.
     """
 
     zero: float = 1e-9
@@ -30,6 +33,12 @@ class Tolerances:
     dedup: float = 1e-6
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0.0 <= value < math.inf:
+                raise ParameterError(
+                    f"the {f.name} tolerance {value} must be finite and non-negative"
+                )
         # below 1, the simplex's phase-1 drive-out always has a real pivot
         # (lp.solve_lp)
         if not self.lp < 1.0:

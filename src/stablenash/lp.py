@@ -16,12 +16,20 @@ tableau is padded to the stack's shape, and the padding never changes a
 member's pivots, so every member's outcome is bitwise that of
 :func:`solve_lp` on the same LP. A stack of one costs more than
 :func:`solve_lp`, so callers holding a single LP keep calling it.
+
+Members whose rows, relations, right-hand sides and bounds are the same
+bytes form one region. Phase 1 never reads the objective, so the stack runs
+it once per region and starts each member's phase 2 from a copy of the
+region's tableau and basis, padded anew: every member's outcome stays
+bitwise what it would be with a phase 1 of its own. The subset LPs of a
+distance maximization differ only in their objectives, so most of their
+phase-1 work goes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -412,16 +420,33 @@ def solve_stack(
     entering and ratio-tie rules, pivot arithmetic, phase-1 scale test and
     drive-out.
 
-    The members' tableaus are padded to one shape. A member with fewer
-    standardized rows (fewer equalities or finite upper bounds) gets
-    all-zero rows after its own, each with its own slack basic at 0; one
-    with fewer artificials gets all-zero artificial columns. No padding can
-    enter, leave or price a pivot. Every input is validated as an array,
-    before any pivot; every solution is verified against its member's own
-    rows with :func:`solve_lp`'s slack rule. A stack is solved in chunks
-    whose tableaus, working copies and pivot temporaries together hold
-    fewer than ``STACK_FLOATS`` floats.
+    Members whose rows, relations, right-hand sides and bounds have the
+    same bytes form one region, and phase 1 runs once per region: it never
+    reads the objective, so every member of a region would repeat the same
+    pivots. Each member then runs phase 2 from a copy of its region's
+    phase-1 tableau and basis. Regions are keyed by bytes, so ``-0.0`` and
+    ``0.0`` never share one.
+
+    The tableaus are padded to one shape. A member with fewer standardized
+    rows (fewer equalities or finite upper bounds) gets all-zero rows after
+    its own, each with its own slack basic at 0; one with fewer
+    artificials gets all-zero artificial columns. No padding can enter,
+    leave or price a pivot, so a region's phase-1 result may be padded
+    anew for phase 2. Every input is validated as an array, before any
+    pivot; every solution is verified against its member's own rows with
+    :func:`solve_lp`'s slack rule. A stack is solved in chunks whose
+    tableaus, working copies and pivot temporaries together hold fewer
+    than ``STACK_FLOATS`` floats.
     """
+    return _solve_stack(A, relations, rhs, lower, upper, objective, tol, None)
+
+
+def _solve_stack(A, relations, rhs, lower, upper, objective, tol: Tolerances, kept):
+    """:func:`solve_stack`, keeping each region's phase-1 result in the dict
+    ``kept`` when one is given, so that later calls with the same dict reuse
+    it (:func:`stablenash.stability.max_distance` keeps one for the length
+    of its call). With ``kept`` None a result lives only while this call
+    still has members of its region."""
     A = np.asarray(A, dtype=float)
     relations = np.asarray(relations)
     rhs = np.asarray(rhs, dtype=float)
@@ -449,6 +474,13 @@ def solve_stack(
         raise ValidationError("stack members need finite lower bounds")
     code = eq + 2 * ge  # relations as indices into _RELATIONS
 
+    # a member's region: its shape and the bytes of its rows, relations,
+    # right-hand sides and bounds
+    flat = np.concatenate((A.reshape(members, A.shape[1] * n), code, rhs, lower, upper), axis=1)
+    keys = [(A.shape[1], row.tobytes()) for row in flat]
+    regions = {} if kept is None else kept
+    last = {key: k for k, key in enumerate(keys)}
+
     # a member's standardized rows: one per inequality, two per equality,
     # one per finite upper bound
     height = A.shape[1] + eq.sum(axis=1) + np.isfinite(upper).sum(axis=1)
@@ -460,17 +492,34 @@ def solve_stack(
     for start in range(0, members, chunk):
         part = slice(start, start + chunk)
         out += _solve_chunk(
-            A[part], code[part], rhs[part], lower[part], upper[part], objective[part], tol.lp
+            A[part], code[part], rhs[part], lower[part], upper[part], objective[part],
+            keys[part], regions, tol.lp,
         )
+        if kept is None:
+            for key in keys[part]:
+                if last[key] < start + chunk:
+                    regions.pop(key, None)
     return out
 
 
-def _solve_chunk(
-    A, code, b, lower, upper, objective, eps: float
-) -> list[LpOutcome]:
-    """One chunk of :func:`solve_stack`: member k's rows are ``A[k]``,
-    ``b[k]`` with relations ``code[k]``, indices into ``_RELATIONS``; its
-    tableau rows past its own are padding."""
+class _PhaseOne(NamedTuple):
+    """Phase-1 results of a stack of regions: the tableaus ``T`` with the
+    artificial columns dropped (the rows, then the reduced-cost row; the
+    decision and slack columns, then the rhs), their ``basis``, which
+    regions are ``feasible`` and each one's own standardized row count
+    ``height``."""
+
+    T: np.ndarray
+    basis: np.ndarray
+    feasible: np.ndarray
+    height: np.ndarray
+
+
+def _phase_one(A, code, b, lower, upper, eps: float) -> _PhaseOne:
+    """Standardize a stack of regions and run phase 1 on them in lockstep:
+    member k's rows are ``A[k]``, ``b[k]`` with relations ``code[k]``,
+    indices into ``_RELATIONS``; its tableau rows past its own are
+    padding."""
     K, n = lower.shape
     # each member's rows as _standardize forms them: c <= b for a <= or =
     # row, then -c <= -b for a >= or = row
@@ -537,10 +586,49 @@ def _solve_chunk(
             V, Vb = T[need], basis[need]
             _pivot_stack(V, Vb, np.full(need.size, r), real.argmax(axis=1))
             T[need], basis[need] = V, Vb
+        T = np.concatenate((T[:, :, :n_real], T[:, :, -1:]), axis=2)
+    return _PhaseOne(T, basis, feasible, m0 + finite.sum(axis=1))
 
-    live = np.flatnonzero(feasible)
-    T = np.concatenate((T[live, :, :n_real], T[live, :, -1:]), axis=2)
-    basis = basis[live]
+
+def _solve_chunk(
+    A, code, b, lower, upper, objective, keys, regions, eps: float
+) -> list[LpOutcome]:
+    """One chunk of :func:`solve_stack`: phase 1 for the regions of
+    ``keys`` not yet in ``regions`` (a dict from a key to its
+    :class:`_PhaseOne` and index there), then phase 2 for every feasible
+    member from its region's result, padded to the chunk's shape."""
+    K, n = lower.shape
+    new: dict = {}  # a region not yet solved, and its first member here
+    for k, key in enumerate(keys):
+        if key not in regions:
+            new.setdefault(key, k)
+    if new:
+        first = list(new.values())
+        result = _phase_one(A[first], code[first], b[first], lower[first], upper[first], eps)
+        regions.update((key, (result, j)) for j, key in enumerate(new))
+    records = [regions[key] for key in keys]
+    live = np.array([k for k, (ph, j) in enumerate(records) if ph.feasible[j]], dtype=int)
+
+    # each live member's phase-1 tableau, padded to this chunk's rows: the
+    # rows and columns past a region's own are padding wherever it was solved
+    blocks: dict = {}  # id of a _PhaseOne -> (it, positions in live, its indices)
+    for pos, k in enumerate(live.tolist()):
+        ph, j = records[k]
+        _, at, idx = blocks.setdefault(id(ph), (ph, [], []))
+        at.append(pos)
+        idx.append(j)
+    R = max((int(ph.height[idx].max()) for ph, _, idx in blocks.values()), default=0)
+    n_real = n + R
+    T = np.zeros((live.size, R + 1, n_real + 1))
+    i = np.arange(R)
+    T[:, i, n + i] = 1.0
+    basis = np.tile(np.arange(n, n_real), (live.size, 1))
+    for ph, pos, idx in blocks.values():
+        r = min(ph.basis.shape[1], R)
+        T[pos, :r, : n + r] = ph.T[idx, :r, : n + r]
+        T[pos, :r, -1] = ph.T[idx, :r, -1]
+        basis[pos, :r] = ph.basis[idx, :r]
+
     cost = np.zeros((live.size, n_real))
     cost[:, :n] = objective[live]
     _price_out_stack(T, basis, cost)

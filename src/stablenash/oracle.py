@@ -32,6 +32,16 @@ support, then the row player's LPs as a second; a lone LP goes to
 :func:`stablenash.lp.solve_lp`. Each game gets the equilibria, order and
 completeness it gets alone, bit for bit.
 
+Each pass admits a game's candidates once (:func:`_admit`). The batched
+pass collects a game's candidate rows in visit order and admits them when
+the pass ends; a game that falls back discards them. The LP loop admits a
+game's solved pairs in pair order. A pass cleans all its candidates as one
+stack; an admission checks a game's with one
+:func:`stablenash.core.raw_regrets` call, then, in visit order, drops each
+within ``tol.dedup`` of a listed equilibrium or of an earlier admitted
+one. Each keeps the profiles, order and bytes that admitting one candidate
+at a time gives.
+
 The degeneracy witnesses are a singular tie system that is still
 consistent, and an accepted side solution with more than k tied opponent
 actions. They catch every degenerate strategy: if x has support S of size
@@ -42,6 +52,7 @@ consistent or has the unique solution x, with extra ties.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -49,8 +60,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .config import DEFAULT_ENUM_BUDGET, DEFAULT_TOLS, Tolerances
-from .core import BimatrixGame, StrategyProfile, profile_distance, raw_regrets, regrets
+from .config import DEFAULT_ENUM_BUDGET, DEFAULT_TOLS, STACK_FLOATS, Tolerances
+from .core import BimatrixGame, StrategyProfile, raw_regrets
+from .core import regrets  # unused here; bench/spans.py traces it by this name
 from .errors import DomainError, ResourceBudgetError
 from .lp import OPTIMAL, LinearProgram, solve_lp, solve_stack
 
@@ -157,19 +169,56 @@ def _support_lps(
 def _admit(
     game: BimatrixGame,
     found: list[StrategyProfile],
-    p: np.ndarray,
-    q: np.ndarray,
+    candidates: list[StrategyProfile],
     tol: Tolerances,
-) -> bool:
-    """Append (p, q) to ``found`` if it verifies and is not a near-duplicate."""
-    profile = StrategyProfile.from_vectors(p, q, tol)
-    report = regrets(game, profile, tol)
-    if max(report.max_regret, report.max_ws_gap) > tol.eq:
-        return False
-    if any(profile_distance(profile, other) <= tol.dedup for other in found):
-        return False
-    found.append(profile)
-    return True
+) -> np.ndarray:
+    """Append to ``found``, in order, each of the cleaned ``candidates``
+    that verifies and lies farther than ``tol.dedup`` from every listed
+    equilibrium and every earlier admitted candidate; returns the indices
+    of the admitted ones.
+
+    One :func:`raw_regrets` call checks every candidate.
+    """
+    if not candidates:
+        return np.zeros(0, dtype=int)
+    P = np.array([c.row.probs for c in candidates])
+    Q = np.array([c.col.probs for c in candidates])
+    regret = functools.reduce(np.maximum, raw_regrets(game.R, game.C, P, Q, 0.0))
+    live = np.flatnonzero(regret <= tol.eq)
+    if found or live.size > 1:  # else nothing is near the one candidate
+        live = live[_apart(P[live], Q[live], found, tol.dedup)]
+    found.extend(candidates[i] for i in live.tolist())
+    return live
+
+
+def _apart(
+    P: np.ndarray, Q: np.ndarray, listed: list[StrategyProfile], dedup: float
+) -> np.ndarray:
+    """Which profiles of the stack (P, Q) lie farther than ``dedup`` from
+    every profile in ``listed`` and every earlier one kept, in row order.
+
+    Distances are half the sum of a row of absolute differences, bitwise
+    :func:`profile_distance`, taken a block of rows at a time against the
+    listed profiles and the rows before them, at most ``STACK_FLOATS``
+    differences per block.
+    """
+    XP = np.concatenate((P, np.array([e.row.probs for e in listed]).reshape(-1, P.shape[1])))
+    XQ = np.concatenate((Q, np.array([e.col.probs for e in listed]).reshape(-1, Q.shape[1])))
+    keep = np.ones(len(XP), dtype=bool)
+    index = np.arange(len(XP))
+    step = max(1, STACK_FLOATS // (len(XP) * max(P.shape[1], Q.shape[1])))
+    for start in range(0, len(P), step):
+        block = np.arange(start, min(start + step, len(P)))
+        dist = np.maximum(
+            0.5 * np.abs(XP[block, None] - XP).sum(axis=2),
+            0.5 * np.abs(XQ[block, None] - XQ).sum(axis=2),
+        )
+        # a row meets the listed profiles and the rows before it, which are
+        # settled by then
+        near = (dist <= dedup) & ((index < block[:, None]) | (index >= len(P)))
+        for b in np.flatnonzero(near.any(axis=1)):
+            keep[block[b]] = not (near[b] & keep).any()
+    return keep[: len(P)]
 
 
 def best_response_screen(
@@ -281,11 +330,14 @@ def _lp_pass(
     fires before any LP. The column player's LPs of all of them, whatever
     their sizes, are then solved as one padded stack (:func:`_support_lps`,
     ``_CHUNK`` pairs at a time), and the row player's LPs of the pairs whose
-    column LP found a distribution as a second. Returns, per game, the
-    equilibria in visit order and whether a found equilibrium marks a
-    component: its supports differ in size, so the side with more own
+    column LP found a distribution as a second. The solutions are cleaned
+    as one stack, and each game's are admitted in pair order by one
+    :func:`_admit` call. Returns, per
+    game, the equilibria in visit order and whether an admitted pair marks
+    a component: its supports differ in size, so the side with more own
     actions than tied opponent actions is underdetermined, or one of its
-    square tie systems is singular.
+    square tie systems is singular, tested with one rank computation per
+    support size.
     """
     R = np.array([game.R for game in games])
     CT = np.array([game.C.T for game in games])
@@ -315,16 +367,32 @@ def _lp_pass(
 
     found: list[list[StrategyProfile]] = [[] for _ in games]
     degenerate = [False] * len(games)
-    for i, (g, S_p, S_q) in enumerate(pairs):
-        if i not in solved or not _admit(games[g], found[g], *solved[i], tol):
-            continue
-        if len(S_p) != len(S_q):
-            degenerate[g] = True
-            continue
-        P, Q = np.array([S_p]), np.array([S_q])
-        A = np.concatenate((_tie_systems(R[[g]], Q, P), _tie_systems(CT[[g]], P, Q)))
-        if (np.linalg.matrix_rank(A, tol=_RANK_TOL) < len(S_p) + 1).any():
-            degenerate[g] = True
+    order = sorted(solved)  # pair order, which lists the games in turn
+    candidates = StrategyProfile.from_rows(
+        np.array([solved[i][0] for i in order]).reshape(-1, R.shape[1]),
+        np.array([solved[i][1] for i in order]).reshape(-1, R.shape[2]),
+        tol,
+    )
+    by_game: dict[int, list[tuple[int, StrategyProfile]]] = {}
+    for i, candidate in zip(order, candidates):
+        by_game.setdefault(int(at[i]), []).append((i, candidate))
+    for g, mine in by_game.items():
+        admitted = _admit(games[g], found[g], [c for _, c in mine], tol)
+        # the admitted pairs of equal sizes, by size; one of unequal sizes
+        # marks a component at once
+        square: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+        for i in np.array([i for i, _ in mine])[admitted].tolist():
+            _, S_p, S_q = pairs[i]
+            if len(S_p) != len(S_q):
+                degenerate[g] = True
+            else:
+                square.setdefault(len(S_p), []).append((S_p, S_q))
+        for k, supports in square.items():
+            if degenerate[g]:
+                break
+            P, Q = (np.array(side) for side in zip(*supports))
+            A = np.concatenate((_tie_systems(R[[g]], Q, P), _tie_systems(CT[[g]], P, Q)))
+            degenerate[g] = bool((np.linalg.matrix_rank(A, tol=_RANK_TOL) < k + 1).any())
     return list(zip(found, degenerate))
 
 
@@ -435,10 +503,13 @@ def _batched_pass(
     of all games still in the pass are stacked, whole, up to ``_CHUNK``
     pairs at a time. A game's entry is None once a degeneracy witness
     shows among its pairs, when only the LP loop is complete for it; the
-    game then leaves the pass.
+    game then leaves the pass. Once the pass ends, the other games'
+    candidates are cleaned as one stack (:meth:`StrategyProfile.from_rows`)
+    and admitted in visit order, one :func:`_admit` call per game.
     """
     rows, cols = games[0].shape
-    found: list[Optional[list[StrategyProfile]]] = [[] for _ in games]
+    # each game's candidate rows in visit order, None once it falls back
+    found: list[Optional[list[tuple[np.ndarray, np.ndarray]]]] = [[] for _ in games]
     # the games still in the pass, and their payoff stacks
     live = list(range(len(games)))
     R = np.array([game.R for game in games])
@@ -458,21 +529,33 @@ def _batched_pass(
                 for b in np.flatnonzero(fell):
                     found[live[start + b]] = None
                 ok &= ~np.repeat(fell, len(ip))
-            for m in np.flatnonzero(ok):
-                b, pair = divmod(int(m), len(ip))
-                p = np.zeros(rows)
-                p[S_p[pair]] = p_x[m]
-                q = np.zeros(cols)
-                q[S_q[pair]] = q_x[m]
-                game = live[start + b]
-                _admit(games[game], found[game], p, q, tol)
+            m = np.flatnonzero(ok)
+            if not m.size:
+                continue
+            b, pair = np.divmod(m, len(ip))
+            p = np.zeros((m.size, rows))
+            p[np.arange(m.size)[:, None], S_p[pair]] = p_x[m]
+            q = np.zeros((m.size, cols))
+            q[np.arange(m.size)[:, None], S_q[pair]] = q_x[m]
+            for g in dict.fromkeys(b.tolist()):
+                found[live[start + g]].append((p[b == g], q[b == g]))
         kept = [i for i, g in enumerate(live) if found[g] is not None]
         if len(kept) < len(live):
             if not kept:
                 break
             live = [live[i] for i in kept]
             R, CT = R[kept], CT[kept]
-    return found
+    out: list[Optional[list[StrategyProfile]]] = [
+        None if blocks is None else [] for blocks in found
+    ]
+    ready = [g for g, blocks in enumerate(found) if blocks]
+    if ready:
+        P, Q = (np.concatenate(side) for side in zip(*(b for g in ready for b in found[g])))
+        candidates = iter(StrategyProfile.from_rows(P, Q, tol))
+        for g in ready:
+            mine = list(itertools.islice(candidates, sum(len(p) for p, _ in found[g])))
+            _admit(games[g], out[g], mine, tol)
+    return out
 
 
 def _midpoint_component(

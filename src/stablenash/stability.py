@@ -64,8 +64,8 @@ from .errors import (
     PreconditionError,
     ResourceBudgetError,
 )
-from .lp import FEASIBLE, OPTIMAL, LinearProgram, solve_lp, solve_stack
-from .oracle import (
+from .lp import FEASIBLE, OPTIMAL, LinearProgram, _solve_stack, solve_lp
+from .oracle import (  # distance_to_set is unused here; bench/spans.py traces it by this name
     EquilibriumSet,
     distance_to_set,
     distances_to_set,
@@ -359,12 +359,13 @@ def max_distance(requests: list[_Request], budget: int, tol: Tolerances) -> list
     bounds of all of them.
     """
     searches = _searches(requests, budget)
+    kept: dict = {}  # each region's phase-1 result, for the rounds of this call
     # the singletons, or the empty set when nothing is movable
     todo = [
         1 << np.arange(len(s.movable)) if len(s.movable) else np.zeros(1, dtype=int)
         for s in searches
     ]
-    for s, (values, _) in zip(searches, _subset_round(searches, todo, tol)):
+    for s, (values, _) in zip(searches, _subset_round(searches, todo, tol, kept)):
         k = len(s.movable)
         gain = (values - s.pinned)[:k]  # the empty set's value when k = 0 is dropped
         s.bound = s.pinned + np.minimum(_subset_sums(s.ref[s.movable]), _subset_sums(gain))
@@ -380,7 +381,7 @@ def max_distance(requests: list[_Request], budget: int, tol: Tolerances) -> list
             todo.append(top)
         if not any(masks.size for masks in todo):
             return [2.0 * s.best for s in searches]
-        _subset_round(searches, todo, tol)
+        _subset_round(searches, todo, tol, kept)
 
 
 def subset_sweep(
@@ -414,7 +415,10 @@ def subset_sweep(
 
 
 def _subset_round(
-    searches: list[_Search], todo: list[np.ndarray], tol: Tolerances
+    searches: list[_Search],
+    todo: list[np.ndarray],
+    tol: Tolerances,
+    kept: Optional[dict] = None,
 ) -> list[tuple[np.ndarray, list[Optional[np.ndarray]]]]:
     """Solve the subset LPs ``todo[i]`` (bit masks over the movable entries)
     of every search i, raising its incumbent; returns, per search, each
@@ -422,7 +426,10 @@ def _subset_round(
     is infeasible.
 
     Members are grouped by region shape (rows, variables), and each group
-    is one :func:`stablenash.lp.solve_stack` call with per-member rows.
+    is one :func:`stablenash.lp.solve_stack` call with per-member rows. The
+    subset LPs of one region differ only in their objectives, so the stack
+    runs phase 1 once per region; ``kept`` holds those results across the
+    rounds of one :func:`max_distance` call.
     """
     groups: dict = {}
     for i, masks in enumerate(todo):
@@ -443,7 +450,7 @@ def _subset_round(
             np.repeat(np.stack([getattr(searches[i], f) for i in members]), sizes, axis=0)
             for f in ("A", "rel", "b", "upper")
         )
-        outcomes = solve_stack(A, rel, b, np.zeros_like(objective), upper, objective, tol)
+        outcomes = _solve_stack(A, rel, b, np.zeros_like(objective), upper, objective, tol, kept)
         for (i, j), obj, out in zip(owners, objective, outcomes):
             if out.status == OPTIMAL:
                 s = searches[i]
@@ -586,7 +593,10 @@ def estimate_approximation_stability(
 
     Searches with (i) LP distance maximization per support pattern and
     (ii) random sampling with repair; every candidate is re-verified against
-    the mode's regret predicate before it can contribute.
+    the mode's regret predicate before it can contribute. All candidates
+    are checked in one :func:`raw_regrets` call and the passing ones
+    measured in one :func:`stablenash.oracle.distances_to_set` call; ties
+    keep the earliest witness.
     """
     if mode == "plain":
         mode = MODE_PLAIN
@@ -609,17 +619,24 @@ def estimate_approximation_stability(
         )
         candidates.extend((f"sample:{i}", s) for i, s in enumerate(samples))
 
-    well_supported = mode == MODE_WELL_SUPPORTED
     best: Optional[Witness] = None
-    for label, profile in candidates:
-        rep = regrets(game, profile, tol)
-        measure = rep.max_ws_gap if well_supported else rep.max_regret
-        if measure > eps + tol.eq:
-            log.debug("discarding candidate %s with measure %.3g", label, measure)
-            continue
-        d = distance_to_set(profile, base)
-        if best is None or d > best.distance + tol.zero:
-            best = Witness(d, profile, label)
+    if candidates:
+        P = np.array([profile.row.probs for _, profile in candidates])
+        Q = np.array([profile.col.probs for _, profile in candidates])
+        row_regret, col_regret, row_gap, col_gap = raw_regrets(game.R, game.C, P, Q, 0.0)
+        if mode == MODE_WELL_SUPPORTED:
+            measure = np.maximum(row_gap, col_gap)
+        else:
+            measure = np.maximum(row_regret, col_regret)
+        passing = measure <= eps + tol.eq
+        for i in np.flatnonzero(~passing).tolist():
+            log.debug("discarding candidate %s with measure %.3g", candidates[i][0], measure[i])
+        passed = [candidates[i] for i in np.flatnonzero(passing).tolist()]
+        if passed:
+            distances = distances_to_set([profile for _, profile in passed], base).tolist()
+            for (label, profile), d in zip(passed, distances):
+                if best is None or d > best.distance + tol.zero:
+                    best = Witness(d, profile, label)
     return StabilityReport(
         epsilon=eps,
         delta_hat=best.distance if best else 0.0,

@@ -150,13 +150,16 @@ def find_well_supported(
     lexicographically, so the smallest certificate is found first; only the
     pairs that pass the best-response screen reach the LPs, and
     ``supports_tried`` counts every pair visited, screened or not. Returns
-    None when nothing is feasible up to ``max_support``, and raises
-    :class:`ResourceBudgetError` before any LP when those pairs exceed ``budget``.
+    None when nothing is feasible up to ``max_support``, which must be at
+    least 1, and raises :class:`ResourceBudgetError` before any LP when
+    those pairs exceed ``budget``.
     """
     if not 0.0 <= eps < math.inf:
         raise ParameterError("eps must be finite and non-negative")
     cap = min(game.shape)
     max_support = cap if max_support is None else min(max_support, cap)
+    if max_support < 1:
+        raise DomainError("max_support must be at least 1")
     sizes = [pair for k in range(1, max_support + 1) for pair in _size_pairs(k)]
     for tried, S_p, S_q in screened_pairs(game, sizes, eps, budget, tol):
         profile = well_supported_feasible(game, S_p, S_q, eps, tol)

@@ -6,7 +6,12 @@ import pytest
 
 import stablenash as sn
 from stablenash import oracle, stability, support
-from stablenash.config import DEFAULT_PARTITION_BUDGET, DEFAULT_TOLS, STACK_FLOATS
+from stablenash.config import (
+    DEFAULT_ENUM_BUDGET,
+    DEFAULT_PARTITION_BUDGET,
+    DEFAULT_TOLS,
+    STACK_FLOATS,
+)
 from stablenash.errors import PreconditionError
 from stablenash.lp import OPTIMAL, LinearProgram, solve_lp
 
@@ -291,6 +296,19 @@ def scalar_support_lp(payoff, own_support, eq_rows, tol=DEFAULT_TOLS):
     return full
 
 
+def scalar_admit(game, found, p, q, tol=DEFAULT_TOLS):
+    """Reference admission of one candidate: append (p, q) to ``found`` if
+    it verifies and is not within ``tol.dedup`` of a listed profile."""
+    profile = sn.StrategyProfile.from_vectors(p, q, tol)
+    report = sn.regrets(game, profile, tol)
+    if max(report.max_regret, report.max_ws_gap) > tol.eq:
+        return False
+    if any(sn.profile_distance(profile, other) <= tol.dedup for other in found):
+        return False
+    found.append(profile)
+    return True
+
+
 def unscreened_lp_pass(game, max_support, tol=DEFAULT_TOLS):
     """Reference LP loop: both LPs on every support pair, no screen.
 
@@ -311,7 +329,7 @@ def unscreened_lp_pass(game, max_support, tol=DEFAULT_TOLS):
                     p = scalar_support_lp(CT, S_p, S_q, tol)
                     if p is None:
                         continue
-                    if not oracle._admit(game, found, p, q, tol):
+                    if not scalar_admit(game, found, p, q, tol):
                         continue
                     if kp != kq:
                         degenerate = True
@@ -417,6 +435,33 @@ def unscreened_ws_candidates(game, eps, base, tol=DEFAULT_TOLS):
                     (f"{label}:ref:{r_idx}", sn.StrategyProfile.from_vectors(p_far, q_far, tol))
                 )
     return out
+
+
+def scalar_estimate_witness(game, eps, mode, trials, seed, tol=DEFAULT_TOLS):
+    """The approximation estimator's witness ``(distance, label, profile)``,
+    or None, from its own candidates checked one at a time: one scalar
+    ``regrets`` call and one ``distance_to_set`` call each, the earliest
+    candidate kept on ties."""
+    base = sn.enumerate_equilibria(game, tol=tol)
+    if mode == stability.MODE_PLAIN:
+        candidates = stability._plain_candidates(game, eps, base, tol)
+    else:
+        candidates = stability._ws_candidates(game, eps, base, DEFAULT_ENUM_BUDGET, tol)
+    if trials > 0 and eps >= tol.eq:
+        samples = stability.sample_approximate_equilibria(
+            game, eps, trials, seed, mode=mode, eqs=base, tol=tol
+        )
+        candidates += [(f"sample:{i}", s) for i, s in enumerate(samples)]
+    best = None
+    for label, profile in candidates:
+        rep = sn.regrets(game, profile, tol)
+        measure = rep.max_ws_gap if mode == stability.MODE_WELL_SUPPORTED else rep.max_regret
+        if measure > eps + tol.eq:
+            continue
+        d = oracle.distance_to_set(profile, base)
+        if best is None or d > best[0] + tol.zero:
+            best = (d, label, profile)
+    return best
 
 
 def profile_bytes(profile):

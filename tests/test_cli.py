@@ -9,7 +9,16 @@ import pytest
 import stablenash as sn
 from stablenash import cli, serialize
 from stablenash.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_USAGE, run
-from stablenash.lp import solve_stack
+from stablenash.lp import _solve_stack
+
+
+def load_spans():
+    """The traced benchmark's span recorder, ``bench/spans.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def run_cli(monkeypatch, capsys, args, stdin_text=""):
@@ -132,9 +141,9 @@ class TestPipelines:
 
         def counting(A, *rest):
             calls.extend(A)
-            return solve_stack(A, *rest)
+            return _solve_stack(A, *rest)
 
-        monkeypatch.setattr("stablenash.stability.solve_stack", counting)
+        monkeypatch.setattr("stablenash.stability._solve_stack", counting)
         game_json = serialize.canonical_dumps(serialize.game_to_dict(sn.matching_pennies()))
         code, _, _ = run_cli(
             monkeypatch, capsys,
@@ -151,10 +160,7 @@ class TestPipelines:
         # The four calls reach every module that calls solve_lp; the oracle
         # solves a lone LP only when its LP pass has a single screened pair,
         # as the last game's does
-        path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-        spec = importlib.util.spec_from_file_location("bench_spans", path)
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+        spans = load_spans()
         rec = spans.Recorder()
         restore = spans.install(rec)
         try:
@@ -193,6 +199,17 @@ class TestPipelines:
             report = json.loads(out)
             assert report["delta_hat"] >= 0.0
             assert report["epsilon"] == 0.05
+
+    def test_every_traced_name_is_bound(self):
+        # the traced benchmark rebinds each of these names where it is
+        # looked up; a module that stops binding one (an import it no longer
+        # calls, say) must fail here rather than in the traced run
+        missing = [
+            (module, attr)
+            for module, attr, _, _ in load_spans()._bindings()
+            if not hasattr(importlib.import_module(module), attr)
+        ]
+        assert not missing
 
     def test_embed_extract_pipeline(self, monkeypatch, capsys, tmp_path):
         _, game_json, _ = run_cli(monkeypatch, capsys, ["generate", "--family", "mp"])
@@ -326,6 +343,34 @@ class TestExitCodes:
         code, out, err = run_cli(monkeypatch, capsys, argv, stdin_text=game_json)
         assert code == EXIT_INVALID
         assert out == "" and err.startswith(f"error: {name} ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["oracle", "--tol-lp", "-1"], "lp"),
+            (["oracle", "--tol-eq", "nan"], "eq"),
+            (["solve", "--eps", "0.01", "--tol-lp", "-0.5"], "lp"),
+        ],
+        ids=["oracle_lp_negative", "oracle_eq_nan", "solve_lp_negative"],
+    )
+    def test_bad_tolerance_is_invalid(self, monkeypatch, capsys, argv, name):
+        # these used to exit 0 with an empty result, or exit 1 with a
+        # traceback after writing NaN into the JSON
+        game_json = serialize.canonical_dumps(serialize.game_to_dict(sn.meeting_game(3)))
+        code, out, err = run_cli(monkeypatch, capsys, argv, stdin_text=game_json)
+        assert code == EXIT_INVALID
+        assert out == "" and err.startswith(f"error: the {name} tolerance ")
+        assert err.count("\n") == 1
+
+    def test_solve_max_support_zero_is_invalid(self, monkeypatch, capsys):
+        # as in oracle and certify; solve used to exit 0 with found false
+        game_json = serialize.canonical_dumps(serialize.game_to_dict(sn.meeting_game(3)))
+        code, out, err = run_cli(
+            monkeypatch, capsys, ["solve", "--eps", "0.01", "--max-support", "0"],
+            stdin_text=game_json,
+        )
+        assert code == EXIT_INVALID
+        assert out == "" and err == "error: max_support must be at least 1\n"
 
     def test_lp_tolerance_of_one_or_more_is_invalid(self, monkeypatch, capsys):
         _, game_json, _ = run_cli(monkeypatch, capsys, ["generate", "--family", "mp"])

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablenash as sn
-from stablenash import stability
+from stablenash import lp, stability
 from stablenash.config import DEFAULT_PARTITION_BUDGET
 from stablenash.errors import DomainError, ParameterError, ResourceBudgetError
-from stablenash.lp import OPTIMAL, LinearProgram, solve_lp, solve_stack
+from stablenash.lp import OPTIMAL, LinearProgram, _solve_stack, solve_lp
 from stablenash.stability import max_distance, subset_sweep
 from stablenash.support import lmm_sample
 
@@ -301,14 +301,45 @@ class TestPrunedMaximum:
 
         def counting(A, *rest):
             stacks.append(len(A))
-            return solve_stack(A, *rest)
+            return _solve_stack(A, *rest)
 
-        monkeypatch.setattr(stability, "solve_stack", counting)
+        monkeypatch.setattr(stability, "_solve_stack", counting)
         region, _, optimal = next(_value_regions(game, mm, 0.05))
         request = (*region, optimal.probs, None)
         (got,) = max_distance([request], DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS)
         assert len(stacks) == rounds and max(stacks) <= 12
         assert got == pytest.approx(subset_max_distance(*request, sn.DEFAULT_TOLS), abs=1e-12)
+
+    def test_phase_one_runs_once_per_region_per_call(self, monkeypatch):
+        # both sides' value regions of a 6x6 circulant game, each under two
+        # references: the bound-and-prune rounds solve their subset LPs in
+        # several stacks, but phase 1 runs once per region in each call
+        game = sn.BimatrixGame(R := _circulant(6, np.random.default_rng(40)), 1.0 - R)
+        mm = sn.minimax_solve(game)
+        rng = np.random.default_rng(0)
+        requests = []
+        for region, n, optimal in _value_regions(game, mm, 0.05):
+            requests += [(*region, optimal.probs, None), (*region, rng.dirichlet(np.ones(n)), None)]
+        stacks, phase_one = [], []
+        real_stack, real_phase_one = _solve_stack, lp._phase_one
+
+        def counting(A, *rest):
+            stacks.append(len(A))
+            return real_stack(A, *rest)
+
+        def counted(A, *rest):
+            phase_one.append(len(A))
+            return real_phase_one(A, *rest)
+
+        monkeypatch.setattr(stability, "_solve_stack", counting)
+        monkeypatch.setattr(lp, "_phase_one", counted)
+        for _ in range(2):
+            stacks.clear()
+            phase_one.clear()
+            got = max_distance(requests, DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS)
+            assert len(stacks) >= 3 and phase_one == [2]
+        for request, value in zip(requests, got):
+            assert value == pytest.approx(subset_max_distance(*request, sn.DEFAULT_TOLS), abs=1e-12)
 
     def test_empty_region_reads_zero(self):
         region = region_arrays(
@@ -328,7 +359,7 @@ class TestPrunedMaximum:
         def no_lp(*args):
             raise AssertionError("an LP was solved")
 
-        monkeypatch.setattr(stability, "solve_stack", no_lp)
+        monkeypatch.setattr(stability, "_solve_stack", no_lp)
         region = region_arrays([(np.ones(3), "=", 1.0)])
         ref = np.array([0.5, 0.25, 0.25])
         pinned = np.array([0.0, np.inf, np.inf])  # leaves two movable entries
@@ -353,8 +384,8 @@ class TestPrunedMaximum:
 
         def counting(A, *rest):
             stacks.append(len(A))
-            return solve_stack(A, *rest)
+            return _solve_stack(A, *rest)
 
-        monkeypatch.setattr(stability, "solve_stack", counting)
+        monkeypatch.setattr(stability, "_solve_stack", counting)
         sn.well_supported_stability_parameters(game, 0.1)
         assert stacks == [20, 23]

@@ -470,6 +470,73 @@ def test_tolerances_reject_an_lp_tolerance_of_one_or_more(lp_tol):
     assert Tolerances(lp=0.5).lp == 0.5
 
 
+def _region_stack(seed):
+    """A stack over a few regions, each under several objectives, with its
+    members shuffled; returns it and the number of regions. The regions are
+    drawn ones on the half-integer grid, an infeasible one, and a copy of
+    the first whose first right-hand side is -0.0 where the first's is 0.0."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+
+    def draw(size):
+        return rng.integers(-2, 3, size) / 2.0
+
+    regions = []
+    for _ in range(rng.integers(1, 4)):
+        lower = np.where(rng.random(n) < 0.5, 0.0, draw(n))
+        upper = np.where(rng.random(n) < 0.5, np.inf, lower + np.abs(draw(n)))
+        relations = np.array(["<=", "=", ">="])[rng.integers(3, size=m)]
+        regions.append([draw((m, n)), relations, draw(m), lower, upper])
+    regions[0][2][0] = 0.0
+    signed = [a.copy() for a in regions[0]]
+    signed[2][0] = -0.0
+    infeasible = np.zeros((m, n))
+    infeasible[0, 0] = 1.0  # x_0 >= 1.5 under x_0 <= 1
+    regions += [
+        signed,
+        [infeasible, np.array([">="] + ["<="] * (m - 1)), np.eye(m)[0] * 1.5,
+         np.zeros(n), np.ones(n)],
+    ]
+    members = [(r, draw(n)) for r in range(len(regions)) for _ in range(rng.integers(1, 5))]
+    members = [members[k] for k in rng.permutation(len(members))]
+    stack = [np.array([regions[r][i] for r, _ in members]) for i in range(5)]
+    return (*stack, np.array([c for _, c in members])), len(regions)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 100_000))
+def test_repeated_regions_match_solve_lp_bitwise(seed):
+    # members sharing a region share its phase 1 and still get solve_lp's
+    # bits; phase 1 runs once per region, and the -0.0 copy is its own
+    stack, regions = _region_stack(seed)
+    statuses = _assert_stack_is_scalar(*stack)
+    assert INFEASIBLE in statuses or not statuses
+    solved = []
+    real = lp_module._phase_one
+
+    def counted(A, *rest):
+        solved.append(len(A))
+        return real(A, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_module, "_phase_one", counted)
+        try:
+            solve_stack(*stack)
+        except SolverError:
+            return
+    assert solved == [regions]
+
+
+@pytest.mark.parametrize("value", [-1e-12, -1.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["zero", "sum", "lp", "eq", "dedup"])
+def test_tolerances_reject_negative_and_non_finite_values(name, value):
+    with pytest.raises(ParameterError, match=f"the {name} tolerance"):
+        Tolerances(**{name: value})
+    with pytest.raises(ParameterError, match=f"the {name} tolerance"):
+        DEFAULT_TOLS.with_overrides(**{name: value})
+    assert getattr(Tolerances(**{name: 0.0}), name) == 0.0
+
+
 def _assert_chunks_match(stack, monkeypatch):
     """The stack repeated five times, solved whole and one member per
     chunk, with the same bytes."""

@@ -13,7 +13,7 @@ from stablenash.config import DEFAULT_ENUM_BUDGET, DEFAULT_TOLS
 from stablenash.errors import DomainError, ResourceBudgetError
 from stablenash.stability import perturbation_battery
 
-from conftest import loop_midpoint_component, profile_bytes, unscreened_lp_pass
+from conftest import loop_midpoint_component, profile_bytes, scalar_admit, unscreened_lp_pass
 
 
 def test_matching_pennies_unique(matching_pennies):
@@ -335,6 +335,68 @@ def test_best_response_screen_matches_brute_force(n_opp, n_own, seed, eps):
                 # makes eps-best
                 if _best_response_value(payoff, S, i) >= -eps - 1e-9:
                     assert ok[m, i]
+
+
+def _admission_rows(game, rng):
+    """Candidate rows for one admission, shuffled: the game's equilibria,
+    each twice and once nudged by a twentieth of ``tol.dedup``, every pure
+    profile and a few random mixtures, which need not verify."""
+    rows = []
+    for e in sn.enumerate_equilibria(game).equilibria:
+        p, q = e.row.probs, e.col.probs
+        nudged = p.copy()
+        top = int(p.argmax())
+        nudged[top] -= DEFAULT_TOLS.dedup / 20
+        nudged[(top + 1) % p.size] += DEFAULT_TOLS.dedup / 20
+        rows += [(p, q), (nudged, q), (p, q)]
+    rows += [(p, q) for p in np.eye(game.rows) for q in np.eye(game.cols)]
+    rows += [(rng.dirichlet(np.ones(game.rows)), rng.dirichlet(np.ones(game.cols)))] * 2
+    order = rng.permutation(len(rows))
+    return np.array([rows[k][0] for k in order]), np.array([rows[k][1] for k in order])
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_SHAPES, st.integers(0, 20_000), st.booleans())
+def test_batched_admission_matches_scalar_loop(shape, seed, listed):
+    # degenerate integer games; with ``listed`` the first equilibrium is on
+    # the list before the batch. The admission runs whole and one candidate
+    # per block
+    rng = np.random.default_rng(seed)
+    R, C = rng.integers(0, 3, size=(2, *shape)) / 2.0
+    game = sn.BimatrixGame(R, C)
+    P, Q = _admission_rows(game, rng)
+    start = list(sn.enumerate_equilibria(game).equilibria[:1]) if listed else []
+    want_found = list(start)
+    want = [scalar_admit(game, want_found, p, q) for p, q in zip(P, Q)]
+    candidates = sn.StrategyProfile.from_rows(P, Q)
+    with pytest.MonkeyPatch.context() as mp:
+        for floats in (oracle.STACK_FLOATS, 1):
+            mp.setattr(oracle, "STACK_FLOATS", floats)
+            found = list(start)
+            admitted = oracle._admit(game, found, candidates, DEFAULT_TOLS)
+            assert admitted.tolist() == np.flatnonzero(want).tolist()
+            assert [profile_bytes(e) for e in found] == [profile_bytes(e) for e in want_found]
+
+
+def test_admission_merges_candidates_within_dedup_in_order():
+    # every (e_1, q) is an equilibrium of the dominant-row game. The second
+    # candidate lies 8e-7 from the first; the third lies 8e-7 from the
+    # second, which is not admitted, and 1.6e-6 from the first. The fourth
+    # is far from all, and the fifth is no equilibrium
+    game = sn.BimatrixGame([[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]])
+    P = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]])
+    up = np.array([1.0, -1.0])
+    Q = np.array([[0.5, 0.5], 0.5 + 8e-7 * up, 0.5 + 1.6e-6 * up, [0.9, 0.1], [0.5, 0.5]])
+    found, want_found = [], []
+    candidates = sn.StrategyProfile.from_rows(P, Q)
+    admitted = oracle._admit(game, found, candidates, DEFAULT_TOLS)
+    want = [scalar_admit(game, want_found, p, q) for p, q in zip(P, Q)]
+    assert want == [True, False, True, True, False]
+    assert admitted.tolist() == [0, 2, 3]
+    assert [profile_bytes(e) for e in found] == [profile_bytes(e) for e in want_found]
+    # the first two alone, and the second alone after the first is listed
+    assert oracle._admit(game, [], candidates[:2], DEFAULT_TOLS).tolist() == [0]
+    assert oracle._admit(game, found[:1], candidates[1:2], DEFAULT_TOLS).size == 0
 
 
 def _assert_same_lp_pass(game):

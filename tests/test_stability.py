@@ -14,13 +14,14 @@ from stablenash import lp, oracle, stability
 from stablenash.config import DEFAULT_ENUM_BUDGET, DEFAULT_PARTITION_BUDGET, SPLIT_RETRY_LIMIT
 from stablenash.serialize import canonical_dumps
 from stablenash.embedding import embed
-from stablenash.lp import INFEASIBLE, OPTIMAL, LpOutcome, solve_lp, solve_stack
+from stablenash.lp import INFEASIBLE, OPTIMAL, LpOutcome, _solve_stack, solve_lp
 from stablenash.stability import MODE_PLAIN, MODE_WELL_SUPPORTED, perturbation_battery
 from stablenash.support import heavy_light_partition, light_sample_size
 
 from conftest import (
     profile_bytes,
     region_arrays,
+    scalar_estimate_witness,
     scalar_sampler,
     scalar_split_deviation,
     scalar_split_probe,
@@ -115,6 +116,29 @@ class TestPerturbationStability:
 
 
 class TestApproximationStability:
+    @pytest.mark.parametrize("mode", [MODE_PLAIN, MODE_WELL_SUPPORTED])
+    @pytest.mark.parametrize(
+        "game",
+        [
+            sn.meeting_game(3),
+            sn.dominance_gap_game(0.1),
+            sn.random_game(3, 3, 1),
+            sn.random_game(3, 3, 2),
+            sn.BimatrixGame([[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]]),
+        ],
+        ids=["meeting3", "dominance_gap", "random3_1", "random3_2", "dominant_row"],
+    )
+    def test_witness_matches_scalar_loop(self, game, mode):
+        # the benchmark audit's approx and ws games at its eps and trials:
+        # one stacked regrets call and one distances_to_set call pick the
+        # witness that checking the candidates one at a time picks
+        for seed in (0, 5):
+            rep = sn.estimate_approximation_stability(game, 0.05, mode, trials=64, seed=seed)
+            want = scalar_estimate_witness(game, 0.05, mode, 64, seed)
+            got = [(w.distance, w.label, profile_bytes(w.profile)) for w in rep.witnesses]
+            assert got == ([] if want is None else [(*want[:2], profile_bytes(want[2]))])
+            assert rep.delta_hat == (0.0 if want is None else want[0])
+
     def test_gap_game_separation(self, gap_game):
         ws = sn.estimate_approximation_stability(
             gap_game, 0.05, MODE_WELL_SUPPORTED, trials=16, seed=3
@@ -171,7 +195,7 @@ class TestApproximationStability:
             calls.extend(A)
             return [LpOutcome(INFEASIBLE)] * len(A)
 
-        monkeypatch.setattr(stability, "solve_stack", infeasible)
+        monkeypatch.setattr(stability, "_solve_stack", infeasible)
         region = region_arrays([(np.ones(3), "=", 1.0)])
         ref = np.array([0.5, 0.25, 0.25])
         pinned = np.array([0.0, np.inf, np.inf])  # leaves two movable entries
@@ -231,10 +255,10 @@ class TestScreenedWsSearch:
 
         def stacked(A, *rest):
             calls["sweep"] += len(A)
-            return solve_stack(A, *rest)
+            return _solve_stack(A, *rest)
 
         monkeypatch.setattr(stability, "solve_lp", counted)
-        monkeypatch.setattr(stability, "solve_stack", stacked)
+        monkeypatch.setattr(stability, "_solve_stack", stacked)
         rep = sn.estimate_approximation_stability(
             meeting3, 0.05, MODE_WELL_SUPPORTED, trials=0
         )
@@ -274,12 +298,12 @@ def test_subset_sweep_matches_scalar_subset_lps(seed, n, pin):
     statuses = []
 
     def recording(*args):
-        outs = solve_stack(*args)
+        outs = _solve_stack(*args)
         statuses.extend(out.status for out in outs)
         return outs
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stability, "solve_stack", recording)
+        mp.setattr(stability, "_solve_stack", recording)
         sweeps = stability.subset_sweep(requests, DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS)
     assert [(d, v.tobytes()) for d, v in sweeps[2]] == [(d, v.tobytes()) for d, v in sweeps[0]]
     pruned = stability.max_distance(requests[:2], DEFAULT_PARTITION_BUDGET, sn.DEFAULT_TOLS)
