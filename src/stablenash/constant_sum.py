@@ -37,7 +37,7 @@ from .config import (
 )
 from .core import BimatrixGame, MixedStrategy, StrategyProfile, regrets
 from .errors import CertificateError, DomainError, ParameterError, ResourceBudgetError
-from .lp import OPTIMAL, LinearProgram, solve_lp
+from .lp import OPTIMAL, solve_lp
 from .stability import max_distance
 from .support import lmm_sample
 
@@ -86,20 +86,17 @@ def check_constant_sum(
 def _value_lp(payoff_cols: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, float]:
     """Maximize the guaranteed value: argmax_x min_k payoff_cols[:, k] . x."""
     n, k = payoff_cols.shape
-    lp = LinearProgram(n + 1)
-    lp.lower[n] = float(payoff_cols.min()) - 1.0
-    mass = np.zeros(n + 1)
-    mass[:n] = 1.0
-    lp.add_constraint(mass, "=", 1.0)
-    for j in range(k):
-        row = np.zeros(n + 1)
-        row[:n] = payoff_cols[:, j]
-        row[n] = -1.0
-        lp.add_constraint(row, ">=", 0.0)
+    A = np.zeros((k + 1, n + 1))
+    A[0, :n] = 1.0  # the mass, then each column's payoff at least v
+    A[1:, :n] = payoff_cols.T
+    A[1:, n] = -1.0
+    rhs = np.zeros(k + 1)
+    rhs[0] = 1.0
+    lower = np.zeros(n + 1)
+    lower[n] = float(payoff_cols.min()) - 1.0
     obj = np.zeros(n + 1)
     obj[n] = 1.0
-    lp.set_objective(obj, maximize=True)
-    out = solve_lp(lp, tol)
+    out = solve_lp(A, ["="] + [">="] * k, rhs, lower, np.full(n + 1, np.inf), obj, tol)
     if out.status != OPTIMAL:
         raise CertificateError("minimax LP did not solve to optimality")
     return out.solution[:n], float(out.objective_value)

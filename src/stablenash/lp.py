@@ -1,21 +1,25 @@
-"""Solver-neutral linear programs and a dense two-phase simplex.
+"""Linear programs as arrays, and a dense two-phase simplex.
 
 The solver is a primal tableau simplex with Bland's rule throughout, which
 guarantees termination on the degenerate desk-scale problems this library
-generates; robustness is preferred over speed here. Equality constraints are
-reduced to two inequalities, free variables are split into differences of
-non-negative variables, and finite lower bounds are shifted out.
+generates; robustness is preferred over speed here. An LP is given as
+arrays: its rows with their relations and right-hand sides, finite lower
+and possibly infinite upper bounds on its variables, and an objective to
+maximize. Equality constraints are reduced to two inequalities, lower
+bounds are shifted out and finite upper bounds become rows.
 
-There are two paths over the same algorithm. :func:`solve_lp` solves one
-:class:`LinearProgram`. :func:`solve_stack` pivots a stack of LPs in
-lockstep (after Gurung & Ray, "Simultaneous solving of batched linear
-programs on a GPU", ICPE 2019): each member has its own constraint rows,
-relations, right-hand sides, variable bounds and objective, all given as
-arrays with one leading entry per member. Each member's standardized
-tableau is padded to the stack's shape, and the padding never changes a
-member's pivots, so every member's outcome is bitwise that of
-:func:`solve_lp` on the same LP. A stack of one costs more than
-:func:`solve_lp`, so callers holding a single LP keep calling it.
+:func:`solve_lp` solves one LP and :func:`solve_stack` pivots a stack of
+them in lockstep (after Gurung & Ray, "Simultaneous solving of batched
+linear programs on a GPU", ICPE 2019), every array with one leading entry
+per member. Both check their arrays with one validator, standardize them
+with one tableau builder and verify each solution with one slack rule;
+only the pivot loops differ, and they pivot with the same arithmetic. Each
+member's tableau is padded to the stack's shape, and the padding never
+changes a member's pivots, so every member's outcome is bitwise that of
+:func:`solve_lp` on its own arrays. A stack of one costs more than
+:func:`solve_lp`, so a caller holding a single LP calls :func:`solve_lp`.
+:class:`LinearProgram` builds one LP row by row, with free variables and a
+minimized objective if need be, and solves it with :func:`solve_lp`.
 
 Members whose rows, relations, right-hand sides and bounds are the same
 bytes form one region. Phase 1 never reads the objective, so the stack runs
@@ -45,11 +49,13 @@ LESS_EQUAL = "<="
 EQUAL = "="
 GREATER_EQUAL = ">="
 _RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
+_SIGNS = np.array([1.0, -1.0])  # a row as it is, then negated
 
 
 @dataclass
 class LinearProgram:
-    """Objective plus linear constraints over bounded variables.
+    """Objective plus linear constraints over bounded variables, built row
+    by row and solved with :func:`solve_lp` by :meth:`solve`.
 
     Constraints are triples ``(coefficients, relation, rhs)`` with relation
     one of ``<=``, ``=``, ``>=``. Default variable bounds are ``[0, +inf)``;
@@ -97,6 +103,41 @@ class LinearProgram:
         self.objective = c
         self.maximize = maximize
 
+    def solve(self, tol: Tolerances = DEFAULT_TOLS) -> LpOutcome:
+        """:func:`solve_lp` on this LP, the solution and objective value in
+        its own variables. A minimized objective is negated. A free variable
+        x becomes two columns x+ and x- in [0, inf), x = x+ - x-, in its
+        place, and a cap on it a ``<=`` row after the constraints."""
+        n = self.num_vars
+        rows = [np.asarray(row, dtype=float).reshape(-1) for row, _, _ in self.constraints]
+        c = None if self.objective is None else np.asarray(self.objective, dtype=float)
+        if any(v.size != n for v in rows + ([] if c is None else [c.reshape(-1)])):
+            raise ValidationError("constraint or objective length does not match num_vars")
+        A = np.array(rows).reshape(-1, n)
+        relations = [rel for _, rel, _ in self.constraints]
+        rhs = np.array([b for _, _, b in self.constraints], dtype=float)
+        objective = c if c is None or self.maximize else -c
+        lower, upper = self.lower, self.upper
+        free = lower == -np.inf
+        split = None
+        if free.any():
+            reps = np.where(free, 2, 1)
+            split = np.repeat(np.eye(n), reps, axis=1)
+            split[:, np.cumsum(reps)[free] - 1] *= -1.0
+            capped = free & (upper != np.inf)
+            A = np.vstack((A, np.eye(n)[capped])) @ split
+            relations += [LESS_EQUAL] * int(capped.sum())
+            rhs = np.concatenate((rhs, upper[capped]))
+            lower = np.repeat(np.where(free, 0.0, lower), reps)
+            upper = np.repeat(np.where(free, np.inf, upper), reps)
+            objective = None if c is None else objective @ split
+        out = solve_lp(A, relations, rhs, lower, upper, objective, tol)
+        if out.solution is None:
+            return out
+        x = out.solution if split is None else split @ out.solution
+        value = None if c is None else float(c @ x)
+        return LpOutcome(out.status, x, value)
+
 
 @dataclass(frozen=True)
 class LpOutcome:
@@ -111,88 +152,106 @@ class LpOutcome:
         return self.status in (OPTIMAL, FEASIBLE)
 
 
-def _validate(lp: LinearProgram) -> None:
-    if lp.objective is not None:
-        obj = np.asarray(lp.objective, dtype=float).reshape(-1)
-        if obj.size != lp.num_vars:
-            raise ValidationError("objective length does not match num_vars")
-        if not np.isfinite(obj).all():
-            raise ValidationError("objective contains non-finite entries")
-    for c, rel, rhs in lp.constraints:
-        if c.size != lp.num_vars:
-            raise ValidationError("constraint length does not match num_vars")
-        if rel not in _RELATIONS:
-            raise ValidationError(f"unknown relation {rel!r}")
-        if not (np.isfinite(c).all() and np.isfinite(rhs)):
-            raise ValidationError("constraint contains non-finite entries")
-    _check_bounds(lp.lower, lp.upper)
-
-
-def _check_bounds(lower: np.ndarray, upper: np.ndarray) -> None:
-    """Bounds of one LP, or of a stack at once."""
-    if np.isnan(lower).any() or np.isnan(upper).any():
+def _validate_stack(A, relations, rhs, lower, upper, objective):
+    """A stack's arrays as floats, with its relations as indices into
+    ``_RELATIONS``, once they pass every check: ``A`` is (members, m, n),
+    ``relations`` and ``rhs`` are (members, m), ``lower``, ``upper`` and
+    ``objective`` (None for a feasibility solve) are (members, n), n >= 1;
+    every relation is known, every row, lower bound and objective entry is
+    finite, and no upper bound is NaN or below its lower bound."""
+    A = np.asarray(A, dtype=float)
+    relations = np.asarray(relations, dtype=str)
+    rhs = np.asarray(rhs, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    if objective is not None:
+        objective = np.asarray(objective, dtype=float)
+    shapes_ok = lower.ndim == 2 and upper.shape == lower.shape
+    if not shapes_ok or objective is not None and objective.shape != lower.shape:
+        raise ValidationError("lower, upper and objective do not match in shape")
+    members, n = lower.shape
+    if n < 1:
+        raise ValidationError("linear program needs at least one variable")
+    rows_ok = A.ndim == 3 and A.shape[::2] == (members, n)
+    if not (rows_ok and relations.shape == rhs.shape == A.shape[:2]):
+        raise ValidationError("rows, relations and rhs do not match the variables")
+    eq, ge = relations == EQUAL, relations == GREATER_EQUAL
+    known = eq | ge | (relations == LESS_EQUAL)
+    if not known.all():
+        raise ValidationError(f"unknown relation {str(relations[~known][0])!r}")
+    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
+        raise ValidationError("constraint contains non-finite entries")
+    if not np.isfinite(lower).all():
+        raise ValidationError("lower bounds must be finite")
+    if np.isnan(upper).any():
         raise ValidationError("bounds contain NaN")
     if (lower > upper).any():
         raise ValidationError("a lower bound exceeds its upper bound")
+    if objective is not None and not np.isfinite(objective).all():
+        raise ValidationError("objective contains non-finite entries")
+    return A, eq + 2 * ge, rhs, lower, upper, objective
 
 
-def _standardize(lp: LinearProgram):
-    """Rewrite as: maximize c.y subject to A y <= b, y >= 0.
+def _validate(A, relations, rhs, lower, upper, objective):
+    """One LP's arrays, checked as a stack of one member."""
+    arrays = (A, relations, rhs, lower, upper, objective)
+    return _validate_stack(*(None if a is None else np.asarray(a)[None] for a in arrays))
 
-    Returns (A, b, c, shift, transform); the original variables are
-    x = shift + transform @ y, with transform None meaning identity.
+
+def _tableau(A, code, b, lower, upper):
+    """Standardize a stack of LPs for phase 1.
+
+    Member k's rows ``A[k]``, ``b[k]`` with relations ``code[k]`` (indices
+    into ``_RELATIONS``) become ``<=`` rows over y = x - ``lower[k]`` >= 0:
+    ``c <= b`` for a ``<=`` or ``=`` row, then ``-c <= -b`` for a ``>=`` or
+    ``=`` row, then ``y_j <= upper - lower`` per finite upper bound. A row
+    with a negative right-hand side is flipped, with a surplus column in
+    place of its slack and an artificial basic variable. Returns the
+    tableaus (the rows, then a zero reduced-cost row; the decision, slack
+    and artificial columns, then the rhs), their bases, each member's
+    phase-1 infeasibility scale and its own standardized row count; rows
+    and artificial columns past a member's own are all zero.
     """
-    n = lp.num_vars
-    free = ~np.isfinite(lp.lower)
-    shift = np.where(free, 0.0, lp.lower)
-    has_shift = bool(shift.any())
+    K, n = lower.shape
+    # a member's own rows, its row copies kept in order, fill the first m0
+    # of its R; the rows of its finite upper bounds follow them
+    keep = code[:, :, None] != np.array([2, 0])
+    finite = np.isfinite(upper)
+    m0 = keep.sum(axis=(1, 2))
+    height = m0 + finite.sum(axis=1)
+    R = int(height.max())
+    n_real = n + R
+    i = np.arange(R)
+    own = i < m0[:, None]
+    S = np.zeros((K, R, n))
+    S[own] = (A[:, :, None] * _SIGNS[:, None])[keep]
+    B = np.zeros((K, R))
+    B[own] = (b[:, :, None] * _SIGNS)[keep]
 
-    if free.any():
-        cols: list[np.ndarray] = []
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            cols.append(e)
-            if free[j]:
-                cols.append(-e)
-        transform = np.column_stack(cols)
-    else:
-        transform = None
+    # each right-hand side less its row's 1-D dot with the lower bounds;
+    # with at most one nonzero lower bound that dot is one exact product,
+    # but for a zero's sign, which the abs below drops, so those members
+    # are shifted at once
+    dot = (S * lower[:, None, :]).sum(axis=2)
+    for k in np.flatnonzero((lower != 0).sum(axis=1) > 1):
+        dot[k, : m0[k]] = [float(row @ lower[k]) for row in S[k, : m0[k]]]
+    B -= dot
+    kk, jj = np.nonzero(finite)
+    at = m0[kk] + (np.cumsum(finite, axis=1) - 1)[kk, jj]
+    S[kk, at, jj] = 1.0
+    B[kk, at] = upper[kk, jj] - lower[kk, jj]
+    neg = B < 0
+    B = np.abs(B)
+    flip = np.where(neg, -1.0, 1.0)
 
-    def to_std(c: np.ndarray) -> np.ndarray:
-        return c @ transform if transform is not None else c
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    def add_leq(coeffs: np.ndarray, b: float) -> None:
-        rows.append(to_std(coeffs))
-        rhs.append(b - float(coeffs @ shift) if has_shift else b)
-
-    for c, rel, b in lp.constraints:
-        if rel == LESS_EQUAL:
-            add_leq(c, b)
-        elif rel == GREATER_EQUAL:
-            add_leq(-c, -b)
-        else:  # equality as two inequalities
-            add_leq(c, b)
-            add_leq(-c, -b)
-    for j in range(n):
-        if np.isfinite(lp.upper[j]):
-            e = np.zeros(n)
-            e[j] = 1.0
-            add_leq(e, lp.upper[j])
-
-    n_std = transform.shape[1] if transform is not None else n
-    A = np.vstack(rows) if rows else np.zeros((0, n_std))
-    b = np.asarray(rhs, dtype=float)
-
-    if lp.objective is None:
-        c_std = None
-    else:
-        sense = 1.0 if lp.maximize else -1.0
-        c_std = sense * to_std(np.asarray(lp.objective, dtype=float))
-    return A, b, c_std, shift, transform
+    T = np.zeros((K, R + 1, n_real + int(neg.sum(axis=1).max()) + 1))
+    T[:, :R, :n] = S * flip[:, :, None]
+    T[:, i, n + i] = flip
+    # each row's basic variable: its slack, or its artificial if flipped
+    basis = np.where(neg, n_real - 1 + np.cumsum(neg, axis=1), n + i)
+    T[np.arange(K)[:, None], i, basis] = 1.0
+    T[:, :R, -1] = B
+    return T, basis, np.maximum(1.0, B.max(axis=1, initial=0.0)), height
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -241,99 +300,65 @@ def _price_out(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
             T[-1, :] += cb * T[i, :]
 
 
-def solve_lp(lp: LinearProgram, tol: Tolerances = DEFAULT_TOLS) -> LpOutcome:
-    """Solve a linear program; statuses are exact up to the lp tolerance.
+def solve_lp(
+    A,
+    relations,
+    rhs,
+    lower,
+    upper,
+    objective=None,
+    tol: Tolerances = DEFAULT_TOLS,
+) -> LpOutcome:
+    """Maximize ``objective @ x`` subject to ``A[i] @ x`` ``relations[i]``
+    ``rhs[i]`` (``<=``, ``=`` or ``>=``) for each row i of the (m, n) ``A``
+    and ``lower <= x <= upper``, the lower bounds finite.
 
-    Feasibility-only programs report ``feasible``/``infeasible``; programs
-    with an objective report ``optimal``/``infeasible``/``unbounded``. Any
-    returned solution satisfies every constraint within the lp tolerance
-    (verified before returning).
+    With ``objective`` None it is a feasibility solve, ``feasible`` or
+    ``infeasible``; else the status is ``optimal``, ``infeasible`` or
+    ``unbounded``, exact up to the lp tolerance. The arrays are validated
+    before any pivot, and a returned solution is verified against every
+    row and bound. :class:`LinearProgram` adds free variables and minimizing.
     """
-    _validate(lp)
-    A, b, c_std, shift, transform = _standardize(lp)
-    m, n_std = A.shape
+    A, code, rhs, lower, upper, objective = _validate(A, relations, rhs, lower, upper, objective)
     eps = tol.lp
+    T, basis, scale, _ = _tableau(A, code, rhs, lower, upper)
+    T, basis = T[0], basis[0]
+    m, n = T.shape[0] - 1, lower.shape[1]
+    n_real = n + m  # decision + slack columns
 
-    # Orient rows so rhs >= 0; rows that were flipped get a surplus column
-    # (slack with coefficient -1) and need an artificial basic variable.
-    neg = b < 0
-    A = np.where(neg[:, None], -A, A)
-    b = np.abs(b)
-    art_rows = np.nonzero(neg)[0]
-    n_art = int(art_rows.size)
-
-    n_real = n_std + m  # decision + slack columns
-    T = np.zeros((m + 1, n_real + n_art + 1))
-    T[:m, :n_std] = A
-    T[:m, n_std:n_real] = np.diag(np.where(neg, -1.0, 1.0))
-    for k, i in enumerate(art_rows):
-        T[i, n_real + k] = 1.0
-    T[:m, -1] = b
-
-    basis = np.arange(n_std, n_real)
-    for k, i in enumerate(art_rows):
-        basis[i] = n_real + k
-
-    if n_art:
-        phase1_cost = np.zeros(n_real + n_art)
-        phase1_cost[n_real:] = -1.0  # maximize minus the artificial mass
-        _price_out(T, basis, phase1_cost)
-        status = _bland_iterate(T, basis, n_real + n_art, eps)
-        if status != OPTIMAL:
+    if T.shape[1] - 1 > n_real:  # artificials, so phase 1
+        cost = np.zeros(T.shape[1] - 1)
+        cost[n_real:] = -1.0  # maximize minus the artificial mass
+        _price_out(T, basis, cost)
+        if _bland_iterate(T, basis, cost.size, eps) != OPTIMAL:
             raise SolverError("phase 1 cannot be unbounded")
-        scale = max(1.0, float(np.abs(b).max()) if m else 1.0)
-        if -T[-1, -1] > eps * scale:
+        if -T[-1, -1] > eps * scale[0]:
             return LpOutcome(INFEASIBLE)
         # Drive leftover zero-value artificials out of the basis. A row whose
         # basic variable is an artificial holds that artificial's own surplus
         # column at exactly -1 (the two start as exact negatives and stay so
         # through every pivot), and Tolerances keeps tol.lp below 1, so every
-        # such row offers a real pivot.
-        for i in range(m):
-            if basis[i] >= n_real:
-                real = np.nonzero(np.abs(T[i, :n_real]) > eps)[0]
-                _pivot(T, basis, i, int(real[0]))
-        T = np.delete(T, np.s_[n_real : n_real + n_art], axis=1)
+        # such row offers a real pivot, which changes only that row's basic
+        # variable.
+        for i in np.flatnonzero(basis >= n_real):
+            real = np.nonzero(np.abs(T[i, :n_real]) > eps)[0]
+            _pivot(T, basis, i, int(real[0]))
+        T = np.concatenate((T[:, :n_real], T[:, -1:]), axis=1)
 
-    def extract() -> np.ndarray:
-        y = np.zeros(n_real)
-        inside = basis < n_real
-        y[basis[inside]] = T[:m][inside, -1]
-        y_dec = y[:n_std]
-        x = transform @ y_dec if transform is not None else y_dec
-        return shift + x
-
-    if c_std is None:
-        x = extract()
-        _verify(lp, x, eps)
-        return LpOutcome(FEASIBLE, x, None)
-
-    cost = np.zeros(n_real)
-    cost[:n_std] = c_std
-    _price_out(T, basis, cost)
-    status = _bland_iterate(T, basis, n_real, eps)
-    if status == UNBOUNDED:
-        return LpOutcome(UNBOUNDED)
-    x = extract()
-    _verify(lp, x, eps)
-    obj = float(np.asarray(lp.objective, dtype=float) @ x)
-    return LpOutcome(OPTIMAL, x, obj)
-
-
-def _verify(lp: LinearProgram, x: np.ndarray, eps: float) -> None:
-    scale = max(1.0, float(np.abs(x).max()))
-    slack = 10.0 * eps * scale
-    for c, rel, rhs in lp.constraints:
-        v = float(c @ x)
-        budget = slack * max(1.0, float(np.abs(c).max()), abs(rhs))
-        if rel == LESS_EQUAL and v > rhs + budget:
-            raise SolverError(f"constraint violated: {v} <= {rhs}")
-        if rel == GREATER_EQUAL and v < rhs - budget:
-            raise SolverError(f"constraint violated: {v} >= {rhs}")
-        if rel == EQUAL and abs(v - rhs) > budget:
-            raise SolverError(f"constraint violated: {v} == {rhs}")
-    if (x < lp.lower - slack).any() or (x > lp.upper + slack).any():
-        raise SolverError("bound violated in LP solution")
+    if objective is not None:
+        cost = np.zeros(n_real)
+        cost[:n] = objective[0]
+        _price_out(T, basis, cost)
+        if _bland_iterate(T, basis, n_real, eps) == UNBOUNDED:
+            return LpOutcome(UNBOUNDED)
+    y = np.zeros(n_real)
+    inside = basis < n_real
+    y[basis[inside]] = T[:m][inside, -1]
+    x = lower[0] + y[:n]
+    _verify_stack(A, code, rhs, x[None], lower, upper, eps)
+    if objective is None:
+        return LpOutcome(FEASIBLE, x)
+    return LpOutcome(OPTIMAL, x, float(objective[0] @ x))
 
 
 def _pivot_stack(
@@ -413,12 +438,12 @@ def solve_stack(
     ``rhs[k]``, the bounds ``lower[k]`` and ``upper[k]`` and the objective
     ``objective[k]``: ``A`` is (members, m, n), ``relations`` and ``rhs``
     are (members, m), and ``lower``, ``upper`` and ``objective`` are
-    (members, n), with finite lower bounds. Member k is
-    ``LinearProgram(n, objective[k], True, its rows, lower[k], upper[k])``,
-    and its outcome (``optimal``, ``infeasible`` or ``unbounded``) is
-    bitwise that of :func:`solve_lp` on that LP: the same standardization,
-    entering and ratio-tie rules, pivot arithmetic, phase-1 scale test and
-    drive-out.
+    (members, n), with finite lower bounds. Member k's outcome
+    (``optimal``, ``infeasible`` or ``unbounded``) is bitwise that of
+    ``solve_lp(A[k], relations[k], rhs[k], lower[k], upper[k],
+    objective[k], tol)``: the same validation, standardization, entering
+    and ratio-tie rules, pivot arithmetic, phase-1 scale test, drive-out
+    and verification.
 
     Members whose rows, relations, right-hand sides and bounds have the
     same bytes form one region, and phase 1 runs once per region: it never
@@ -432,11 +457,10 @@ def solve_stack(
     its own, each with its own slack basic at 0; one with fewer
     artificials gets all-zero artificial columns. No padding can enter,
     leave or price a pivot, so a region's phase-1 result may be padded
-    anew for phase 2. Every input is validated as an array, before any
-    pivot; every solution is verified against its member's own rows with
-    :func:`solve_lp`'s slack rule. A stack is solved in chunks whose
-    tableaus, working copies and pivot temporaries together hold fewer
-    than ``STACK_FLOATS`` floats.
+    anew for phase 2. Every input is validated before any pivot, and every
+    solution is verified against its member's own rows and bounds. A stack
+    is solved in chunks whose tableaus, working copies and pivot
+    temporaries together hold fewer than ``STACK_FLOATS`` floats.
     """
     return _solve_stack(A, relations, rhs, lower, upper, objective, tol, None)
 
@@ -447,32 +471,11 @@ def _solve_stack(A, relations, rhs, lower, upper, objective, tol: Tolerances, ke
     it (:func:`stablenash.stability.max_distance` keeps one for the length
     of its call). With ``kept`` None a result lives only while this call
     still has members of its region."""
-    A = np.asarray(A, dtype=float)
-    relations = np.asarray(relations)
-    rhs = np.asarray(rhs, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    objective = np.asarray(objective, dtype=float)
-    if lower.ndim != 2 or upper.shape != lower.shape or objective.shape != lower.shape:
-        raise ValidationError("lower, upper and objective must be stacks of one shape")
+    # a stack always has objectives: None fails the shape check as an array
+    A, code, rhs, lower, upper, objective = _validate_stack(
+        A, relations, rhs, lower, upper, np.asarray(objective, dtype=float)
+    )
     members, n = lower.shape
-    if n < 1:
-        raise ValidationError("linear program needs at least one variable")
-    rows_ok = A.ndim == 3 and A.shape[::2] == (members, n)
-    if not (rows_ok and relations.shape == rhs.shape == A.shape[:2]):
-        raise ValidationError("rows, relations and rhs do not match the stack's members")
-    eq, ge = relations == EQUAL, relations == GREATER_EQUAL
-    known = eq | ge | (relations == LESS_EQUAL)
-    if not known.all():
-        raise ValidationError(f"unknown relation {str(relations[~known][0])!r}")
-    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
-        raise ValidationError("constraint contains non-finite entries")
-    _check_bounds(lower, upper)
-    if not np.isfinite(objective).all():
-        raise ValidationError("objective contains non-finite entries")
-    if not np.isfinite(lower).all():
-        raise ValidationError("stack members need finite lower bounds")
-    code = eq + 2 * ge  # relations as indices into _RELATIONS
 
     # a member's region: its shape and the bytes of its rows, relations,
     # right-hand sides and bounds
@@ -483,7 +486,7 @@ def _solve_stack(A, relations, rhs, lower, upper, objective, tol: Tolerances, ke
 
     # a member's standardized rows: one per inequality, two per equality,
     # one per finite upper bound
-    height = A.shape[1] + eq.sum(axis=1) + np.isfinite(upper).sum(axis=1)
+    height = A.shape[1] + (code == 1).sum(axis=1) + np.isfinite(upper).sum(axis=1)
     # a lockstep pass holds a chunk's tableau, a working copy and a pivot's
     # temporary at once; a quarter of STACK_FLOATS each keeps them below it
     top = int(height.max(initial=0))
@@ -516,57 +519,12 @@ class _PhaseOne(NamedTuple):
 
 
 def _phase_one(A, code, b, lower, upper, eps: float) -> _PhaseOne:
-    """Standardize a stack of regions and run phase 1 on them in lockstep:
-    member k's rows are ``A[k]``, ``b[k]`` with relations ``code[k]``,
-    indices into ``_RELATIONS``; its tableau rows past its own are
-    padding."""
-    K, n = lower.shape
-    # each member's rows as _standardize forms them: c <= b for a <= or =
-    # row, then -c <= -b for a >= or = row
-    keep = np.stack((code != 2, code != 0), axis=2).reshape(K, -1)
-    rows = np.stack((A, -A), axis=2).reshape(K, -1, n)
-    rhs = np.stack((b, -b), axis=2).reshape(K, -1)
-    m0 = keep.sum(axis=1)
-    finite = np.isfinite(upper)
-    R = int((m0 + finite.sum(axis=1)).max())
-    n_real = n + R
-    kr, ir = np.nonzero(keep)
-    at = (np.cumsum(keep, axis=1) - 1)[kr, ir]
-    S = np.zeros((K, R, n))
-    S[kr, at] = rows[kr, ir]
-    B = np.zeros((K, R))
-    B[kr, at] = rhs[kr, ir]
-
-    # right-hand sides as _standardize forms them, b minus a 1-D dot per row;
-    # with one nonzero lower bound that dot is one exact product, so those
-    # members are shifted at once
-    shifted = lower.any(axis=1)
-    single = (lower != 0).sum(axis=1) == 1
-    B[single] -= (S[single] * lower[single, None, :]).sum(axis=2)
-    for k in np.flatnonzero(shifted & ~single):
-        own = slice(m0[k])
-        B[k, own] = [bi - float(row @ lower[k]) for row, bi in zip(S[k, own], B[k, own])]
-    kk, jj = np.nonzero(finite)
-    at = m0[kk] + (np.cumsum(finite, axis=1) - 1)[kk, jj]
-    S[kk, at, jj] = 1.0
-    B[kk, at] = np.where(shifted[kk], upper[kk, jj] - lower[kk, jj], upper[kk, jj])
-    neg = B < 0
-    B = np.abs(B)
-
-    n_art = neg.sum(axis=1)
-    T = np.zeros((K, R + 1, n_real + int(n_art.max()) + 1))
-    T[:, :R, :n] = np.where(neg[:, :, None], -S, S)
-    i = np.arange(R)
-    T[:, i, n + i] = np.where(neg, -1.0, 1.0)
-    ka, ia = np.nonzero(neg)
-    art = n_real + (np.cumsum(neg, axis=1) - 1)[ka, ia]
-    T[ka, ia, art] = 1.0
-    T[:, :R, -1] = B
-    basis = np.tile(np.arange(n, n_real), (K, 1))
-    basis[ka, ia] = art
-
+    """Run phase 1 in lockstep on the :func:`_tableau` of a stack of
+    regions; each region's tableau rows past its own are padding."""
+    T, basis, scale, height = _tableau(A, code, b, lower, upper)
+    K, n_real = len(T), lower.shape[1] + T.shape[1] - 1
     feasible = np.ones(K, dtype=bool)
-    if n_art.any():
+    if T.shape[2] - 1 > n_real:
         # a member without artificials is optimal at once in phase 1 and
         # left as it was, so phase 1 runs on the whole stack in place
         cost = np.zeros((K, T.shape[2] - 1))
@@ -574,7 +532,6 @@ def _phase_one(A, code, b, lower, upper, eps: float) -> _PhaseOne:
         _price_out_stack(T, basis, cost)
         if _bland_stack(T, basis, T.shape[2] - 1, eps).any():
             raise SolverError("phase 1 cannot be unbounded")
-        scale = np.maximum(1.0, B.max(axis=1, initial=0.0))
         feasible = ~(-T[:, -1, -1] > eps * scale)
         # drive leftover zero-value artificials out, row by row as solve_lp
         # (a pivot changes only its own row's basic variable); as there,
@@ -587,7 +544,7 @@ def _phase_one(A, code, b, lower, upper, eps: float) -> _PhaseOne:
             _pivot_stack(V, Vb, np.full(need.size, r), real.argmax(axis=1))
             T[need], basis[need] = V, Vb
         T = np.concatenate((T[:, :, :n_real], T[:, :, -1:]), axis=2)
-    return _PhaseOne(T, basis, feasible, m0 + finite.sum(axis=1))
+    return _PhaseOne(T, basis, feasible, height)
 
 
 def _solve_chunk(
@@ -660,8 +617,10 @@ def _verify_stack(
     upper: np.ndarray,
     eps: float,
 ) -> None:
-    """:func:`_verify`'s slack rule on every row of ``X`` at once, each
-    against its own rows ``A``, ``code`` and ``b``."""
+    """Check every row of ``X``, each against its own rows ``A``, ``code``
+    and ``b`` and bounds ``lower`` and ``upper``, with a slack of 10 eps
+    max(1, max|x|) per unit of max(1, max|row|, |rhs|), and per unit for a
+    bound; raises :class:`SolverError` on the first violation."""
     scale = np.maximum(1.0, np.abs(X).max(axis=1, initial=0.0))
     slack = 10.0 * eps * scale
     v = np.einsum("krn,kn->kr", A, X)

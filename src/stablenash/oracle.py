@@ -64,7 +64,7 @@ from .config import DEFAULT_ENUM_BUDGET, DEFAULT_TOLS, STACK_FLOATS, Tolerances
 from .core import BimatrixGame, StrategyProfile, raw_regrets
 from .core import regrets  # unused here; bench/spans.py traces it by this name
 from .errors import DomainError, ResourceBudgetError
-from .lp import OPTIMAL, LinearProgram, solve_lp, solve_stack
+from .lp import OPTIMAL, solve_lp, solve_stack
 
 # Support pairs per stacked solve, which bounds the stack's memory.
 _CHUNK = 2048
@@ -149,10 +149,7 @@ def _support_lps(
     objective = np.zeros_like(lower)
     objective[each, k + 1] = 1.0
     if members == 1:
-        lp = LinearProgram(width + 2, objective[0], True, lower=lower[0], upper=upper[0])
-        for row, relation, b in zip(A[0], relations[0], rhs[0]):
-            lp.add_constraint(row, str(relation), b)
-        outcomes = [solve_lp(lp, tol)]
+        outcomes = [solve_lp(A[0], relations[0], rhs[0], lower[0], upper[0], objective[0], tol)]
     else:
         outcomes = solve_stack(A, relations, rhs, lower, upper, objective, tol)
     out: list[Optional[np.ndarray]] = []
@@ -238,11 +235,12 @@ def best_response_screen(
     :mod:`stablenash.support` or of the well-supported estimator in
     :mod:`stablenash.stability` accepts. Let n = payoff.shape[1],
     B = max(1, 2 max|payoff|, eps) and s = 10 tol.lp scale,
-    scale = max(1, max|solution|), the slack ``lp._verify`` grants per unit
-    of row magnitude. An accepted x has entries >= -s and mass within s of
-    1; the estimator's LP spans all n own actions and pins those off the
-    support with an upper bound of 0, so they lie within s of 0. Its rows
-    (magnitude <= B) give (payoff[i] - payoff[a]) x >= -eps - tol.lp - 2 s B.
+    scale = max(1, max|solution|), the slack ``lp._verify_stack`` grants
+    per unit of row magnitude. An accepted x has entries >= -s and mass
+    within s of 1; the estimator's LP spans all n own actions and pins
+    those off the support with an upper bound of 0, so they lie within s
+    of 0. Its rows (magnitude <= B) give (payoff[i] - payoff[a]) x >= -eps
+    - tol.lp - 2 s B.
     Splitting x into its positive and negative parts on the support and its
     entries off it gives W >= -eps - (tol.lp + 2 (n + 1) s B) / (1 - n s).
     While 40 (n + 1) B tol.lp <= 1, scale stays at most 2B and n s at most

@@ -64,7 +64,7 @@ from .errors import (
     PreconditionError,
     ResourceBudgetError,
 )
-from .lp import FEASIBLE, OPTIMAL, LinearProgram, _solve_stack, solve_lp
+from .lp import FEASIBLE, OPTIMAL, _solve_stack, solve_lp
 from .oracle import (  # distance_to_set is unused here; bench/spans.py traces it by this name
     EquilibriumSet,
     distance_to_set,
@@ -569,12 +569,9 @@ def _farthest(
 
 
 def _feasible_point(
-    A: np.ndarray, rel: np.ndarray, b: np.ndarray, upper: Optional[np.ndarray], tol: Tolerances
+    A: np.ndarray, rel: np.ndarray, b: np.ndarray, upper: np.ndarray, tol: Tolerances
 ) -> Optional[np.ndarray]:
-    lp = LinearProgram(A.shape[1], upper=upper)
-    for coeffs, relation, rhs in zip(A, rel, b):
-        lp.add_constraint(coeffs, str(relation), rhs)
-    out = solve_lp(lp, tol)
+    out = solve_lp(A, rel, b, np.zeros(A.shape[1]), upper, tol=tol)
     return out.solution if out.status == FEASIBLE else None
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .config import DEFAULT_ENUM_BUDGET, DEFAULT_TOLS, LIGHT_SAMPLE_COEFF, Tolerances
 from .core import BimatrixGame, MixedStrategy, StrategyProfile, regrets
 from .errors import DomainError, ParameterError
-from .lp import OPTIMAL, LinearProgram, solve_lp
+from .lp import OPTIMAL, solve_lp
 from .oracle import screened_pairs
 
 log = logging.getLogger(__name__)
@@ -90,17 +90,15 @@ def _side_lp(
     cols = list(own_support)
     A, rel, b = ws_region(payoff, opp_support, eps)
     slack = np.where(rel == "=", 0.0, -1.0)[:, None]
-    lp = LinearProgram(k + 1)  # probabilities then the slack s
+    lower = np.zeros(k + 1)  # probabilities then the slack s
+    upper = np.full(k + 1, np.inf)
     spread = float(np.abs(payoff).max())
     # finite, never binding, and below the cap eps even when eps < 0
-    lp.lower[k] = -(2.0 * spread + abs(eps) + 1.0)
-    lp.upper[k] = eps  # so the objective cannot run away on loose instances
-    for row, relation, rhs in zip(np.hstack((A[:, cols], slack)), rel, b):
-        lp.add_constraint(row, str(relation), rhs)
+    lower[k] = -(2.0 * spread + abs(eps) + 1.0)
+    upper[k] = eps  # so the objective cannot run away on loose instances
     obj = np.zeros(k + 1)
     obj[k] = 1.0
-    lp.set_objective(obj, maximize=True)
-    out = solve_lp(lp, tol)
+    out = solve_lp(np.hstack((A[:, cols], slack)), rel, b, lower, upper, obj, tol)
     if out.status != OPTIMAL or out.objective_value < -tol.lp:
         return None
     full = np.zeros(payoff.shape[1])

@@ -13,7 +13,7 @@ from stablenash.config import (
     STACK_FLOATS,
 )
 from stablenash.errors import PreconditionError
-from stablenash.lp import OPTIMAL, LinearProgram, solve_lp
+from stablenash.lp import OPTIMAL, LinearProgram
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -249,7 +249,7 @@ def subset_max_distance(A, rels, b, ref, zero_upper, tol, values=None):
             obj = np.zeros(n)
             obj[list(M)] = -1.0
             lp.set_objective(obj, maximize=True)
-            out = solve_lp(lp, tol)
+            out = lp.solve(tol)
             if out.status == OPTIMAL:
                 g = sum(float(ref[i]) for i in M) + out.objective_value
                 best = max(best, 2.0 * g)
@@ -288,7 +288,7 @@ def scalar_support_lp(payoff, own_support, eq_rows, tol=DEFAULT_TOLS):
     obj = np.zeros(nv)
     obj[k + 1] = 1.0
     lp.set_objective(obj, maximize=True)
-    out = solve_lp(lp, tol)
+    out = lp.solve(tol)
     if out.status != OPTIMAL or out.objective_value <= tol.zero:
         return None
     full = np.zeros(payoff.shape[1])

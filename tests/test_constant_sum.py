@@ -6,7 +6,7 @@ import stablenash as sn
 from stablenash import lp, stability
 from stablenash.config import DEFAULT_PARTITION_BUDGET
 from stablenash.errors import DomainError, ParameterError, ResourceBudgetError
-from stablenash.lp import OPTIMAL, LinearProgram, _solve_stack, solve_lp
+from stablenash.lp import OPTIMAL, LinearProgram, _solve_stack
 from stablenash.stability import max_distance, subset_sweep
 from stablenash.support import lmm_sample
 
@@ -117,7 +117,7 @@ class TestStrongStabilityParameters:
             for j in range(4):
                 lp.add_constraint(g.R[:, j], ">=", mm.v_R - alpha)
             lp.set_objective(rng.uniform(-1, 1, size=4))
-            out = solve_lp(lp)
+            out = lp.solve()
             assert out.status == OPTIMAL
             prof = sn.StrategyProfile.from_vectors(out.solution, mm.q_star.probs)
             assert sn.regrets(g, prof).max_regret <= alpha + 1e-7
@@ -153,7 +153,7 @@ class TestStrongStabilityParameters:
         for coeffs, rel, rhs in rows:
             lp.add_constraint(coeffs, rel, rhs)
         lp.set_objective([-1.0, 0.0])
-        out = solve_lp(lp)
+        out = lp.solve()
         assert out.status == OPTIMAL
         g = anchor[0] + out.objective_value
         assert 2 * g == pytest.approx(np.abs(out.solution - anchor).sum(), abs=1e-12)

@@ -28,7 +28,7 @@ def test_simple_maximum():
     lp = LinearProgram(1)
     lp.add_constraint([1.0], "<=", 3.0)
     lp.set_objective([1.0])
-    out = solve_lp(lp)
+    out = lp.solve()
     assert out.status == OPTIMAL
     assert out.objective_value == pytest.approx(3.0, abs=1e-8)
     assert out.solution[0] == pytest.approx(3.0, abs=1e-8)
@@ -37,21 +37,21 @@ def test_simple_maximum():
 def test_simple_infeasible():
     lp = LinearProgram(1)  # x >= 0 by default
     lp.add_constraint([1.0], "<=", -1.0)
-    out = solve_lp(lp)
+    out = lp.solve()
     assert out.status == INFEASIBLE
 
 
 def test_unbounded():
     lp = LinearProgram(1)
     lp.set_objective([1.0])
-    out = solve_lp(lp)
+    out = lp.solve()
     assert out.status == UNBOUNDED
 
 
 def test_feasibility_only_status():
     lp = LinearProgram(2)
     lp.add_constraint([1.0, 1.0], "=", 1.0)
-    out = solve_lp(lp)
+    out = lp.solve()
     assert out.status == FEASIBLE
     assert out.solution.sum() == pytest.approx(1.0, abs=1e-8)
 
@@ -62,7 +62,7 @@ def test_equality_and_free_variable():
     lp.add_constraint([1.0, 1.0], "=", 1.0)
     lp.add_constraint([1.0, 0.0], "<=", 0.25)
     lp.set_objective([1.0, -1.0])
-    out = solve_lp(lp)
+    out = lp.solve()
     assert out.status == OPTIMAL
     assert out.solution == pytest.approx([0.25, 0.75], abs=1e-8)
 
@@ -71,7 +71,7 @@ def test_upper_bounds():
     lp = LinearProgram(2, upper=np.array([0.4, np.inf]))
     lp.add_constraint([1.0, 1.0], "<=", 1.0)
     lp.set_objective([3.0, 1.0])
-    out = solve_lp(lp)
+    out = lp.solve()
     assert out.objective_value == pytest.approx(3 * 0.4 + 0.6, abs=1e-8)
 
 
@@ -79,7 +79,7 @@ def test_minimize_direction():
     lp = LinearProgram(1, upper=np.array([5.0]))
     lp.add_constraint([1.0], ">=", 2.0)
     lp.set_objective([1.0], maximize=False)
-    out = solve_lp(lp)
+    out = lp.solve()
     assert out.status == OPTIMAL
     assert out.objective_value == pytest.approx(2.0, abs=1e-8)
 
@@ -91,12 +91,12 @@ def test_degenerate_cycling_instance_terminates():
     lp.add_constraint([0.5, -90.0, -1.0 / 50.0, 3.0], "<=", 0.0)
     lp.add_constraint([0.0, 0.0, 1.0, 0.0], "<=", 1.0)
     lp.set_objective([0.75, -150.0, 1.0 / 50.0, -6.0])
-    out = solve_lp(lp)
+    out = lp.solve()
     assert out.status == OPTIMAL
     assert out.objective_value == pytest.approx(0.05, abs=1e-8)
 
 
-def test_validation_errors():
+def test_validation_errors(monkeypatch):
     lp = LinearProgram(2)
     with pytest.raises(ValidationError):
         lp.add_constraint([1.0], "<=", 1.0)
@@ -104,6 +104,45 @@ def test_validation_errors():
         lp.add_constraint([1.0, np.inf], "<=", 1.0)
     with pytest.raises(ValidationError):
         lp.add_constraint([1.0, 1.0], "~", 1.0)
+    lp.constraints.append((np.ones(3), "<=", 1.0))  # past add_constraint's check
+    with pytest.raises(ValidationError):
+        lp.solve()
+    with pytest.raises(ValidationError):  # before a free variable is split
+        LinearProgram(2, np.ones(3), lower=[-np.inf, 0.0]).solve()
+
+    # empty feasible sets from the bounds alone, rejected before any pivot:
+    # a lower bound of +inf, and a free variable capped at -inf
+    def no_pivot(*args):
+        raise AssertionError("a tableau was built")
+
+    monkeypatch.setattr(lp_module, "_tableau", no_pivot)
+    with pytest.raises(ValidationError):
+        solve_lp(np.ones((1, 2)), ["<="], [1.0], [0.0, np.inf], [np.inf, np.inf], [1.0, 1.0])
+    with pytest.raises(ValidationError):
+        LinearProgram(1, np.ones(1), lower=[np.inf]).solve()
+    with pytest.raises(ValidationError):
+        LinearProgram(1, np.ones(1), lower=[-np.inf], upper=[-np.inf]).solve()
+
+
+def test_validate_runs_once_per_solve_lp_and_never_in_a_stack(monkeypatch):
+    # the traced benchmark counts lp._validate calls as solve_lp calls and
+    # checks them against its per-module solve_lp spans
+    calls = []
+    real = lp_module._validate
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(lp_module, "_validate", counted)
+    stack = _random_member_stack(7)
+    assert len(stack[0]) > 1
+    _solve_member(*stack, 0)
+    assert len(calls) == 1
+    solve_stack(*stack)
+    assert len(calls) == 1
+    LinearProgram(1, np.ones(1), upper=[1.0]).solve()
+    assert len(calls) == 2
 
 
 def test_gap_game_full_support_tie_infeasible():
@@ -118,7 +157,7 @@ def test_gap_game_full_support_tie_infeasible():
     lp.add_constraint([1.0, 1.0], "=", 1.0)
     lp.add_constraint(R[0] - R[1], ">=", -0.05)  # row 1 within eps of row 0
     lp.add_constraint(R[1] - R[0], ">=", -0.05)  # row 0 within eps of row 1
-    out = solve_lp(lp)
+    out = lp.solve()
     assert out.status == INFEASIBLE
 
 
@@ -143,8 +182,8 @@ def test_weak_duality_on_random_instances(seed):
     for col, rhs in zip(A.T, c):
         dual.add_constraint(col, ">=", rhs)
     dual.set_objective(b, maximize=False)
-    p_out = solve_lp(primal)
-    d_out = solve_lp(dual)
+    p_out = primal.solve()
+    d_out = dual.solve()
     assert p_out.status == OPTIMAL and d_out.status == OPTIMAL
     assert p_out.objective_value == pytest.approx(d_out.objective_value, abs=1e-7)
 
@@ -164,8 +203,8 @@ def test_permutation_invariance(seed):
     for row, rhs in zip(A[rows][:, cols], b[rows]):
         permuted.add_constraint(row, "<=", rhs)
     permuted.set_objective(c[cols])
-    out_a = solve_lp(base)
-    out_b = solve_lp(permuted)
+    out_a = base.solve()
+    out_b = permuted.solve()
     assert out_a.objective_value == pytest.approx(out_b.objective_value, abs=1e-7)
 
 
@@ -181,7 +220,7 @@ def test_against_scipy_linprog(seed):
     for row, rhs in zip(A, b):
         lp.add_constraint(row, "<=", rhs)
     lp.set_objective(c)
-    mine = solve_lp(lp)
+    mine = lp.solve()
     ref = scipy.optimize.linprog(
         -c, A_ub=A, b_ub=b, bounds=[(0.0, 3.0)] * n, method="highs"
     )
@@ -284,12 +323,9 @@ def _random_member_stack(seed, real=False):
     return A, relations, rhs, lower, upper, draw((members, n))
 
 
-def _member_lp(A, relations, rhs, lower, upper, objective, k):
-    """Member k of a stack as one ``LinearProgram``."""
-    lp = LinearProgram(A.shape[2], objective[k], True, lower=lower[k], upper=upper[k])
-    for c, rel, b in zip(A[k], relations[k], rhs[k]):
-        lp.add_constraint(c, str(rel), b)
-    return lp
+def _solve_member(A, relations, rhs, lower, upper, objective, k):
+    """Member k of a stack, solved alone."""
+    return solve_lp(A[k], relations[k], rhs[k], lower[k], upper[k], objective[k])
 
 
 def _outcome_bytes(out):
@@ -306,7 +342,7 @@ def _assert_stack_is_scalar(*stack):
     the statuses."""
     try:
         want = [
-            _outcome_bytes(solve_lp(_member_lp(*stack, k))) for k in range(len(stack[0]))
+            _outcome_bytes(_solve_member(*stack, k)) for k in range(len(stack[0]))
         ]
     except SolverError:
         with pytest.raises(SolverError):
@@ -342,6 +378,33 @@ def test_random_stacks_reach_every_status():
 @given(st.integers(0, 100_000), st.booleans())
 def test_member_row_stack_matches_solve_lp_bitwise(seed, real):
     _assert_stack_is_scalar(*_random_member_stack(seed, real))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 100_000), st.booleans())
+def test_members_agree_with_scipy_linprog(seed, real):
+    # the scalar and stack paths share one standardization, so the bitwise
+    # tests above cannot catch a fault in it: each member's status and
+    # objective against scipy's, over mixed relations, shifted lower bounds
+    # and finite caps. HiGHS's presolve can call an unbounded LP
+    # infeasible, so a zero objective decides feasibility.
+    A, relations, rhs, lower, upper, objective = _random_member_stack(seed, real)
+    for k in range(len(A)):
+        mine = _solve_member(A, relations, rhs, lower, upper, objective, k)
+        le, eq, ge = (relations[k] == rel for rel in ("<=", "=", ">="))
+        ub = np.concatenate((A[k][le], -A[k][ge])), np.concatenate((rhs[k][le], -rhs[k][ge]))
+        rows = (*(ub if len(ub[0]) else (None, None)),
+                *((A[k][eq], rhs[k][eq]) if eq.any() else (None, None)))
+        bounds = list(zip(lower[k], upper[k]))
+        ref = scipy.optimize.linprog(-objective[k], *rows, bounds=bounds)
+        feasible = scipy.optimize.linprog(0 * objective[k], *rows, bounds=bounds).status == 0
+        if not feasible:
+            assert mine.status == INFEASIBLE
+        elif ref.status == 0:
+            assert mine.status == OPTIMAL
+            assert mine.objective_value == pytest.approx(-ref.fun, abs=1e-7)
+        else:
+            assert mine.status == UNBOUNDED
 
 
 _HALVES = st.integers(-4, 4).map(lambda v: v / 2.0)
@@ -401,7 +464,7 @@ def test_padded_members_match_their_own_lps_bitwise(lps, extra_rows, extra_cols)
     width = max(lp[0].shape[1] for lp in lps) + extra_cols
     stack = [np.stack(parts) for parts in zip(*(_padded(lp, height, width) for lp in lps))]
     try:
-        want = [_outcome_bytes(solve_lp(_member_lp(*(a[None] for a in lp), 0))) for lp in lps]
+        want = [_outcome_bytes(solve_lp(*lp)) for lp in lps]
     except SolverError:
         with pytest.raises(SolverError):
             solve_stack(*stack)
@@ -416,12 +479,12 @@ def test_padded_members_match_their_own_lps_bitwise(lps, extra_rows, extra_cols)
     assert got == want
 
 
-def _degenerate_vertex(lp, x):
+def _degenerate_vertex(A, rhs, lower, upper, x):
     """Whether more constraints and bounds are active at x than there are
     variables."""
-    active = sum(abs(float(c @ x) - rhs) <= 1e-12 for c, _, rhs in lp.constraints)
-    active += int(np.sum(np.abs(x - lp.lower) <= 1e-12) + np.sum(np.abs(x - lp.upper) <= 1e-12))
-    return active > lp.num_vars
+    active = sum(abs(float(c @ x) - b) <= 1e-12 for c, b in zip(A, rhs))
+    active += int(np.sum(np.abs(x - lower) <= 1e-12) + np.sum(np.abs(x - upper) <= 1e-12))
+    return active > len(x)
 
 
 def test_member_row_stacks_reach_every_status():
@@ -430,10 +493,12 @@ def test_member_row_stacks_reach_every_status():
     for seed in range(60):
         stack = _random_member_stack(seed)
         seen.update(_assert_stack_is_scalar(*stack))
-        for k in range(len(stack[0])):
-            lp = _member_lp(*stack, k)
-            out = solve_lp(lp)
-            degenerate += out.status == OPTIMAL and _degenerate_vertex(lp, out.solution)
+        A, _, rhs, lower, upper, _ = stack
+        for k in range(len(A)):
+            out = _solve_member(*stack, k)
+            degenerate += out.status == OPTIMAL and _degenerate_vertex(
+                A[k], rhs[k], lower[k], upper[k], out.solution
+            )
     assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
     assert degenerate > 0
 

@@ -73,9 +73,9 @@ class TestPerturbationStability:
         lps, stacks = [], []
         real_lp, real_stack = oracle.solve_lp, oracle.solve_stack
 
-        def counted(lp, tol):
+        def counted(*args, **kwargs):
             lps.append(1)
-            return real_lp(lp, tol)
+            return real_lp(*args, **kwargs)
 
         def stacked(A, *rest):
             stacks.append(len(A))
@@ -249,9 +249,9 @@ class TestScreenedWsSearch:
         # LPs, each distinct sweep once (230 when every request was solved)
         calls = {"feasibility": 0, "sweep": 0}
 
-        def counted(lp, tol):
-            calls["feasibility" if lp.objective is None else "sweep"] += 1
-            return solve_lp(lp, tol)
+        def counted(A, relations, rhs, lower, upper, objective=None, tol=sn.DEFAULT_TOLS):
+            calls["feasibility" if objective is None else "sweep"] += 1
+            return solve_lp(A, relations, rhs, lower, upper, objective, tol)
 
         def stacked(A, *rest):
             calls["sweep"] += len(A)

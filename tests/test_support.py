@@ -115,14 +115,14 @@ class TestWellSupportedFeasible:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         seen = []
 
-        def recording(lp, tol):
-            seen.append(solve_lp(lp, tol))
+        def recording(*args, **kwargs):
+            seen.append(solve_lp(*args, **kwargs))
             return seen[-1]
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(support, "solve_lp", recording)
             x = support._side_lp(payoff, own_support, opp_support, eps, DEFAULT_TOLS)
-        want = solve_lp(_side_lp_row_by_row(payoff, own_support, opp_support, eps))
+        want = _side_lp_row_by_row(payoff, own_support, opp_support, eps).solve()
         assert [_outcome_bytes(out) for out in seen] == [_outcome_bytes(want)]
         assert (x is None) == (want.objective_value < -DEFAULT_TOLS.lp)
         if x is not None:
