@@ -12,8 +12,12 @@ pass is the whole enumeration. A degeneracy witness sends the game to the
 LP loop instead, which visits every (|S_p|, |S_q|) size pair: each pair is
 screened, then solved with two small LPs, maximizing the minimum supported
 probability so that a declared support carries mass. The screen
-(:func:`best_response_screen`) drops a pair when some declared action cannot
-be a best response to any distribution on the opponent's declared support.
+(:func:`best_response_windows`) drops a pair when no distribution on one
+side's declared support makes all the opponent's declared actions best
+responses. On a support of one or two actions it reads where on the
+segment each action is best, a window, and keeps the pair only when the
+windows meet, which is exact; on a larger support it drops the pair only
+when some declared action is best against no distribution on it.
 
 One walk, :func:`_pair_chunks`, goes over support pairs and alone enforces
 the support-pair budget. The batched pass uses it directly; the LP loop,
@@ -218,18 +222,27 @@ def _apart(
     return keep[: len(P)]
 
 
-def best_response_screen(
+def best_response_windows(
     payoff: np.ndarray, own: np.ndarray, eps: float, tol: Tolerances
-) -> np.ndarray:
-    """Which opponent actions can be eps-best responses on each own support.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where on each own support each opponent action can be eps-best.
 
     ``payoff[i, j]`` is opponent action i's payoff against own action j, and
-    ``own`` is a stack (m, k) of own supports. Entry [m, i] of the result is
-    False only when no distribution x on ``own[m]`` makes i an eps-best
-    response, that is (payoff[i] - payoff[a]) x >= -eps for every action a.
-    Such an x averages the columns of its support, so the left side is at
-    most max over j in ``own[m]`` of payoff[i, j] - payoff[a, j]; with W the
-    minimum of that over a, the entry is ``W >= -eps - margin``.
+    ``own`` is a stack (m, k) of own supports. Returns ``(lo, hi)``, each of
+    shape (m, n_opp): opponent action i can be an eps-best response on
+    ``own[m]``, that is (payoff[i] - payoff[a]) x >= -eps for every action
+    a, only at the x of the window [lo, hi] of a parameter t in [0, 1]. A
+    window with lo > hi is empty, and a set of actions can all be eps-best
+    at one x only when their windows meet: max lo <= min hi.
+
+    On a support {a, b} of two actions every distribution is x = t e_a +
+    (1 - t) e_b, and each row, d x >= -eps - margin with d = payoff[i] -
+    payoff[c], is the half-line d_b + t (d_a - d_b) >= -eps - margin in t,
+    so the window is exact up to the margin. On any other support the window
+    is [0, 1] or empty, and it is empty only when W < -eps - margin: an x
+    averages the columns of its support, so d x is at most max over j in
+    ``own[m]`` of d_j, and W is the minimum of that over c. On one action
+    that test is exact too; on three or more it is only necessary.
 
     The margin keeps every pair that an LP of this module, of
     :mod:`stablenash.support` or of the well-supported estimator in
@@ -242,20 +255,49 @@ def best_response_screen(
     of 0. Its rows (magnitude <= B) give (payoff[i] - payoff[a]) x >= -eps
     - tol.lp - 2 s B.
     Splitting x into its positive and negative parts on the support and its
-    entries off it gives W >= -eps - (tol.lp + 2 (n + 1) s B) / (1 - n s).
-    While 40 (n + 1) B tol.lp <= 1, scale stays at most 2B and n s at most
-    1/2, so margin = tol.lp (2 + 80 (n + 1) B^2) covers that; past it the
-    margin exceeds the payoff spread 2 max|payoff| >= -W and nothing is
-    screened.
+    entries off it, the distribution y, the positive part on the support
+    scaled to mass 1, meets every row with d y >= -eps - (tol.lp + 2 (n + 1)
+    s B) / (1 - n s). While 40 (n + 1) B tol.lp <= 1, scale stays at most 2B
+    and n s below 1/2, so margin = tol.lp (2 + 80 (n + 1) B^2) covers that
+    with at least 40 B^2 tol.lp to spare; past it the margin exceeds the
+    payoff spread 2 max|payoff| >= -W and every window is [0, 1]. All rows
+    hold at the one y, so on two actions its weight t on a lies in every
+    window, and W >= -eps - margin on any support.
+
+    Each endpoint (-eps - margin - d_b) / (d_a - d_b) is one division of
+    rounded differences of numbers at most 3B in size, off by at most
+    20 u B / |d_a - d_b| with u = 2^-53, while the spare margin puts t at
+    least 40 B^2 tol.lp / |d_a - d_b| inside the exact endpoint. So no
+    further slack is needed for any tol.lp above u / 2, about 6e-17; at the
+    default 1e-8 the spare margin is over 10^8 times the rounding error.
     """
-    m, n = own.shape[0], payoff.shape[1]
+    m, k = own.shape
+    n_opp, n = payoff.shape
     bound = max(1.0, 2.0 * float(np.abs(payoff).max()), abs(eps))
-    margin = tol.lp * (2.0 + 80.0 * (n + 1) * bound**2)
+    floor = -eps - tol.lp * (2.0 + 80.0 * (n + 1) * bound**2)
     cols = payoff[:, own]  # (opponent action, support, member)
-    W = np.full((payoff.shape[0], m), np.inf)
-    for a in range(payoff.shape[0]):
-        np.minimum(W, (cols - cols[a]).max(axis=2), out=W)
-    return (W >= -eps - margin).T
+    lo = np.zeros((n_opp, m))
+    hi = np.ones((n_opp, m))
+    for c in range(n_opp):
+        d = cols - cols[c]
+        hi[d.max(axis=2) < floor] = -np.inf
+        if k == 2:
+            slope = d[:, :, 0] - d[:, :, 1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (floor - d[:, :, 1]) / slope
+            np.maximum(lo, t, out=lo, where=slope > 0)
+            np.minimum(hi, t, out=hi, where=slope < 0)
+    return lo.T, hi.T
+
+
+def best_response_screen(
+    payoff: np.ndarray, own: np.ndarray, eps: float, tol: Tolerances
+) -> np.ndarray:
+    """Which opponent actions can be eps-best responses on each own support:
+    entry [m, i] is False only when the window of
+    :func:`best_response_windows` is empty."""
+    lo, hi = best_response_windows(payoff, own, eps, tol)
+    return lo <= hi
 
 
 def _pair_chunks(
@@ -292,30 +334,43 @@ def screened_pairs(
     eps: float,
     budget: int,
     tol: Tolerances,
-) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Support pairs on which every declared action can be eps-best.
 
     Walks ``size_pairs`` as :func:`_pair_chunks` does, budget included, and
-    yields ``(visited, S_p, S_q)`` for the pairs whose row subset passes
-    :func:`best_response_screen` against the column subset and vice versa.
-    ``visited`` counts the pairs up to and including this one, screened or
-    not. Each screen is built once per call, over all subsets of its size.
+    keeps a pair when the :func:`best_response_windows` of its row subset's
+    actions against its column subset meet, and vice versa. Yields, per
+    chunk that keeps a pair, ``(visited, S_p, S_q)`` for its kept pairs in
+    visit order: ``visited[m]`` counts the pairs up to and including pair
+    m, screened or not, and ``S_p`` (m, |S_p|) and ``S_q`` (m, |S_q|) hold
+    their subsets. Each window table is built once per call, over all
+    subsets of its size.
     """
     CT = np.ascontiguousarray(game.C.T)
-    # row_ok[kq][m, i]: row i against column subset m of size kq; col_ok likewise
-    row_ok: dict[int, np.ndarray] = {}
-    col_ok: dict[int, np.ndarray] = {}
+    # row_win[kq]: the rows' windows on each column subset of size kq; col_win likewise
+    row_win: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    col_win: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for visited, P, Q, ip, iq in _pair_chunks(game.shape, size_pairs, budget):
         kp, kq = P.shape[1], Q.shape[1]
-        if kq not in row_ok:
-            row_ok[kq] = best_response_screen(game.R, Q, eps, tol)
-        if kp not in col_ok:
-            col_ok[kp] = best_response_screen(CT, P, eps, tol)
+        if kq not in row_win:
+            row_win[kq] = best_response_windows(game.R, Q, eps, tol)
+        if kp not in col_win:
+            col_win[kp] = best_response_windows(CT, P, eps, tol)
         S_p, S_q = P[ip], Q[iq]
-        keep = row_ok[kq][iq[:, None], S_p].all(axis=1)
-        keep &= col_ok[kp][ip[:, None], S_q].all(axis=1)
-        for m in np.flatnonzero(keep).tolist():
-            yield visited + m + 1, tuple(S_p[m].tolist()), tuple(S_q[m].tolist())
+        (lo, hi), at = row_win[kq], (iq[:, None], S_p)
+        keep = lo[at].max(axis=1) <= hi[at].min(axis=1)
+        (lo, hi), at = col_win[kp], (ip[:, None], S_q)
+        keep &= lo[at].max(axis=1) <= hi[at].min(axis=1)
+        m = np.flatnonzero(keep)
+        if m.size:
+            yield visited + m + 1, S_p[m], S_q[m]
+
+
+def _masks(S: np.ndarray, n: int) -> np.ndarray:
+    """The (m, n) boolean masks of a stack of subsets."""
+    out = np.zeros((len(S), n), dtype=bool)
+    out[np.arange(len(S))[:, None], S] = True
+    return out
 
 
 def _lp_pass(
@@ -324,13 +379,13 @@ def _lp_pass(
     """Equilibria from two LPs per screened support pair over every pair of
     sizes, for each of a list of same-shape games.
 
-    Every game's screened pairs are listed first, so the support-pair budget
-    fires before any LP. The column player's LPs of all of them, whatever
-    their sizes, are then solved as one padded stack (:func:`_support_lps`,
-    ``_CHUNK`` pairs at a time), and the row player's LPs of the pairs whose
-    column LP found a distribution as a second. The solutions are cleaned
-    as one stack, and each game's are admitted in pair order by one
-    :func:`_admit` call. Returns, per
+    Every game's screened pairs are listed first, as support masks, so the
+    support-pair budget fires before any LP. The column player's LPs of all
+    of them, whatever their sizes, are then solved as one padded stack
+    (:func:`_support_lps`, ``_CHUNK`` pairs at a time), and the row player's
+    LPs of the pairs whose column LP found a distribution as a second. The
+    solutions are cleaned as one stack, and each game's are admitted in pair
+    order by one :func:`_admit` call. Returns, per
     game, the equilibria in visit order and whether an admitted pair marks
     a component: its supports differ in size, so the side with more own
     actions than tied opponent actions is underdetermined, or one of its
@@ -340,20 +395,20 @@ def _lp_pass(
     R = np.array([game.R for game in games])
     CT = np.array([game.C.T for game in games])
     sizes = list(itertools.product(range(1, max_support + 1), repeat=2))
-    pairs = [
-        (g, S_p, S_q)
-        for g, game in enumerate(games)
-        for _, S_p, S_q in screened_pairs(game, sizes, 0.0, budget, tol)
-    ]
-    at = np.array([g for g, _, _ in pairs], dtype=int)
-    rows = np.zeros((len(pairs), R.shape[1]), dtype=bool)
-    cols = np.zeros((len(pairs), R.shape[2]), dtype=bool)
-    for i, (_, S_p, S_q) in enumerate(pairs):
-        rows[i, list(S_p)] = True
-        cols[i, list(S_q)] = True
+    # each game's screened pairs as its index and support masks, after an
+    # empty block in case the screen keeps none
+    at = [np.zeros(0, dtype=int)]
+    rows = [np.zeros((0, R.shape[1]), dtype=bool)]
+    cols = [np.zeros((0, R.shape[2]), dtype=bool)]
+    for g, game in enumerate(games):
+        for _, S_p, S_q in screened_pairs(game, sizes, 0.0, budget, tol):
+            at.append(np.full(len(S_p), g))
+            rows.append(_masks(S_p, R.shape[1]))
+            cols.append(_masks(S_q, R.shape[2]))
+    at, rows, cols = np.concatenate(at), np.concatenate(rows), np.concatenate(cols)
     solved: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for start in range(0, len(pairs), _CHUNK):
-        part = np.arange(start, min(start + _CHUNK, len(pairs)))
+    for start in range(0, len(at), _CHUNK):
+        part = np.arange(start, min(start + _CHUNK, len(at)))
         qs = _support_lps(R, at[part], cols[part], rows[part], tol)
         kept = np.array([i for i, q in zip(part, qs) if q is not None], dtype=int)
         if not kept.size:
@@ -376,21 +431,19 @@ def _lp_pass(
         by_game.setdefault(int(at[i]), []).append((i, candidate))
     for g, mine in by_game.items():
         admitted = _admit(games[g], found[g], [c for _, c in mine], tol)
-        # the admitted pairs of equal sizes, by size; one of unequal sizes
-        # marks a component at once
-        square: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-        for i in np.array([i for i, _ in mine])[admitted].tolist():
-            _, S_p, S_q = pairs[i]
-            if len(S_p) != len(S_q):
-                degenerate[g] = True
-            else:
-                square.setdefault(len(S_p), []).append((S_p, S_q))
-        for k, supports in square.items():
-            if degenerate[g]:
-                break
-            P, Q = (np.array(side) for side in zip(*supports))
+        # the admitted pairs; one of unequal sizes marks a component at once,
+        # else the pairs of each size are tested as one stack
+        mine_pairs = np.array([i for i, _ in mine])[admitted]
+        kp, kq = rows[mine_pairs].sum(axis=1), cols[mine_pairs].sum(axis=1)
+        degenerate[g] = bool((kp != kq).any())
+        for k in sorted(set(kp.tolist())) if not degenerate[g] else ():
+            pick = mine_pairs[kp == k]
+            P = np.nonzero(rows[pick])[1].reshape(-1, k)
+            Q = np.nonzero(cols[pick])[1].reshape(-1, k)
             A = np.concatenate((_tie_systems(R[[g]], Q, P), _tie_systems(CT[[g]], P, Q)))
-            degenerate[g] = bool((np.linalg.matrix_rank(A, tol=_RANK_TOL) < k + 1).any())
+            if (np.linalg.matrix_rank(A, tol=_RANK_TOL) < k + 1).any():
+                degenerate[g] = True
+                break
     return list(zip(found, degenerate))
 
 
@@ -416,9 +469,12 @@ def _solve_ties(
     Only the rest pay for an SVD.
 
     One exactly singular system makes the inversion of the whole stack
-    fail. The stack is then inverted again in runs of ``piece`` members,
-    and every system of a run that still fails goes to the SVD, so each
-    run gets the bits it gets when solved alone.
+    fail. A stack of one run goes to the SVD whole. A longer one gets one
+    ``np.linalg.slogdet`` call, which marks those systems by sign 0, since
+    its LU factorization meets the same zero pivot as the inversion's.
+    Every system of a run of ``piece`` members that holds one goes to the
+    SVD, and the others are inverted in one call. Each system is factorized
+    on its own, so each run gets the bits it gets when solved alone.
     """
     m = A.shape[0]
     try:
@@ -426,12 +482,14 @@ def _solve_ties(
     except np.linalg.LinAlgError:
         sol = np.empty(A.shape[:2])
         unsure = np.ones(m, dtype=bool)
-        for start in range(0, m, piece) if piece < m else ():
-            run = slice(start, start + piece)
-            try:
-                sol[run], unsure[run] = _inverse_column(A[run])
-            except np.linalg.LinAlgError:
-                pass
+        if piece < m:
+            runs = np.arange(m) // piece
+            held = np.zeros(runs[-1] + 1, dtype=bool)  # runs holding a singular system
+            held[runs[np.linalg.slogdet(A)[0] == 0]] = True
+            unsure = held[runs]
+            sure = np.flatnonzero(~unsure)
+            if sure.size:
+                sol[sure], unsure[sure] = _inverse_column(A[sure])
     singular = np.zeros(m, dtype=bool)
     consistent = np.zeros(m, dtype=bool)
     if unsure.any():

@@ -527,7 +527,11 @@ def _ws_candidates(
     """
     rows, cols = game.shape
     sizes = list(itertools.product(range(1, rows + 1), range(1, cols + 1)))
-    pairs = [(S_p, S_q) for _, S_p, S_q in screened_pairs(game, sizes, eps, budget, tol)]
+    pairs = [
+        (tuple(S_p), tuple(S_q))
+        for _, P, Q in screened_pairs(game, sizes, eps, budget, tol)
+        for S_p, S_q in zip(P.tolist(), Q.tolist())
+    ]
     pairs.sort(key=lambda pair: (len(pair[0]), pair[0], len(pair[1]), pair[1]))
     CT = np.ascontiguousarray(game.C.T)
     feasible = []

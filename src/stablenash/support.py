@@ -7,8 +7,10 @@ independent feasibility LPs over the region :func:`ws_region` states, the
 only code that states it: the well-supported estimator in
 :mod:`stablenash.stability` sweeps the same rows. The pairs come from the one
 support-pair walk, :func:`stablenash.oracle.screened_pairs`, which enforces
-``budget`` and drops a pair when a declared action cannot be eps-best
-against any distribution on the opponent's declared support. The LPs are
+``budget`` and drops a pair when no distribution on one side's declared
+support makes all the opponent's declared actions eps-best: exactly so
+when that support has one or two actions, and for larger supports when
+one declared action can be eps-best against none. The LPs are
 solved with a max-slack objective so near-ties at the epsilon boundary
 surface as feasible with tiny slack instead of flapping on round-off.
 """
@@ -146,7 +148,7 @@ def find_well_supported(
 
     Support pairs are visited by max(row size, col size), then
     lexicographically, so the smallest certificate is found first; only the
-    pairs that pass the best-response screen reach the LPs, and
+    pairs that pass the best-response window screen reach the LPs, and
     ``supports_tried`` counts every pair visited, screened or not. Returns
     None when nothing is feasible up to ``max_support``, which must be at
     least 1, and raises :class:`ResourceBudgetError` before any LP when
@@ -159,17 +161,18 @@ def find_well_supported(
     if max_support < 1:
         raise DomainError("max_support must be at least 1")
     sizes = [pair for k in range(1, max_support + 1) for pair in _size_pairs(k)]
-    for tried, S_p, S_q in screened_pairs(game, sizes, eps, budget, tol):
-        profile = well_supported_feasible(game, S_p, S_q, eps, tol)
-        if profile is None:
-            continue
-        report = regrets(game, profile, tol)
-        return SearchResult(
-            profile=profile,
-            support_sizes=(len(profile.row.support), len(profile.col.support)),
-            supports_tried=tried,
-            epsilon=report.max_ws_gap,
-        )
+    for visited, P, Q in screened_pairs(game, sizes, eps, budget, tol):
+        for tried, S_p, S_q in zip(visited.tolist(), P.tolist(), Q.tolist()):
+            profile = well_supported_feasible(game, S_p, S_q, eps, tol)
+            if profile is None:
+                continue
+            report = regrets(game, profile, tol)
+            return SearchResult(
+                profile=profile,
+                support_sizes=(len(profile.row.support), len(profile.col.support)),
+                supports_tried=tried,
+                epsilon=report.max_ws_gap,
+            )
     return None
 
 

@@ -282,6 +282,25 @@ def test_tie_solver_separates_singular_systems():
     assert sol[1] == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)
 
 
+def test_tie_solver_runs_match_runs_solved_alone():
+    # tie systems of a half-integer game, some exactly singular, in runs of
+    # four: the stack fails one inversion, and each run still gets the bits
+    # it gets when solved alone
+    rng = np.random.default_rng(3)
+    R = rng.integers(0, 3, size=(1, 4, 4)) / 2.0
+    own = np.array(list(itertools.combinations(range(4), 2)))
+    opp = np.repeat(own, len(own), axis=0)
+    A = oracle._tie_systems(R, np.tile(own, (len(own), 1)), opp)
+    assert (np.linalg.slogdet(A)[0] == 0).sum() >= 2
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(A)
+    whole = oracle._solve_ties(A, 4, DEFAULT_TOLS)
+    for start in range(0, len(A), 4):
+        alone = oracle._solve_ties(A[start : start + 4], 4, DEFAULT_TOLS)
+        for got, want in zip(whole, alone):
+            assert got[start : start + 4].tobytes() == want.tobytes()
+
+
 def test_degenerate_game_over_budget_fails_fast():
     # 48,619 equal-size pairs pass the guard, but meeting_game(9) is
     # degenerate and its LP loop would visit (2^9 - 1)^2 = 261,121 pairs
@@ -317,8 +336,9 @@ def _best_response_value(payoff, S, i):
     st.sampled_from([0.0, 0.01, 0.25]),
 )
 def test_best_response_screen_matches_brute_force(n_opp, n_own, seed, eps):
-    # quarter-step payoffs keep every W + eps at 0 or at least 0.01 away
-    # from it, so the screen's margin cannot show
+    # quarter-step payoffs keep every W + eps and every best-response value
+    # + eps at 0 or at least 0.005 away from it, so the screen's margin
+    # cannot show
     rng = np.random.default_rng(seed)
     payoff = rng.integers(0, 5, size=(n_opp, n_own)) / 4.0
     for k in range(1, n_own + 1):
@@ -327,14 +347,69 @@ def test_best_response_screen_matches_brute_force(n_opp, n_own, seed, eps):
         assert ok.shape == (len(own), n_opp)
         for m, S in enumerate(own.tolist()):
             for i in range(n_opp):
+                # whether some distribution on S makes i eps-best
+                best = _best_response_value(payoff, S, i) >= -eps - 1e-9
+                if k <= 2:
+                    # the window is exact on one or two own actions
+                    assert ok[m, i] == best
+                    continue
                 w = min(
                     max(payoff[i][j] - payoff[a][j] for j in S) for a in range(n_opp)
                 )
                 assert ok[m, i] == (w >= -eps)
                 # the screen only drops actions that no distribution on S
                 # makes eps-best
-                if _best_response_value(payoff, S, i) >= -eps - 1e-9:
+                if best:
                     assert ok[m, i]
+
+
+def _max_slack(payoff, S, O, eps):
+    """max over distributions x on S of the least slack (payoff[i] -
+    payoff[a]) x + eps over i in O and every action a."""
+    k = len(S)
+    d = np.concatenate([payoff[i] - payoff for i in O])[:, list(S)]
+    res = linprog(
+        np.r_[np.zeros(k), -1.0], A_ub=np.hstack([-d, np.ones((len(d), 1))]),
+        b_ub=np.full(len(d), eps), A_eq=np.r_[np.ones(k), 0.0][None], b_eq=[1.0],
+        bounds=[(0, None)] * k + [(None, None)], method="highs",
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 4), st.integers(1, 4), st.integers(0, 20_000),
+    st.sampled_from([0.0, 0.01, 0.25]), st.booleans(),
+)
+def test_window_screen_is_exact_on_one_or_two_own_actions(n_opp, n_own, seed, eps, quarter):
+    # every pair of an own support of one or two actions and a set of
+    # declared opponent actions: the windows meet whenever either side LP
+    # finds a distribution, and do not when the best distribution misses
+    # some row by more than the screen's margin
+    rng = np.random.default_rng(seed)
+    payoff = rng.random((n_opp, n_own))
+    if quarter:
+        payoff = np.floor(5 * payoff) / 4.0
+    bound = max(1.0, 2.0 * float(np.abs(payoff).max()), eps)
+    margin = DEFAULT_TOLS.lp * (2.0 + 80.0 * (n_own + 1) * bound**2)
+    for k in range(1, min(2, n_own) + 1):
+        own = np.array(list(itertools.combinations(range(n_own), k)))
+        lo, hi = oracle.best_response_windows(payoff, own, eps, DEFAULT_TOLS)
+        for m, S in enumerate(own.tolist()):
+            upper = np.zeros(n_own)
+            upper[S] = np.inf
+            for size in range(1, n_opp + 1):
+                for O in itertools.combinations(range(n_opp), size):
+                    meet = lo[m, list(O)].max() <= hi[m, list(O)].min()
+                    side = support._side_lp(payoff, tuple(S), O, eps, DEFAULT_TOLS)
+                    point = stability._feasible_point(
+                        *support.ws_region(payoff, O, eps), upper, DEFAULT_TOLS
+                    )
+                    if side is not None or point is not None:
+                        assert meet
+                    if _max_slack(payoff, S, O, eps) < -margin:
+                        assert not meet
 
 
 def _admission_rows(game, rng):

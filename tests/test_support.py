@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -20,6 +21,19 @@ from conftest import (
     unscreened_find_well_supported,
     ws_region_rows,
 )
+
+
+def _counted_side_lps(monkeypatch):
+    """The side LPs of the well-supported search, recorded."""
+    calls = []
+    real = support.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(support, "solve_lp", counted)
+    return calls
 
 
 def _side_lp_row_by_row(payoff, own_support, opp_support, eps):
@@ -185,20 +199,32 @@ class TestFindWellSupported:
                 assert got.epsilon == want.epsilon
 
     def test_embedded_search_solves_only_screened_pairs(self, monkeypatch):
-        # 100 LPs over the same 81 visited pairs without the screen
-        calls = []
-        real = support.solve_lp
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(support, "solve_lp", counted)
+        # 100 LPs over the same 81 visited pairs without the screen, and 3
+        # with a screen that tests each declared action alone
+        calls = _counted_side_lps(monkeypatch)
         emb = embed(sn.random_game(3, 3, 1), 0.0002)
         res = sn.find_well_supported(emb.game, emb.delta**4 / 8)
         assert res.support_sizes == (2, 2)
         assert res.supports_tried == 81
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+    def test_embedded_searches_solve_pinned_side_lps(self, monkeypatch):
+        # 200 searches solve 594 side LPs (2,727 when the screen tested each
+        # declared action alone) and return the results they returned then,
+        # byte for byte
+        calls = _counted_side_lps(monkeypatch)
+        digest = hashlib.sha256()
+        for seed in range(200):
+            emb = embed(sn.random_game(3, 3, seed), 0.0002)
+            res = sn.find_well_supported(emb.game, emb.delta**4 / 8)
+            digest.update(repr((
+                profile_bytes(res.profile), res.support_sizes, res.supports_tried,
+                res.epsilon.hex(),
+            )).encode())
+        assert len(calls) == 594
+        assert digest.hexdigest() == (
+            "df9f38cd88fe8dc9e4f53befd41ca64488d6d1c5e8652cbc49ca19dac3000737"
+        )
 
     def test_exactly_eps_best_action_stays_unscreened(self):
         # each player's action 1 trails action 0 by exactly 0.25 against
@@ -211,7 +237,8 @@ class TestFindWellSupported:
             assert at_eps.tolist() == [[True, True]]
             assert below.tolist() == [[True, False]]
         pairs = oracle.screened_pairs(g, [(2, 2)], 0.25, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS)
-        assert list(pairs) == [(1, (0, 1), (0, 1))]
+        [(visited, S_p, S_q)] = pairs
+        assert (visited.tolist(), S_p.tolist(), S_q.tolist()) == ([1], [[0, 1]], [[0, 1]])
         prof = sn.well_supported_feasible(g, (0, 1), (0, 1), 0.25)
         assert prof is not None
         assert sn.regrets(g, prof).max_ws_gap <= 0.25 + 1e-12
