@@ -290,16 +290,6 @@ def best_response_windows(
     return lo.T, hi.T
 
 
-def best_response_screen(
-    payoff: np.ndarray, own: np.ndarray, eps: float, tol: Tolerances
-) -> np.ndarray:
-    """Which opponent actions can be eps-best responses on each own support:
-    entry [m, i] is False only when the window of
-    :func:`best_response_windows` is empty."""
-    lo, hi = best_response_windows(payoff, own, eps, tol)
-    return lo <= hi
-
-
 def _pair_chunks(
     shape: tuple[int, int], size_pairs: list[tuple[int, int]], budget: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:

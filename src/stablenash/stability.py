@@ -765,47 +765,96 @@ def _split_light(
     return light, light_probs
 
 
+def _coin_masses(light_probs: np.ndarray, coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The heads and tails masses of each row of ``coins``, each bitwise
+    ``light_probs[c].sum()`` over its class ``c``.
+
+    A running sum over the row, with the other class's entries at +0.0,
+    adds the class in index order, which is how numpy sums fewer than 8
+    entries. A class of 8 or more is summed pairwise, so the rows with one
+    take it as a row sum of the class alone, one group per heads count.
+    """
+    heads = light_probs * coins
+    up = np.cumsum(heads, axis=1)[:, -1]
+    down = np.cumsum(light_probs - heads, axis=1)[:, -1]
+    n_heads = coins.sum(axis=1)
+    long = np.flatnonzero((n_heads >= 8) | (light_probs.size - n_heads >= 8))
+    if long.size:
+        # each row's heads first, then its tails, both in index order
+        ranked = light_probs[np.argsort(1 - coins[long], axis=1, kind="stable")]
+        for j in set(n_heads[long].tolist()):
+            rows = n_heads[long] == j
+            up[long[rows]] = ranked[rows, :j].sum(axis=1)
+            down[long[rows]] = ranked[rows, j:].sum(axis=1)
+    return up, down
+
+
 def _split_coins(
     light_probs: np.ndarray,
     delta: float,
+    trials: int,
     rng: np.random.Generator,
     tol: Tolerances,
     retries: int,
-) -> Optional[tuple[np.ndarray, float, float]]:
-    """Fair coins for the light entries, drawn one attempt at a time until
-    both classes can carry the transfer: ``(coins, up_mass, down_mass)``,
-    or None after ``retries`` illegal draws."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fair coins for the light entries of ``trials`` independent trials.
+
+    Each attempt round draws one ``(pending, light)`` block of coins, one
+    row per trial whose draws so far were all illegal, in trial order; a
+    draw is legal when both classes can carry the transfer. After
+    ``retries`` rounds the trials still pending are degenerate. Returns
+    ``(coins, up_mass, down_mass)`` for the trials with a legal draw, in
+    trial order: their coins ``(k, light)`` and their heads and tails
+    masses ``(k,)`` (:func:`_coin_masses`).
+
+    numpy draws each fair coin from one 32-bit output of the generator, so
+    a block is the next rows of one coin stream, whatever its shape. Unless
+    a trial runs out of rounds, the trials therefore take the first
+    ``trials`` legal rows of the stream and leave the generator where
+    trials drawing one after another, attempt by attempt, would; only
+    which trial takes which row differs.
+    """
+    coins = np.zeros((trials, light_probs.size), dtype=np.int64)
+    up_mass = np.zeros(trials)
+    down_mass = np.zeros(trials)
+    pending = np.arange(trials)
     for _ in range(retries):
-        coins = rng.integers(0, 2, size=light_probs.size)
-        up_mass = float(light_probs[coins == 1].sum())
-        down_mass = float(light_probs[coins == 0].sum())
+        if not pending.size:
+            break
+        draw = rng.integers(0, 2, size=(pending.size, light_probs.size))
+        up, down = _coin_masses(light_probs, draw)
         # legality: the tails class must be able to shed 3*delta
-        if up_mass <= tol.zero or down_mass < 3.0 * delta + tol.zero:
-            continue
-        return coins, up_mass, down_mass
-    return None
+        legal = (up > tol.zero) & (down >= 3.0 * delta + tol.zero)
+        done = pending[legal]
+        coins[done], up_mass[done], down_mass[done] = draw[legal], up[legal], down[legal]
+        pending = pending[~legal]
+    found = np.ones(trials, dtype=bool)
+    found[pending] = False
+    return coins[found], up_mass[found], down_mass[found]
 
 
 def _split_deviations(
     probs: np.ndarray,
     light: list[int],
     light_probs: np.ndarray,
-    draws: list[tuple[np.ndarray, float, float]],
+    coins: np.ndarray,
+    up_mass: np.ndarray,
+    down_mass: np.ndarray,
     delta: float,
     tol: Tolerances,
 ) -> np.ndarray:
-    """The 3*delta split deviation of ``probs`` for each legal coin draw, one
-    cleaned row per draw (truncated, not renormalized, as
-    :meth:`MixedStrategy.from_probs` with ``renormalize=False``).
+    """The 3*delta split deviation of ``probs`` for each legal coin draw of
+    :func:`_split_coins`, one cleaned row per draw (truncated, not
+    renormalized, as :meth:`MixedStrategy.from_probs` with
+    ``renormalize=False``).
 
     Each row's moved mass is checked to be 3*delta, raising
     :class:`CertificateError` otherwise.
     """
-    coins = np.array([c for c, _, _ in draws]).reshape(len(draws), len(light))
-    up = np.array([u for _, u, _ in draws])[:, None]
-    down = np.array([d for _, _, d in draws])[:, None]
-    V = np.tile(probs, (len(draws), 1))
-    V[:, light] += 3.0 * delta * light_probs * (coins / up - (1 - coins) / down)
+    V = np.tile(probs, (len(coins), 1))
+    V[:, light] += (
+        3.0 * delta * light_probs * (coins / up_mass[:, None] - (1 - coins) / down_mass[:, None])
+    )
     V = _clean(V, tol, renormalize=False)
     moved = 0.5 * np.abs(probs - V).sum(axis=1)
     wrong = np.flatnonzero(np.abs(moved - 3.0 * delta) > 10.0 * tol.zero)
@@ -829,19 +878,20 @@ def random_split_deviation(
     Light entries with heads absorb 3*delta extra mass pro rata; tails
     entries shed it pro rata. Heavy entries are untouched (bitwise). Draws
     are rejected until both coin classes can support the transfer, so with
-    a single light atom the construction always fails. This is the one-row
-    view of the stacked kernel that :func:`random_split_probe` runs over all
-    its trials.
+    a single light atom the construction always fails. This is the one-trial
+    view of the stacked kernels that :func:`random_split_probe` runs over
+    all its trials: each attempt draws one light-sized row of coins, as a
+    lone trial's attempt rounds do.
     """
     if not 0.0 < delta < math.inf:
         raise ParameterError("delta must be finite and positive")
     light, light_probs = _split_light(p, split, delta, tol)
-    draw = _split_coins(light_probs, delta, np.random.default_rng(seed), tol, retries)
-    if draw is None:
+    draw = _split_coins(light_probs, delta, 1, np.random.default_rng(seed), tol, retries)
+    if not len(draw[0]):
         raise DegenerateInputError(
             f"no legal coin split after {retries} draws (light part too small)"
         )
-    (v,) = _split_deviations(p.probs, light, light_probs, [draw], delta, tol)
+    (v,) = _split_deviations(p.probs, light, light_probs, *draw, delta, tol)
     return MixedStrategy(v, tuple(np.flatnonzero(v).tolist()))
 
 
@@ -860,10 +910,14 @@ def random_split_probe(
 
     For each side, partitions the strategy once at sample size
     S = coeff * (delta/eps)^2 * log(n) and measures its distance to each
-    reference once. Each trial then draws its coins for the 3*delta split
-    attempt by attempt, as :func:`random_split_deviation` does. The legal
-    deviations of all trials are built, cleaned and checked (each row's
-    moved mass) as one stack, and the probe counts
+    reference once. The side's trials then draw their coins for the
+    3*delta split together (:func:`_split_coins`): each attempt round
+    draws one block with a row per trial still without a legal draw. They
+    take the legal draws that trials drawing one after another would take,
+    unless a trial runs out of its ``SPLIT_RETRY_LIMIT`` attempts, and the
+    report does not depend on which trial took which draw.
+    The legal deviations of all trials are built, cleaned and checked (each
+    row's moved mass) as one stack, and the probe counts
     violations of (a) the payoff-drift bound over every pure
     payoff-difference direction (their maximum is the spread of the drift
     vector, so the full n^2 family is covered exactly) and (b) the distance
@@ -897,18 +951,17 @@ def random_split_probe(
         concentrated = 0
         if not split.light or light_mass < 8.0 * delta - tol.zero:
             concentrated = trials
-        draws = []
-        if trials > concentrated:
-            light, light_probs = _split_light(strategy, split, delta, tol)
-            draws = [
-                _split_coins(light_probs, delta, rng, tol, SPLIT_RETRY_LIMIT)
-                for _ in range(trials - concentrated)
-            ]
-        legal = [draw for draw in draws if draw is not None]
+        deviations = 0
         drift = np.zeros(0)
         distance_violations = 0
-        if legal:
-            V = _split_deviations(strategy.probs, light, light_probs, legal, delta, tol)
+        if trials > concentrated:
+            light, light_probs = _split_light(strategy, split, delta, tol)
+            draws = _split_coins(
+                light_probs, delta, trials - concentrated, rng, tol, SPLIT_RETRY_LIMIT
+            )
+            deviations = len(draws[0])
+        if deviations:
+            V = _split_deviations(strategy.probs, light, light_probs, *draws, delta, tol)
             # one vector @ matrix per row, as a lone deviation is measured
             shift = ((V - strategy.probs)[:, None, :] @ payoff)[:, 0, :]
             drift = shift.max(axis=1) - shift.min(axis=1)
@@ -920,8 +973,8 @@ def random_split_probe(
             "trials": trials,
             "sample_size": S,
             "concentrated": concentrated,
-            "degenerate": len(draws) - len(legal),
-            "deviations": len(legal),
+            "degenerate": trials - concentrated - deviations,
+            "deviations": deviations,
             "payoff_violations": int((drift > eps + tol.zero).sum()),
             "distance_violations": distance_violations,
             "max_payoff_drift": float(drift.max(initial=0.0)),

@@ -138,6 +138,27 @@ def naive_heavy_light_partition(p, S, delta, tol=DEFAULT_TOLS):
     )
 
 
+def _scalar_split_masses(light_probs, coins):
+    return float(light_probs[coins == 1].sum()), float(light_probs[coins == 0].sum())
+
+
+def _scalar_split_legal(light_probs, coins, delta, tol):
+    up_mass, down_mass = _scalar_split_masses(light_probs, coins)
+    return not (up_mass <= tol.zero or down_mass < 3.0 * delta + tol.zero)
+
+
+def scalar_split_from_coins(p, light, coins, delta, tol):
+    """One split deviation of ``p`` for a legal draw of ``coins``, through
+    one ``from_probs`` call, its moved mass checked."""
+    light_probs = p.probs[light]
+    up_mass, down_mass = _scalar_split_masses(light_probs, coins)
+    v = p.probs.copy()
+    v[light] += 3.0 * delta * light_probs * (coins / up_mass - (1 - coins) / down_mass)
+    out = sn.MixedStrategy.from_probs(v, tol, renormalize=False)
+    assert abs(sn.variation_distance(p, out) - 3.0 * delta) <= 10.0 * tol.zero
+    return out
+
+
 def scalar_split_deviation(p, split, delta, rng, tol=DEFAULT_TOLS, retries=64):
     """Reference 3*delta split deviation, one coin draw per attempt and one
     ``from_probs`` per deviation; None when no draw is legal."""
@@ -145,23 +166,42 @@ def scalar_split_deviation(p, split, delta, rng, tol=DEFAULT_TOLS, retries=64):
     light_probs = p.probs[light]
     for _ in range(retries):
         coins = rng.integers(0, 2, size=len(light))
-        up_mass = float(light_probs[coins == 1].sum())
-        down_mass = float(light_probs[coins == 0].sum())
-        if up_mass <= tol.zero or down_mass < 3.0 * delta + tol.zero:
-            continue
-        v = p.probs.copy()
-        v[light] += 3.0 * delta * light_probs * (coins / up_mass - (1 - coins) / down_mass)
-        out = sn.MixedStrategy.from_probs(v, tol, renormalize=False)
-        assert abs(sn.variation_distance(p, out) - 3.0 * delta) <= 10.0 * tol.zero
-        return out
+        if _scalar_split_legal(light_probs, coins, delta, tol):
+            return scalar_split_from_coins(p, light, coins, delta, tol)
     return None
 
 
+def scalar_split_coins(light_probs, delta, trials, rng, tol=DEFAULT_TOLS, retries=64):
+    """Reference coin rounds for ``trials`` trials: each round draws one
+    (pending, light) block, a row per trial still without a legal draw,
+    and tests each row on its own. Returns each trial's legal coins, or
+    None, and the number of rounds drawn."""
+    out = [None] * trials
+    pending = list(range(trials))
+    rounds = 0
+    while pending and rounds < retries:
+        rounds += 1
+        block = rng.integers(0, 2, size=(len(pending), len(light_probs)))
+        still = []
+        for t, coins in zip(pending, block):
+            if _scalar_split_legal(light_probs, coins, delta, tol):
+                out[t] = coins
+            else:
+                still.append(t)
+        pending = still
+    return out, rounds
+
+
 def scalar_split_probe(game, eps, delta, trials, seed, profile, references, coeff,
-                       tol=DEFAULT_TOLS):
-    """Reference split probe: one deviation, one matvec and one
+                       tol=DEFAULT_TOLS, per_trial=False, retries=64):
+    """Reference split probe: each side's coins in the library's attempt
+    rounds (``scalar_split_coins``), then one deviation, one matvec and one
     ``variation_distance`` per reference at a time; returns the report
-    ``random_split_probe`` makes."""
+    ``random_split_probe`` makes. With ``per_trial`` each trial draws
+    attempt by attempt before the next trial starts, the stream the probe
+    drew before its coins came in rounds. ``retries`` is the number of
+    attempt rounds (of attempts, with ``per_trial``) before a trial is
+    degenerate."""
     rng = np.random.default_rng(seed)
     rows, cols = game.shape
 
@@ -177,11 +217,20 @@ def scalar_split_probe(game, eps, delta, trials, seed, profile, references, coef
         elif float(strategy.probs[list(split.light)].sum()) < 8.0 * delta - tol.zero and trials:
             raise PreconditionError("light mass below the 8*delta threshold")
         floors = [sn.variation_distance(strategy, ref) for ref in refs]
-        for _ in range(trials - concentrated):
-            dev = scalar_split_deviation(strategy, split, delta, rng, tol)
-            if dev is None:
+        light = list(split.light)
+        light_probs = strategy.probs[light]
+        if per_trial:
+            draws = [scalar_split_coins(light_probs, delta, 1, rng, tol, retries)[0][0]
+                     for _ in range(trials - concentrated)]
+        else:
+            draws, _ = scalar_split_coins(
+                light_probs, delta, trials - concentrated, rng, tol, retries
+            )
+        for coins in draws:
+            if coins is None:
                 out["degenerate"] += 1
                 continue
+            dev = scalar_split_from_coins(strategy, light, coins, delta, tol)
             out["deviations"] += 1
             shift = (dev.probs - strategy.probs) @ payoff
             drift = float(shift.max() - shift.min())

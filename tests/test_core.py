@@ -78,6 +78,14 @@ class TestMixedStrategy:
                 sn.MixedStrategy.from_rows([good, bad, good])
         assert sn.MixedStrategy.from_rows(np.empty((0, 3))) == []
 
+    def test_rows_name_the_first_bad_mass(self):
+        # one array comparison finds the first row off mass 1, as a loop does
+        tol = sn.DEFAULT_TOLS.sum
+        rows = [[0.5, 0.5], [0.5, 0.5 + 0.5 * tol], [0.4, 0.4], [0.3, 0.3]]
+        with pytest.raises(ValidationError, match=r"^strategy mass 0\.8 is not 1"):
+            sn.MixedStrategy.from_rows(rows)
+        assert len(sn.MixedStrategy.from_rows(rows[:2])) == 2
+
 
 class TestExpectedPayoffs:
     def test_matching_pennies_center(self, matching_pennies):
@@ -353,3 +361,65 @@ def test_public_api_is_pinned():
         "well_supported_stability_parameters",
     ]
     assert all(hasattr(sn, name) for name in sn.__all__)
+
+
+def _row_major_raw_regrets(R, C, p, q, zero):
+    """The kernel as it reduced before it went actions-major: every
+    maximum and minimum along rows."""
+    P = p.reshape(-1, R.shape[0])
+    Q = q.reshape(-1, R.shape[1])
+    row_payoffs = Q @ R.T
+    col_payoffs = P @ C
+    row_best = row_payoffs.max(axis=1)
+    col_best = col_payoffs.max(axis=1)
+    row_value = (P * row_payoffs).sum(axis=1)
+    col_value = (Q * col_payoffs).sum(axis=1)
+    row_supported_min = row_payoffs.min(axis=1, where=P > zero, initial=np.inf)
+    col_supported_min = col_payoffs.min(axis=1, where=Q > zero, initial=np.inf)
+    return (
+        np.maximum(0.0, row_best - row_value),
+        np.maximum(0.0, col_best - col_value),
+        np.maximum(0.0, row_best - row_supported_min),
+        np.maximum(0.0, col_best - col_supported_min),
+    )
+
+
+def _signed_zero_stack(rng, shape, zero):
+    """Entries that are ordinary, +0, -0, exactly ``zero`` or just above it,
+    with whole rows at or below ``zero``."""
+    V = rng.dirichlet(np.ones(shape[1]), size=shape[0])
+    kind = rng.integers(0, 5, size=shape)
+    V[kind == 1] = 0.0
+    V[kind == 2] = -0.0
+    V[kind == 3] = zero
+    V[kind == 4] = np.nextafter(zero, 1.0)
+    # rows with no mass above zero, the first of every stack of two or
+    # more among them: their supported minimum is inf
+    empty = rng.random(shape[0]) < 0.1
+    empty[0] = shape[0] > 1
+    V[empty] = zero
+    return V
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 400),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.sampled_from([0.0, 1e-9, 1e-3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_raw_regrets_bytes_match_row_major_kernel(m, rows, cols, zero, seed):
+    # the actions-major maxima and minima, and the row-wise sums, give the
+    # row-major kernel's bytes, signed zeros and 8+ actions included
+    rng = np.random.default_rng(seed)
+    R, C = (rng.choice([0.0, -0.0, 0.25, -0.5, 1.0], size=(rows, cols))
+            + rng.choice([0.0, 1.0], size=(rows, cols)) * rng.uniform(-1, 1, (rows, cols))
+            for _ in range(2))
+    P = _signed_zero_stack(rng, (m, rows), zero)
+    Q = _signed_zero_stack(rng, (m, cols), zero)
+    got = raw_regrets(R, C, P, Q, zero)
+    want = _row_major_raw_regrets(R, C, P, Q, zero)
+    for a, b in zip(got, want):
+        assert a.shape == (m,)
+        assert a.tobytes() == b.tobytes()

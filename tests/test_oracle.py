@@ -335,7 +335,7 @@ def _best_response_value(payoff, S, i):
     st.integers(1, 5), st.integers(1, 5), st.integers(0, 20_000),
     st.sampled_from([0.0, 0.01, 0.25]),
 )
-def test_best_response_screen_matches_brute_force(n_opp, n_own, seed, eps):
+def test_best_response_windows_match_brute_force(n_opp, n_own, seed, eps):
     # quarter-step payoffs keep every W + eps and every best-response value
     # + eps at 0 or at least 0.005 away from it, so the screen's margin
     # cannot show
@@ -343,8 +343,9 @@ def test_best_response_screen_matches_brute_force(n_opp, n_own, seed, eps):
     payoff = rng.integers(0, 5, size=(n_opp, n_own)) / 4.0
     for k in range(1, n_own + 1):
         own = np.array(list(itertools.combinations(range(n_own), k)))
-        ok = oracle.best_response_screen(payoff, own, eps, DEFAULT_TOLS)
-        assert ok.shape == (len(own), n_opp)
+        lo, hi = oracle.best_response_windows(payoff, own, eps, DEFAULT_TOLS)
+        assert lo.shape == hi.shape == (len(own), n_opp)
+        ok = lo <= hi
         for m, S in enumerate(own.tolist()):
             for i in range(n_opp):
                 # whether some distribution on S makes i eps-best

@@ -23,7 +23,9 @@ from conftest import (
     region_arrays,
     scalar_estimate_witness,
     scalar_sampler,
+    scalar_split_coins,
     scalar_split_deviation,
+    scalar_split_from_coins,
     scalar_split_probe,
     subset_max_distance,
     unscreened_ws_candidates,
@@ -723,30 +725,37 @@ def _split_cases(draw):
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(_split_cases())
 def test_stacked_split_deviations_match_per_trial(case):
-    # the probe's stack of deviations, row by row, is bitwise what one
-    # random_split_deviation call per trial makes on the same coins
+    # the probe's stack of deviations, row by row, is bitwise what the
+    # reference's attempt rounds and one from_probs per trial make, and one
+    # random_split_deviation call per trial keeps the attempt-by-attempt
+    # stream of the reference's lone trial
     p, split, delta, trials, seed = case
     tol = sn.DEFAULT_TOLS
     light, light_probs = stability._split_light(p, split, delta, tol)
     rng = np.random.default_rng(seed)
-    draws = [stability._split_coins(light_probs, delta, rng, tol, SPLIT_RETRY_LIMIT)
-             for _ in range(trials)]
-    legal = [d for d in draws if d is not None]
-    stacked = stability._split_deviations(p.probs, light, light_probs, legal, delta, tol)
+    draws = stability._split_coins(light_probs, delta, trials, rng, tol, SPLIT_RETRY_LIMIT)
+    stacked = stability._split_deviations(p.probs, light, light_probs, *draws, delta, tol)
+    rng = np.random.default_rng(seed)
+    coins, _ = scalar_split_coins(light_probs, delta, trials, rng, tol, SPLIT_RETRY_LIMIT)
+    scalar = [scalar_split_from_coins(p, light, c, delta, tol) for c in coins if c is not None]
+    assert len(scalar) == len(stacked)
+    for row, ref in zip(stacked, scalar):
+        assert row.tobytes() == ref.probs.tobytes()
+        assert tuple(np.flatnonzero(row).tolist()) == ref.support
     rng = np.random.default_rng(seed)
     per_trial = []
     for _ in range(trials):
         try:
             per_trial.append(sn.random_split_deviation(p, split, delta, rng, tol))
         except DegenerateInputError:
-            pass
+            per_trial.append(None)
     rng = np.random.default_rng(seed)
-    scalar = [scalar_split_deviation(p, split, delta, rng, tol) for _ in range(trials)]
-    scalar = [dev for dev in scalar if dev is not None]
-    assert len(per_trial) == len(scalar) == len(stacked) == len(legal)
-    for row, dev, ref in zip(stacked, per_trial, scalar):
-        assert row.tobytes() == dev.probs.tobytes() == ref.probs.tobytes()
-        assert tuple(np.flatnonzero(row).tolist()) == dev.support == ref.support
+    lone = [scalar_split_deviation(p, split, delta, rng, tol) for _ in range(trials)]
+    assert [dev is None for dev in per_trial] == [ref is None for ref in lone]
+    for dev, ref in zip(per_trial, lone):
+        if dev is not None:
+            assert dev.probs.tobytes() == ref.probs.tobytes()
+            assert dev.support == ref.support
 
 
 @st.composite
@@ -785,6 +794,66 @@ def test_probe_reports_match_scalar_reference_bytes(case):
         return
     got = sn.random_split_probe(game, eps, delta, trials, seed, profile, refs, coeff)
     assert canonical_dumps(got) == canonical_dumps(want)
+
+
+class TestSplitRetryPath:
+    """Light parts of two and three atoms at delta = 0.12, near the 8*delta
+    legality limit: the tails must carry 0.36, so half or more of the draws
+    are illegal and most sides have trials that retry."""
+
+    DELTA = 0.12
+    PROFILE = ([0.5, 0.3, 0.2], [0.6, 0.4])
+
+    def _probe_args(self, seed):
+        # at coeff 1 the sample size is 1, so the whole support is light
+        prof = sn.StrategyProfile.from_vectors(*self.PROFILE)
+        return (sn.random_game(3, 2, seed), 0.3, self.DELTA, 4, seed, prof, [prof], 1.0)
+
+    def test_probe_matches_scalar_reference_bytes(self):
+        retried = 0
+        for seed in range(12):
+            args = self._probe_args(seed)
+            got = canonical_dumps(sn.random_split_probe(*args))
+            assert got == canonical_dumps(scalar_split_probe(*args))
+            # each coin is one draw of the stream, so the rounds use the
+            # same legal rows as one trial after another, and the report,
+            # which does not depend on the trial order, stays the same
+            assert got == canonical_dumps(scalar_split_probe(*args, per_trial=True))
+            # the row side draws first: did its trials take more than one round
+            _, rounds = scalar_split_coins(
+                np.array(self.PROFILE[0]), self.DELTA, 4, np.random.default_rng(seed)
+            )
+            retried += rounds > 1
+        assert retried >= 8
+
+    def test_rounds_decide_which_trials_run_out(self, monkeypatch):
+        # with two attempts, trials run out: the rounds give the pending
+        # trials their second attempt after every trial's first
+        monkeypatch.setattr(stability, "SPLIT_RETRY_LIMIT", 2)
+        moved = degenerate = 0
+        for seed in range(12):
+            args = self._probe_args(seed)
+            got = sn.random_split_probe(*args)
+            assert canonical_dumps(got) == canonical_dumps(scalar_split_probe(*args, retries=2))
+            old = scalar_split_probe(*args, per_trial=True, retries=2)
+            moved += canonical_dumps(got) != canonical_dumps(old)
+            degenerate += got["row"]["degenerate"] + got["col"]["degenerate"]
+        assert degenerate and moved
+
+    def test_one_trial_stream_is_unchanged_on_retries(self):
+        # one random_split_deviation call draws attempt by attempt, as the
+        # reference's lone trial does, also when its first draws are illegal
+        p = sn.MixedStrategy.uniform(3)
+        split = sn.HeavyLightSplit((), (0, 1, 2), 0.0, "light-threshold")
+        retried = 0
+        for seed in range(30):
+            first = np.random.default_rng(seed).integers(0, 2, size=3)
+            retried += int(first.sum() != 1)
+            got = sn.random_split_deviation(p, split, self.DELTA, seed)
+            want = scalar_split_deviation(p, split, self.DELTA, np.random.default_rng(seed))
+            assert got.probs.tobytes() == want.probs.tobytes()
+            assert got.support == want.support
+        assert retried >= 10
 
 
 def _per_trial_probe(game, eps, delta, trials, seed, profile=None, references=None):

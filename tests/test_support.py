@@ -232,10 +232,9 @@ class TestFindWellSupported:
         g = sn.dominance_gap_game(0.25)
         own = np.array([[0, 1]])
         for payoff in (g.R, g.C.T):
-            at_eps = oracle.best_response_screen(payoff, own, 0.25, DEFAULT_TOLS)
-            below = oracle.best_response_screen(payoff, own, 0.25 - 1e-3, DEFAULT_TOLS)
-            assert at_eps.tolist() == [[True, True]]
-            assert below.tolist() == [[True, False]]
+            for eps, kept in ((0.25, [[True, True]]), (0.25 - 1e-3, [[True, False]])):
+                lo, hi = oracle.best_response_windows(payoff, own, eps, DEFAULT_TOLS)
+                assert (lo <= hi).tolist() == kept
         pairs = oracle.screened_pairs(g, [(2, 2)], 0.25, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS)
         [(visited, S_p, S_q)] = pairs
         assert (visited.tolist(), S_p.tolist(), S_q.tolist()) == ([1], [[0, 1]], [[0, 1]])
