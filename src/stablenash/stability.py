@@ -752,7 +752,9 @@ def _split_light(
     p: MixedStrategy, split: HeavyLightSplit, delta: float, tol: Tolerances
 ) -> tuple[list[int], np.ndarray]:
     """The light indices of ``split`` and p's probabilities there, checked
-    to carry the 8*delta mass a 3*delta split needs."""
+    to carry the 8*delta mass a 3*delta split needs. That mass is the
+    entries' own sum, the one the split divides; ``1 - split.beta`` can
+    round to the other side of the threshold."""
     light = list(split.light)
     if not light:
         raise PreconditionError("light part is empty")
@@ -799,38 +801,55 @@ def _split_coins(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fair coins for the light entries of ``trials`` independent trials.
 
-    Each attempt round draws one ``(pending, light)`` block of coins, one
-    row per trial whose draws so far were all illegal, in trial order; a
-    draw is legal when both classes can carry the transfer. After
-    ``retries`` rounds the trials still pending are degenerate. Returns
-    ``(coins, up_mass, down_mass)`` for the trials with a legal draw, in
+    The coins come in attempt rounds: each round gives one row of coins to
+    every trial whose rows so far were all illegal, in trial order; a row
+    is legal when both classes can carry the transfer. After ``retries``
+    rounds the trials still pending are degenerate. Returns
+    ``(coins, up_mass, down_mass)`` for the trials with a legal row, in
     trial order: their coins ``(k, light)`` and their heads and tails
     masses ``(k,)`` (:func:`_coin_masses`).
 
     numpy draws each fair coin from one 32-bit output of the generator, so
-    a block is the next rows of one coin stream, whatever its shape. Unless
-    a trial runs out of rounds, the trials therefore take the first
-    ``trials`` legal rows of the stream and leave the generator where
-    trials drawing one after another, attempt by attempt, would; only
-    which trial takes which row differs.
+    rows drawn in any blocks are the next rows of one coin stream. The
+    rounds are therefore replayed rather than drawn: the generator's state
+    is saved, one block of ``2 * trials`` rows (``trials`` for one round)
+    is drawn and tested with one :func:`_coin_masses` call, and it doubles
+    only if the replay runs past its end. Round r takes the next
+    ``pending`` rows of the block, its legal rows going to its pending
+    trials in trial order, and after at most ``retries`` rounds the
+    generator is rewound to the saved state and redraws exactly the rows
+    the rounds took. Coins, masses, trial order and the generator's
+    final state are those of drawing round by round. Unless a trial runs
+    out of rounds, the trials take the first ``trials`` legal rows of the
+    stream and leave the generator where trials drawing one after another,
+    attempt by attempt, would; only which trial takes which row differs.
     """
-    coins = np.zeros((trials, light_probs.size), dtype=np.int64)
-    up_mass = np.zeros(trials)
-    down_mass = np.zeros(trials)
+    def block(rows):
+        coins = rng.integers(0, 2, size=(rows, light_probs.size))
+        up, down = _coin_masses(light_probs, coins)
+        # legality: the tails class must be able to shed 3*delta
+        return coins, up, down, (up > tol.zero) & (down >= 3.0 * delta + tol.zero)
+
+    saved = rng.bit_generator.state
+    coins, up, down, legal = block(min(retries, 2) * trials)
+    taken = np.full(trials, -1)  # the row of each trial's legal draw
     pending = np.arange(trials)
+    used = 0
     for _ in range(retries):
         if not pending.size:
             break
-        draw = rng.integers(0, 2, size=(pending.size, light_probs.size))
-        up, down = _coin_masses(light_probs, draw)
-        # legality: the tails class must be able to shed 3*delta
-        legal = (up > tol.zero) & (down >= 3.0 * delta + tol.zero)
-        done = pending[legal]
-        coins[done], up_mass[done], down_mass[done] = draw[legal], up[legal], down[legal]
-        pending = pending[~legal]
-    found = np.ones(trials, dtype=bool)
-    found[pending] = False
-    return coins[found], up_mass[found], down_mass[found]
+        end = used + pending.size
+        if end > len(coins):
+            more = block(max(end, 2 * len(coins)) - len(coins))
+            coins, up, down, legal = map(np.concatenate, zip((coins, up, down, legal), more))
+        ok = legal[used:end]
+        taken[pending[ok]] = used + np.flatnonzero(ok)
+        pending = pending[~ok]
+        used = end
+    rng.bit_generator.state = saved
+    rng.integers(0, 2, size=(used, light_probs.size))  # leaves the generator where the rounds do
+    rows = taken[taken >= 0]
+    return coins[rows], up[rows], down[rows]
 
 
 def _split_deviations(
@@ -910,10 +929,14 @@ def random_split_probe(
 
     For each side, partitions the strategy once at sample size
     S = coeff * (delta/eps)^2 * log(n) and measures its distance to each
-    reference once. The side's trials then draw their coins for the
-    3*delta split together (:func:`_split_coins`): each attempt round
-    draws one block with a row per trial still without a legal draw. They
-    take the legal draws that trials drawing one after another would take,
+    reference once. A side is concentrated when its light part is empty
+    or its entries sum to less than 8*delta (less ``tol.zero``), the sum
+    :func:`random_split_deviation` checks. The side's trials then take
+    their coins for the 3*delta split together (:func:`_split_coins`): in
+    attempt rounds, each giving a row to every trial still without a legal
+    draw, replayed from one block and then redrawn after a rewind, so the
+    generator ends where drawing round by round leaves it. The trials take
+    the legal draws that trials drawing one after another would take,
     unless a trial runs out of its ``SPLIT_RETRY_LIMIT`` attempts, and the
     report does not depend on which trial took which draw.
     The legal deviations of all trials are built, cleaned and checked (each
@@ -947,15 +970,16 @@ def random_split_probe(
         # The partition and the reference distances depend only on the
         # strategy, so all trials share them; only the coins differ.
         split = heavy_light_partition(strategy, S, min(delta, 0.125), tol)
-        light_mass = 1.0 - split.beta
-        concentrated = 0
-        if not split.light or light_mass < 8.0 * delta - tol.zero:
+        # the light part's own sum decides, as it does for one deviation
+        try:
+            light, light_probs = _split_light(strategy, split, delta, tol)
+            concentrated = 0
+        except PreconditionError:
             concentrated = trials
         deviations = 0
         drift = np.zeros(0)
         distance_violations = 0
         if trials > concentrated:
-            light, light_probs = _split_light(strategy, split, delta, tol)
             draws = _split_coins(
                 light_probs, delta, trials - concentrated, rng, tol, SPLIT_RETRY_LIMIT
             )

@@ -185,6 +185,23 @@ def heavy_light_partition(
     (b) the heavy mass reaches 1 - 8*delta; the conditions are tested before
     each move, so a distribution that is already flat terminates immediately
     with an empty heavy set. Ties move the lowest index first.
+
+    Pr[L] is the light part's own sum ``probs[light].sum()``, and the split
+    is bitwise the one of a loop that recomputes it before every move. Both
+    tests are evaluated for every prefix at once from one suffix-sum array
+    ``c`` (a cumsum from the smallest entry up); only the prefixes whose
+    outcome ``c`` cannot settle are re-decided with the exact sum. The band
+    is rigorous. Any order of adding k nonnegative doubles lands within
+    gamma_(k-1) * T of their true sum T, with gamma_j = j*u / (1 - j*u) and
+    u = 2^-53 (a sum that ends subnormal is exact). ``c`` and the exact sum
+    both do, so for m support entries the exact sum lies in
+    c * [1 - 4*m*u, 1 + 4*m*u], and ``c * (1 - w)`` and ``c * (1 + w)``
+    with w = 8*m*u (both factors exact) still bracket that interval after
+    their own rounding. Each test is a chain of rounded operations monotone
+    in Pr[L] (division by S > 0, adding tol.zero, subtracting from 1), so
+    it holds at the exact sum when it holds at the bracket end worse for
+    it, fails when it fails at the better end, and only in between is the
+    exact sum taken.
     """
     if not S > 0:
         raise ParameterError("S must be positive")
@@ -194,19 +211,29 @@ def heavy_light_partition(
     support = np.asarray(p.support, dtype=np.intp)
     # descending by probability; the stable sort keeps ties in index order
     order = support[np.argsort(-probs[support], kind="stable")]
-    pos = 0
-    mass_target = 1.0 - 8.0 * delta
-    while True:
-        light = order[pos:]
-        light_mass = float(probs[light].sum()) if light.size else 0.0
-        # the light part's largest entry is its first
-        if not light.size or probs[light[0]] <= light_mass / S + tol.zero:
+    head = probs[order]  # head[pos] is the largest entry of the light part order[pos:]
+    suffix = np.cumsum(head[::-1])[::-1]
+    w = 8.0 * order.size * 2.0**-53
+    lo, hi = suffix * (1.0 - w), suffix * (1.0 + w)
+    mass_floor = 1.0 - 8.0 * delta - tol.zero
+    light_sure = head <= lo / S + tol.zero
+    light_maybe = head <= hi / S + tol.zero
+    mass_sure = 1.0 - hi >= mass_floor
+    mass_maybe = 1.0 - lo >= mass_floor
+    for pos in np.flatnonzero(light_maybe | mass_maybe).tolist():
+        is_light, is_mass = light_sure[pos], mass_sure[pos]
+        if is_light != light_maybe[pos] or is_mass != mass_maybe[pos]:
+            light_mass = float(probs[order[pos:]].sum())
+            is_light = head[pos] <= light_mass / S + tol.zero
+            is_mass = 1.0 - light_mass >= mass_floor
+        if is_light:
             terminated = "light-threshold"
             break
-        if 1.0 - light_mass >= mass_target - tol.zero:
+        if is_mass:
             terminated = "mass-threshold"
             break
-        pos += 1
+    else:
+        pos, terminated = order.size, "light-threshold"  # the light part is empty
     heavy = order[:pos]
     beta = float(probs[heavy].sum()) if heavy.size else 0.0
     return HeavyLightSplit(

@@ -12,7 +12,6 @@ from stablenash.config import (
     DEFAULT_TOLS,
     STACK_FLOATS,
 )
-from stablenash.errors import PreconditionError
 from stablenash.lp import OPTIMAL, LinearProgram
 
 ACCEPTANCE_LINES: list[str] = []
@@ -211,14 +210,13 @@ def scalar_split_probe(game, eps, delta, trials, seed, profile, references, coef
                              "distance_violations"), 0)
         max_drift = 0.0
         split = naive_heavy_light_partition(strategy, S, min(delta, 0.125), tol)
-        concentrated = 0
-        if not split.light or 1.0 - split.beta < 8.0 * delta - tol.zero:
-            concentrated = trials
-        elif float(strategy.probs[list(split.light)].sum()) < 8.0 * delta - tol.zero and trials:
-            raise PreconditionError("light mass below the 8*delta threshold")
-        floors = [sn.variation_distance(strategy, ref) for ref in refs]
         light = list(split.light)
         light_probs = strategy.probs[light]
+        concentrated = 0
+        # the light entries' own sum, not 1 - beta, decides
+        if not light or float(light_probs.sum()) < 8.0 * delta - tol.zero:
+            concentrated = trials
+        floors = [sn.variation_distance(strategy, ref) for ref in refs]
         if per_trial:
             draws = [scalar_split_coins(light_probs, delta, 1, rng, tol, retries)[0][0]
                      for _ in range(trials - concentrated)]

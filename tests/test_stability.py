@@ -856,6 +856,130 @@ class TestSplitRetryPath:
         assert retried >= 10
 
 
+
+def _state_bytes(state):
+    """A bit generator's state as comparable bytes (MT19937 holds an array)."""
+    if isinstance(state, dict):
+        return b"".join(k.encode() + _state_bytes(v) for k, v in sorted(state.items()))
+    return np.asarray(state).tobytes() if isinstance(state, np.ndarray) else repr(state).encode()
+
+
+class TestSplitCoinReplay:
+    """The coins come from one block replayed round by round, then the
+    generator is rewound and redraws the rows the rounds took."""
+
+    # (light entries, trials, retries, share of the light mass the tails
+    # must carry, 32-bit words drawn first: odd ones leave a half word
+    # buffered in the 64-bit generators)
+    CASES = [
+        (8, 40, SPLIT_RETRY_LIMIT, 0.3, 1),  # the montecarlo workload's side
+        (3, 12, SPLIT_RETRY_LIMIT, 0.9, 3),  # mostly illegal: the block grows
+        (2, 5, 2, 0.95, 1),  # two rounds, trials run out
+        (3, 6, 1, 0.8, 0),
+        (4, 6, 0, 0.5, 1),  # no round, no draw
+        (5, 0, SPLIT_RETRY_LIMIT, 0.5, 1),  # no trial
+        (1, 4, 3, 0.2, 1),  # one light atom: no row is ever legal
+        (1, 3, SPLIT_RETRY_LIMIT, 0.2, 0),
+        (12, 25, SPLIT_RETRY_LIMIT, 0.5, 2),  # classes of 8 or more coins
+        (20, 10, 2, 0.99, 3),
+    ]
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
+        np.random.SFC64,
+    ])
+    def test_matches_reference_rounds_bitwise(self, bit_generator):
+        tol = sn.DEFAULT_TOLS
+        exhausted = 0
+        for case, (width, trials, retries, share, words) in enumerate(self.CASES):
+            for seed in range(4):
+                light_probs = np.random.default_rng([case, seed]).dirichlet(np.ones(width))
+                delta = share * light_probs.sum() / 3.0
+
+                def generator():
+                    rng = np.random.Generator(bit_generator(seed))
+                    rng.integers(0, 2**32, size=words, dtype=np.uint32)
+                    return rng
+
+                rng = generator()
+                coins, up, down = stability._split_coins(
+                    light_probs, delta, trials, rng, tol, retries
+                )
+                ref = generator()
+                want, _ = scalar_split_coins(light_probs, delta, trials, ref, tol, retries)
+                legal = [c for c in want if c is not None]
+                exhausted += trials - len(legal) if retries else 0
+                assert coins.dtype == np.int64 and coins.shape == (len(legal), width)
+                for row, c, u, d in zip(coins, legal, up, down):
+                    assert row.tobytes() == c.tobytes()
+                    assert u.tobytes() == light_probs[c == 1].sum().tobytes()
+                    assert d.tobytes() == light_probs[c == 0].sum().tobytes()
+                assert _state_bytes(rng.bit_generator.state) == _state_bytes(ref.bit_generator.state)
+        assert exhausted
+
+    def test_probe_side_draws_a_bounded_number_of_blocks(self):
+        # one side of the montecarlo probe (flat 100-action strategy, 8
+        # light atoms, 40 trials) takes several rounds, yet draws its coins
+        # in at most three calls: the block, at most one extension, and the
+        # redraw after the rewind
+        class Counting(np.random.Generator):
+            def __init__(self, bit_generator):
+                super().__init__(bit_generator)
+                self.calls = 0
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                return super().integers(*args, **kwargs)
+
+        tol = sn.DEFAULT_TOLS
+        p = sn.MixedStrategy.uniform(100)
+        S = max(light_sample_size(100, 0.05, 0.01, sn.config.LIGHT_SAMPLE_COEFF), 1.0)
+        light, light_probs = stability._split_light(
+            p, heavy_light_partition(p, S, 0.01, tol), 0.01, tol
+        )
+        assert len(light) == 8
+        rounds = []
+        for seed in range(20):
+            rng = Counting(np.random.PCG64(seed))
+            coins, _, _ = stability._split_coins(light_probs, 0.01, 40, rng, tol, SPLIT_RETRY_LIMIT)
+            assert len(coins) == 40
+            assert rng.calls <= 3
+            _, n = scalar_split_coins(light_probs, 0.01, 40, np.random.default_rng(seed), tol)
+            rounds.append(n)
+        assert min(rounds) >= 3
+
+
+class TestLightMassBoundary:
+    """``1 - beta`` and the light entries' own sum can round to opposite
+    sides of the 8*delta threshold; the probe decides by the sum, as one
+    deviation does. Both strategies are Dirichlet(1) draws and each delta
+    puts ``8*delta - tol.zero`` between the two values."""
+
+    def _probe(self, seed, n, delta):
+        p = sn.MixedStrategy.from_probs(np.random.default_rng(seed).dirichlet(np.ones(n)))
+        profile = sn.StrategyProfile(p, sn.MixedStrategy.uniform(4))
+        args = (sn.random_game(n, 4, 7), 0.05, delta, 5, 0, profile, [profile], 1e6)
+        S = max(light_sample_size(n, 0.05, delta, 1e6), 1.0)
+        split = heavy_light_partition(p, S, delta)
+        sum_mass = float(p.probs[list(split.light)].sum())
+        got = sn.random_split_probe(*args)
+        assert canonical_dumps(got) == canonical_dumps(scalar_split_probe(*args))
+        return 1.0 - split.beta, sum_mass, 8.0 * delta - sn.DEFAULT_TOLS.zero, got["row"]
+
+    def test_sum_below_threshold_is_concentrated(self):
+        # 1 - beta passes the threshold and the sum does not: the side is
+        # concentrated, not a PreconditionError from the sum's own check
+        beta_mass, sum_mass, threshold, row = self._probe(3, 5, 0.023722516081863407)
+        assert sum_mass < threshold <= beta_mass
+        assert row["concentrated"] == row["trials"] == 5
+
+    def test_sum_at_threshold_draws_coins(self):
+        # 1 - beta falls short and the sum does not: the trials draw coins
+        beta_mass, sum_mass, threshold, row = self._probe(1, 3, 0.005706246236532104)
+        assert beta_mass < threshold <= sum_mass
+        assert row["concentrated"] == 0
+        assert row["deviations"] + row["degenerate"] == 5
+
 def _per_trial_probe(game, eps, delta, trials, seed, profile=None, references=None):
     """The probe with the partition and reference distances recomputed in
     every trial, as a reference for the per-side version."""
@@ -877,7 +1001,8 @@ def _per_trial_probe(game, eps, delta, trials, seed, profile=None, references=No
         out.update(trials=trials, sample_size=S, max_payoff_drift=0.0)
         for _ in range(trials):
             split = heavy_light_partition(strategy, S, min(delta, 0.125), tol)
-            if not split.light or 1.0 - split.beta < 8.0 * delta - tol.zero:
+            light_mass = float(strategy.probs[list(split.light)].sum())
+            if not split.light or light_mass < 8.0 * delta - tol.zero:
                 out["concentrated"] += 1
                 continue
             try:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import stablenash as sn
 from stablenash import oracle, support
@@ -324,17 +324,24 @@ class TestHeavyLightPartition:
             assert split.beta >= 1.0 - 8.0 * delta - 1e-9
 
 
-    @settings(max_examples=80, derandomize=True)
+    @settings(max_examples=150, derandomize=True, deadline=None)
     @given(
         st.integers(0, 10_000),
-        st.integers(1, 60),
+        st.integers(1, 300),
         st.sampled_from(["dirichlet", "ties", "flat", "spiked"]),
         st.floats(0.001, 0.125),
         st.floats(0.5, 200.0),
+        st.booleans(),
+        st.integers(-3, 3),
     )
-    def test_bitwise_naive_reference(self, seed, n, shape, delta, S):
+    def test_bitwise_naive_reference(self, seed, n, shape, delta, S, edge, ulps):
         # ties and flat inputs exercise the index tie-break and the first
-        # test of the loop; the split must be bitwise the naive one's
+        # test of the loop; the split must be bitwise the naive one's. An
+        # edge case moves the stopping test that decides the naive split to
+        # within a few ulps of its threshold, at the prefix where it stops:
+        # delta from that light part's exact mass, or S from its
+        # entry-to-mass ratio. The partition's rounding band must send
+        # these prefixes to the exact sum.
         rng = np.random.default_rng(seed)
         if shape == "dirichlet":
             v = random_simplex(rng, n)
@@ -347,6 +354,26 @@ class TestHeavyLightPartition:
             v = np.full(n, 0.01)
             v[rng.permutation(n)[: max(1, n // 5)]] = 1.0
         p = sn.MixedStrategy.from_probs(v / v.sum())
+        if edge:
+            split = naive_heavy_light_partition(p, S, delta)
+            order = sorted(p.support, key=lambda i: (-p.probs[i], i))
+            pos = len(split.heavy)
+            assume(pos < len(order))
+            mass = float(p.probs[order[pos:]].sum())
+            step = np.inf if ulps > 0 else 0.0
+            if split.terminated_by == "mass-threshold":
+                # 1 - mass >= 1 - 8*delta - tol.zero
+                delta = (mass - DEFAULT_TOLS.zero) / 8.0
+                for _ in range(abs(ulps)):
+                    delta = float(np.nextafter(delta, step))
+                assume(0.0 < delta <= 0.125)
+            else:
+                # head <= mass / S + tol.zero
+                gap = p.probs[order[pos]] - DEFAULT_TOLS.zero
+                assume(gap > 0)
+                S = mass / gap
+                for _ in range(abs(ulps)):
+                    S = float(np.nextafter(S, step))
         got = sn.heavy_light_partition(p, S, delta)
         want = naive_heavy_light_partition(p, S, delta)
         assert got == want
