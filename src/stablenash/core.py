@@ -97,13 +97,15 @@ def _clean(V: np.ndarray, tol: Tolerances, renormalize: bool) -> np.ndarray:
     """
     if V.shape[-1] < 1:
         raise ValidationError("strategy vector is empty")
-    if not np.isfinite(V).all():
-        raise ValidationError("strategy vector contains non-finite entries")
-    if np.count_nonzero(V < -tol.zero):
-        raise ValidationError("strategy vector has a negative entry")
     totals = V.sum(axis=-1).reshape(-1)
-    off = np.flatnonzero(np.abs(totals - 1.0) > tol.sum)
-    if off.size:
+    # passes exactly when the three checks below do: an entry of at least
+    # -tol.zero is not NaN or -inf, and a finite mass has no +inf entry
+    if not ((V >= -tol.zero).all() and (np.abs(totals - 1.0) <= tol.sum).all()):
+        if not np.isfinite(V).all():
+            raise ValidationError("strategy vector contains non-finite entries")
+        if np.count_nonzero(V < -tol.zero):
+            raise ValidationError("strategy vector has a negative entry")
+        off = np.flatnonzero(np.abs(totals - 1.0) > tol.sum)
         total = float(totals[off[0]])
         raise ValidationError(f"strategy mass {total!r} is not 1 within tolerance")
     V = np.where(V > tol.zero, V, 0.0)

@@ -3,9 +3,12 @@
 Support enumeration. For a support pair (S_p, S_q) of equal size k, the
 supported rows tie at the row player's best payoff u, which together with
 the mass constraint is a square (k+1)x(k+1) linear system in (q, u); the
-same holds for (p, v) with the roles swapped. The systems of every size-k
-pair are stacked and solved in one batched call, and positivity and the
-best-response inequalities are checked as array operations.
+same holds for (p, v) with the roles swapped. Both players' systems of a
+chunk of size-k pairs, in every game of the pass, are gathered from the
+games' payoff tables by the chunk's pair plan (:func:`_pair_plan`), solved
+in one batched call, and checked for positivity and the best-response
+inequalities as one stack. A plan depends only on the shape, k and the
+chunk, so plans are kept across calls within a bound (:func:`_memo`).
 
 In a nondegenerate game every equilibrium has equal-size supports, so that
 pass is the whole enumeration. A degeneracy witness sends the game to the
@@ -40,11 +43,11 @@ Each pass admits a game's candidates once (:func:`_admit`). The batched
 pass collects a game's candidate rows in visit order and admits them when
 the pass ends; a game that falls back discards them. The LP loop admits a
 game's solved pairs in pair order. A pass cleans all its candidates as one
-stack; an admission checks a game's with one
+stack of arrays; an admission checks a game's with one
 :func:`stablenash.core.raw_regrets` call, then, in visit order, drops each
 within ``tol.dedup`` of a listed equilibrium or of an earlier admitted
-one. Each keeps the profiles, order and bytes that admitting one candidate
-at a time gives.
+one, and builds profiles for the admitted rows only. Each keeps the
+profiles, order and bytes that admitting one candidate at a time gives.
 
 The degeneracy witnesses are a singular tie system that is still
 consistent, and an accepted side solution with more than k tied opponent
@@ -59,21 +62,27 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .config import DEFAULT_ENUM_BUDGET, DEFAULT_TOLS, STACK_FLOATS, Tolerances
-from .core import BimatrixGame, StrategyProfile, raw_regrets
+from .core import BimatrixGame, MixedStrategy, StrategyProfile, _clean, raw_regrets
 from .core import regrets  # unused here; bench/spans.py traces it by this name
 from .errors import DomainError, ResourceBudgetError
 from .lp import OPTIMAL, solve_lp, solve_stack
 
-# Support pairs per stacked solve, which bounds the stack's memory.
+# Support pairs, or tie systems, per stacked solve, which bounds the
+# stack's memory.
 _CHUNK = 2048
 # Singular-value threshold below which a tie system counts as singular.
 _RANK_TOL = 1e-9
+# Subset tables and pair plans kept across calls, oldest first (_memo),
+# and the lock that keeps their sum within the bound across threads.
+_MEMO: dict[tuple, tuple] = {}
+_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -170,26 +179,34 @@ def _support_lps(
 def _admit(
     game: BimatrixGame,
     found: list[StrategyProfile],
-    candidates: list[StrategyProfile],
+    P: np.ndarray,
+    Q: np.ndarray,
     tol: Tolerances,
 ) -> np.ndarray:
-    """Append to ``found``, in order, each of the cleaned ``candidates``
-    that verifies and lies farther than ``tol.dedup`` from every listed
-    equilibrium and every earlier admitted candidate; returns the indices
-    of the admitted ones.
+    """Append to ``found``, in order, the profile of each row pair of the
+    cleaned stacks ``(P, Q)`` that verifies and lies farther than
+    ``tol.dedup`` from every listed equilibrium and every earlier admitted
+    row; returns the indices of the admitted rows.
 
-    One :func:`raw_regrets` call checks every candidate.
+    ``P`` and ``Q`` are read-only, as :func:`stablenash.core._clean`
+    returns them. One :func:`raw_regrets` call checks every row, and only
+    the admitted rows become profiles, bitwise those of
+    :meth:`StrategyProfile.from_rows`.
     """
-    if not candidates:
+    if not len(P):
         return np.zeros(0, dtype=int)
-    P = np.array([c.row.probs for c in candidates])
-    Q = np.array([c.col.probs for c in candidates])
     regret = functools.reduce(np.maximum, raw_regrets(game.R, game.C, P, Q, 0.0))
     live = np.flatnonzero(regret <= tol.eq)
     if found or live.size > 1:  # else nothing is near the one candidate
         live = live[_apart(P[live], Q[live], found, tol.dedup)]
-    found.extend(candidates[i] for i in live.tolist())
+    found.extend(StrategyProfile(_strategy(P[i]), _strategy(Q[i])) for i in live.tolist())
     return live
+
+
+def _strategy(v: np.ndarray) -> MixedStrategy:
+    """The strategy of a cleaned, read-only vector; its support is its
+    nonzero entries, as :meth:`MixedStrategy.from_rows` reads them."""
+    return MixedStrategy(v, tuple(v.nonzero()[0].tolist()))
 
 
 def _apart(
@@ -291,31 +308,89 @@ def best_response_windows(
 
 
 def _pair_chunks(
-    shape: tuple[int, int], size_pairs: list[tuple[int, int]], budget: int
+    shape: tuple[int, int],
+    size_pairs: list[tuple[int, int]],
+    budget: int,
+    chunk: Optional[int] = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The one walk over support pairs, and the one place that bounds it.
 
     Visits the (|S_p|, |S_q|) blocks of ``size_pairs`` in order, each by row
-    subset, then column subset, in lexicographic order, ``_CHUNK`` pairs at
-    a time. Yields ``(visited, P, Q, ip, iq)``: the pairs visited before the
-    chunk, the block's row and column subset tables, and the chunk's row
-    and column subset indices into them. Raises
-    :class:`ResourceBudgetError` before building any table when the pairs
-    of ``size_pairs`` exceed ``budget``.
+    subset, then column subset, in lexicographic order, ``chunk`` pairs
+    (``_CHUNK`` by default) at a time. Yields ``(visited, P, Q, ip, iq)``:
+    the pairs visited before the chunk, the block's row and column subset
+    tables, and the chunk's row and column subset indices into them. The
+    tables and indices are read-only and kept across calls (:func:`_memo`).
+    Raises :class:`ResourceBudgetError` before building any table when the
+    pairs of ``size_pairs`` exceed ``budget``.
     """
     rows, cols = shape
     total = sum(math.comb(rows, kp) * math.comb(cols, kq) for kp, kq in size_pairs)
     if total > budget:
         raise ResourceBudgetError(f"{total} support pairs exceed the budget {budget}")
-    P = {k: np.array(list(itertools.combinations(range(rows), k))) for k, _ in size_pairs}
-    Q = {k: np.array(list(itertools.combinations(range(cols), k))) for _, k in size_pairs}
+    chunk = _CHUNK if chunk is None else chunk
     visited = 0
     for kp, kq in size_pairs:
-        n_pairs = len(P[kp]) * len(Q[kq])
-        for start in range(0, n_pairs, _CHUNK):
-            ip, iq = np.divmod(np.arange(start, min(start + _CHUNK, n_pairs)), len(Q[kq]))
-            yield visited + start, P[kp], Q[kq], ip, iq
+        P, Q = _subsets(rows, kp), _subsets(cols, kq)
+        n_pairs = len(P) * len(Q)
+        for start in range(0, n_pairs, chunk):
+            yield (visited + start, P, Q, *_chunk(len(P), len(Q), start, chunk))
         visited += n_pairs
+
+
+def _subsets(n: int, k: int) -> np.ndarray:
+    """The (C(n, k), k) table of the k-subsets of range(n) in lexicographic
+    order, read-only and kept by :func:`_memo`."""
+
+    def build():
+        return (np.array(list(itertools.combinations(range(n), k))),)
+
+    return _memo(("subsets", n, k), build)[0]
+
+
+def _chunk(n_p: int, n_q: int, start: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column subset indices of the pairs of an n_p x n_q block
+    from ``start``, ``size`` of them at most, read-only and kept by
+    :func:`_memo`."""
+
+    def build():
+        return np.divmod(np.arange(start, min(start + size, n_p * n_q)), n_q)
+
+    return _memo(("chunk", n_p, n_q, start, size), build)
+
+
+def _memo(key: tuple, build) -> tuple:
+    """The arrays ``build()`` returns, read-only, kept for later calls.
+
+    The kept arrays hold at most ``STACK_FLOATS`` entries in all: a new
+    entry drops the oldest ones until it fits. An entry of more than an
+    eighth of that is built again on every call, so a large game's plans,
+    which cannot all stay, never push out the rest. An entry's key holds
+    everything its arrays depend on.
+    """
+    kept = _MEMO.get(key)
+    if kept is not None:
+        return kept
+    arrays = build()
+    for a in arrays:
+        if a is not None:
+            a.setflags(write=False)
+    size = _entries(arrays)
+    if size <= STACK_FLOATS // 8:
+        with _MEMO_LOCK:
+            held = [(k, _entries(v)) for k, v in _MEMO.items()]
+            total = sum(n for _, n in held)
+            for old, n in held:
+                if total + size <= STACK_FLOATS:
+                    break
+                del _MEMO[old]
+                total -= n
+            _MEMO[key] = arrays
+    return arrays
+
+
+def _entries(arrays: tuple) -> int:
+    return sum(a.size for a in arrays if a is not None)
 
 
 def screened_pairs(
@@ -410,20 +485,17 @@ def _lp_pass(
 
     found: list[list[StrategyProfile]] = [[] for _ in games]
     degenerate = [False] * len(games)
-    order = sorted(solved)  # pair order, which lists the games in turn
-    candidates = StrategyProfile.from_rows(
-        np.array([solved[i][0] for i in order]).reshape(-1, R.shape[1]),
-        np.array([solved[i][1] for i in order]).reshape(-1, R.shape[2]),
-        tol,
-    )
-    by_game: dict[int, list[tuple[int, StrategyProfile]]] = {}
-    for i, candidate in zip(order, candidates):
-        by_game.setdefault(int(at[i]), []).append((i, candidate))
-    for g, mine in by_game.items():
-        admitted = _admit(games[g], found[g], [c for _, c in mine], tol)
+    order = np.array(sorted(solved), dtype=int)  # pair order, which lists the games in turn
+    ps = _clean(np.array([solved[i][0] for i in order]).reshape(-1, R.shape[1]), tol, True)
+    qs = _clean(np.array([solved[i][1] for i in order]).reshape(-1, R.shape[2]), tol, True)
+    ends = np.cumsum(np.bincount(at[order], minlength=len(games))).tolist()
+    for g, lo, hi in zip(range(len(games)), [0] + ends, ends):
+        if lo == hi:
+            continue
+        admitted = _admit(games[g], found[g], ps[lo:hi], qs[lo:hi], tol)
         # the admitted pairs; one of unequal sizes marks a component at once,
         # else the pairs of each size are tested as one stack
-        mine_pairs = np.array([i for i, _ in mine])[admitted]
+        mine_pairs = order[lo:hi][admitted]
         kp, kq = rows[mine_pairs].sum(axis=1), cols[mine_pairs].sum(axis=1)
         degenerate[g] = bool((kp != kq).any())
         for k in sorted(set(kp.tolist())) if not degenerate[g] else ():
@@ -464,7 +536,10 @@ def _solve_ties(
     its LU factorization meets the same zero pivot as the inversion's.
     Every system of a run of ``piece`` members that holds one goes to the
     SVD, and the others are inverted in one call. Each system is factorized
-    on its own, so each run gets the bits it gets when solved alone.
+    on its own, so each run gets the bits it gets when solved alone. The
+    batched pass stacks both players' systems of every game in one call,
+    a run per game and player, so each player's systems of a game get the
+    bits they get in a stack of their own.
     """
     m = A.shape[0]
     try:
@@ -513,29 +588,111 @@ def _tie_systems(payoffs: np.ndarray, own: np.ndarray, opp: np.ndarray) -> np.nd
     return A
 
 
-def _side_pass(
-    payoffs: np.ndarray, own: np.ndarray, opp: np.ndarray, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One player's side of a stack of size-k support pairs in each game of
-    a stack.
+def _pair_plan(
+    rows: int,
+    cols: int,
+    visited: int,
+    P: np.ndarray,
+    Q: np.ndarray,
+    ip: np.ndarray,
+    iq: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The gather plan of one chunk of size-k pairs of the batched pass's
+    walk (:func:`_pair_chunks` over the blocks (1, 1), (2, 2), ...) in a
+    rows x cols game, kept by :func:`_memo` under the shape, k, the pairs
+    visited before the chunk and its pair count, which fix it.
 
-    Member (g, m), at g * len(own) + m, solves ``payoffs[g][opp[m]][:,
-    own[m]] x = u``, ``sum(x) = 1`` for a distribution x on ``own[m]`` that
-    makes the opponent actions ``opp[m]`` tie at level u. Returns the
-    solutions x, a mask of those that are positive and leave no opponent
-    action above u, and a mask of the degeneracy witnesses.
+    The plan indexes a game's table (:func:`_tables`), whose rows are
+    opponent actions and whose columns are the row player's own actions
+    against R, then the column player's against C.T. Member m < c is the
+    row player's side of pair m, which ties the rows ``S_p[m]`` with weights
+    on the columns ``S_q[m]``; member c + m is the column player's, which
+    ties the rows ``S_q[m]`` with weights on the columns ``n + S_p[m]``,
+    n = max(rows, cols).
+
+    Returns ``(S_p, S_q, systems, own, pad)``. ``S_p`` and ``S_q`` hold the
+    chunk's c row and column subsets. ``systems`` (2c, k+1, k+1) holds the
+    flat table index of each entry of each member's tie system: its tied
+    rows on its own columns, then the column of -1 and the row of 1.
+    ``own`` (2c, k) holds each member's own columns, whose first n table
+    rows are every opponent action's payoffs; ``pad`` (n, 2c) marks the
+    rows past each member's opponent action count, and is None in a square
+    game.
     """
-    games, n_opp = payoffs.shape[:2]
-    m, k = own.shape
-    sol, singular, consistent = _solve_ties(_tie_systems(payoffs, own, opp), m, tol)
+    k = P.shape[1]
+
+    def build():
+        S_p, S_q = P[ip], Q[iq]
+        c, n = len(ip), max(rows, cols)
+        # each member's table rows, then the row of 1, and its own columns,
+        # then the column of -1
+        opp = np.full((2 * c, k + 1), n)
+        opp[:c, :k], opp[c:, :k] = S_p, S_q
+        own = np.full((2 * c, k + 1), 2 * n)
+        own[:c, :k], own[c:, :k] = S_q, S_p + n
+        systems = (opp * (2 * n + 1))[:, :, None] + own[:, None, :]
+        pad = None
+        if rows != cols:
+            pad = np.repeat(np.arange(n)[:, None] >= np.array([rows, cols]), c, axis=1)
+        return S_p, S_q, systems, np.ascontiguousarray(own[:, :k]), pad
+
+    return _memo((rows, cols, k, visited, len(ip)), build)
+
+
+def _tables(games: list[BimatrixGame]) -> np.ndarray:
+    """Each game's (n+1, 2n+1) table, n = max(rows, cols): R in the first n
+    columns and C.T in the next n, each zero-padded to n rows, a last
+    column of -1 and a last row of 1 that meet at 0."""
+    rows, cols = games[0].shape
+    n = max(rows, cols)
+    out = np.zeros((len(games), n + 1, 2 * n + 1))
+    out[:, :rows, :cols] = [game.R for game in games]
+    out[:, :cols, n : n + rows] = [game.C.T for game in games]
+    out[:, :n, 2 * n] = -1.0
+    out[:, n, : 2 * n] = 1.0
+    return out
+
+
+def _tie_pass(
+    tables: np.ndarray, plan: tuple, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both players' sides of a chunk of size-k support pairs in each game
+    of a stack.
+
+    ``tables`` holds each game's :func:`_tables` and ``plan`` is the chunk's
+    :func:`_pair_plan`. Member (g, s, m) solves side s of pair m in game g:
+    a distribution x on the player's own support of the pair that makes the
+    opponent's declared actions tie at a level u. All members go to one
+    :func:`_solve_ties` call, in runs of one game's side, and are checked as
+    one stack. Returns the solutions x, (G, 2, c, k), where ``x[:, 0]`` is
+    q on ``S_q``, which ties the row player's actions ``S_p``, and
+    ``x[:, 1]`` is p on ``S_p``; a (G, c) mask of the pairs whose two sides
+    are positive and leave no opponent action above its level; and a (G,)
+    mask of the games with a degeneracy witness among their members.
+    """
+    S_p, S_q, systems, own, pad = plan
+    games, n = len(tables), tables.shape[1] - 1
+    c, k = S_p.shape
+    A = tables.reshape(games, -1).take(systems, axis=1).reshape(-1, k + 1, k + 1)
+    sol, singular, consistent = _solve_ties(A, c, tol)
     x, u = sol[:, :k], sol[:, k]
     # (opponent action, member, own action), the layout of one game's payoff[:, own]
-    cols = np.take(payoffs, own, axis=2).transpose(1, 0, 2, 3).reshape(n_opp, games * m, k)
+    cols = tables[:, :n].take(own, axis=2).transpose(1, 0, 2, 3).reshape(n, -1, k)
     pay = np.einsum("amj,mj->ma", cols, x)
-    ok = ~singular & (x.min(axis=1) > tol.zero)
-    ok &= pay.max(axis=1) <= u + tol.lp
-    ties = (pay >= (u - tol.lp)[:, None]).sum(axis=1)
-    return x, ok, consistent | (ok & (ties > k))
+    # reduced over a leading axis, which numpy does several times faster
+    # than rows of a few entries; min, max and counts are exact in any order
+    by_action = np.ascontiguousarray(pay.T)
+    if pad is not None:
+        np.copyto(by_action.reshape(n, games, 2 * c), -np.inf, where=pad[:, None])
+    ok = ~singular & (functools.reduce(np.minimum, x.T) > tol.zero)
+    ok &= by_action.max(axis=0) <= u + tol.lp
+    ties = (by_action >= u - tol.lp).sum(axis=0)
+    witness = consistent | (ok & (ties > k))
+    return (
+        x.reshape(games, 2, c, k),
+        ok.reshape(games, 2, c).all(axis=1),
+        witness.reshape(games, -1).any(axis=1),
+    )
 
 
 def _batched_pass(
@@ -545,62 +702,56 @@ def _batched_pass(
     of a list of same-shape games.
 
     Pairs are visited by size k, then row and column subset in
-    lexicographic order, in the chunks of :func:`_pair_chunks`. The chunks
-    of all games still in the pass are stacked, whole, up to ``_CHUNK``
-    pairs at a time. A game's entry is None once a degeneracy witness
-    shows among its pairs, when only the LP loop is complete for it; the
-    game then leaves the pass. Once the pass ends, the other games'
-    candidates are cleaned as one stack (:meth:`StrategyProfile.from_rows`)
-    and admitted in visit order, one :func:`_admit` call per game.
+    lexicographic order, in the chunks of :func:`_pair_chunks`, ``_CHUNK //
+    2`` pairs at a time. The chunks of all games still in the pass are
+    stacked, whole, up to ``_CHUNK`` tie systems at a time, as many as each
+    player's stack held when the players were solved apart, and each stack
+    is one :func:`_tie_pass` over the chunk's :func:`_pair_plan`. A game's entry is None once a
+    degeneracy witness shows among its pairs, when only the LP loop is
+    complete for it; the game then leaves the pass. Once the pass ends, the
+    other games' candidates are cleaned as one stack
+    (:func:`stablenash.core._clean`) and admitted in visit order, one
+    :func:`_admit` call per game.
     """
     rows, cols = games[0].shape
-    # each game's candidate rows in visit order, None once it falls back
-    found: list[Optional[list[tuple[np.ndarray, np.ndarray]]]] = [[] for _ in games]
-    # the games still in the pass, and their payoff stacks
-    live = list(range(len(games)))
-    R = np.array([game.R for game in games])
-    CT = np.array([game.C.T for game in games])
+    tables = _tables(games)
+    live = np.arange(len(games))  # the games still in the pass, in tables
+    fell = np.zeros(len(games), dtype=bool)
+    blocks = []  # each stack's candidates: their games, p and q, in visit order
     sizes = [(k, k) for k in range(1, max_support + 1)]
-    for _, P, Q, ip, iq in _pair_chunks((rows, cols), sizes, budget):
-        S_p, S_q = P[ip], Q[iq]
-        step = max(1, _CHUNK // len(ip))
+    chunk = max(1, _CHUNK // 2)  # two tie systems per pair
+    for visited, P, Q, ip, iq in _pair_chunks((rows, cols), sizes, budget, chunk):
+        plan = _pair_plan(rows, cols, visited, P, Q, ip, iq)
+        S_p, S_q = plan[:2]
+        step = max(1, chunk // len(ip))
         for start in range(0, len(live), step):
-            batch = slice(start, start + step)
-            q_x, q_ok, q_witness = _side_pass(R[batch], S_q, S_p, tol)
-            p_x, p_ok, p_witness = _side_pass(CT[batch], S_p, S_q, tol)
-            ok = q_ok & p_ok
-            witness = q_witness | p_witness
+            x, ok, witness = _tie_pass(tables[start : start + step], plan, tol)
             if witness.any():
-                fell = witness.reshape(-1, len(ip)).any(axis=1)
-                for b in np.flatnonzero(fell):
-                    found[live[start + b]] = None
-                ok &= ~np.repeat(fell, len(ip))
-            m = np.flatnonzero(ok)
-            if not m.size:
-                continue
-            b, pair = np.divmod(m, len(ip))
-            p = np.zeros((m.size, rows))
-            p[np.arange(m.size)[:, None], S_p[pair]] = p_x[m]
-            q = np.zeros((m.size, cols))
-            q[np.arange(m.size)[:, None], S_q[pair]] = q_x[m]
-            for g in dict.fromkeys(b.tolist()):
-                found[live[start + g]].append((p[b == g], q[b == g]))
-        kept = [i for i, g in enumerate(live) if found[g] is not None]
-        if len(kept) < len(live):
-            if not kept:
+                fell[live[start : start + step][witness]] = True
+                ok &= ~witness[:, None]
+            b, pair = np.nonzero(ok)
+            if b.size:
+                each = np.arange(b.size)[:, None]
+                p = np.zeros((b.size, rows))
+                p[each, S_p[pair]] = x[b, 1, pair]
+                q = np.zeros((b.size, cols))
+                q[each, S_q[pair]] = x[b, 0, pair]
+                blocks.append((live[start + b], p, q))
+        kept = ~fell[live]
+        if not kept.all():
+            if not kept.any():
                 break
-            live = [live[i] for i in kept]
-            R, CT = R[kept], CT[kept]
-    out: list[Optional[list[StrategyProfile]]] = [
-        None if blocks is None else [] for blocks in found
-    ]
-    ready = [g for g, blocks in enumerate(found) if blocks]
-    if ready:
-        P, Q = (np.concatenate(side) for side in zip(*(b for g in ready for b in found[g])))
-        candidates = iter(StrategyProfile.from_rows(P, Q, tol))
-        for g in ready:
-            mine = list(itertools.islice(candidates, sum(len(p) for p, _ in found[g])))
-            _admit(games[g], out[g], mine, tol)
+            live, tables = live[kept], tables[kept]
+    out: list[Optional[list[StrategyProfile]]] = [None if f else [] for f in fell.tolist()]
+    if blocks:
+        at, ps, qs = (np.concatenate(side) for side in zip(*blocks))
+        keep = np.flatnonzero(~fell[at])
+        keep = keep[np.argsort(at[keep], kind="stable")]  # by game, in visit order
+        ps, qs = _clean(ps[keep], tol, True), _clean(qs[keep], tol, True)
+        ends = np.cumsum(np.bincount(at[keep], minlength=len(games))).tolist()
+        for g, lo, hi in zip(range(len(games)), [0] + ends, ends):
+            if lo < hi:
+                _admit(games[g], out[g], ps[lo:hi], qs[lo:hi], tol)
     return out
 
 
@@ -609,7 +760,8 @@ def _midpoint_component(
 ) -> bool:
     """Whether the midpoint of two listed equilibria is an equilibrium
     farther than ``tol.dedup`` from every listed one, which certifies a
-    component. The midpoints are cleaned as one stack and checked with one
+    component. The midpoints are cleaned as one stack, the arithmetic of
+    :meth:`StrategyProfile.from_rows`, and checked with one
     :func:`raw_regrets` call.
     """
     if len(found) < 2:
@@ -617,9 +769,8 @@ def _midpoint_component(
     P = np.array([e.row.probs for e in found])
     Q = np.array([e.col.probs for e in found])
     a, b = np.array(list(itertools.combinations(range(len(found)), 2))).T
-    mids = StrategyProfile.from_rows(0.5 * (P[a] + P[b]), 0.5 * (Q[a] + Q[b]), tol)
-    MP = np.array([m.row.probs for m in mids])
-    MQ = np.array([m.col.probs for m in mids])
+    MP = _clean(0.5 * (P[a] + P[b]), tol, True)
+    MQ = _clean(0.5 * (Q[a] + Q[b]), tol, True)
     eq = np.max(raw_regrets(game.R, game.C, MP, MQ, 0.0), axis=0) <= tol.eq
     dist = np.maximum(
         np.abs(MP[eq, None] - P).sum(axis=2), np.abs(MQ[eq, None] - Q).sum(axis=2)

@@ -500,11 +500,13 @@ def _plain_candidates(
             requests.append((*q_region, ref.col.probs, None))
             pinned.append((f"lp:fix-p:{a_idx}:ref:{r_idx}", p_star, None))
     sweeps = subset_sweep(requests, DEFAULT_PARTITION_BUDGET, tol)
-    return [
-        (label, StrategyProfile.from_vectors(x if p is None else p, x if q is None else q, tol))
-        for (label, p, q), sweep in zip(pinned, sweeps)
-        for _, x in sweep
-    ]
+    labels, P, Q = [], [], []
+    for (label, p, q), sweep in zip(pinned, sweeps):
+        for _, x in sweep:
+            labels.append(label)
+            P.append(x if p is None else p)
+            Q.append(x if q is None else q)
+    return _profiles(labels, P, Q, game.shape, tol)
 
 
 def _ws_candidates(
@@ -554,14 +556,33 @@ def _ws_candidates(
             requests.append((*p_region, ref.row.probs, p_upper))
             requests.append((*q_region, ref.col.probs, q_upper))
     sweeps = iter(subset_sweep(requests, DEFAULT_PARTITION_BUDGET, tol))
-    out: list[tuple[str, StrategyProfile]] = []
+    labels, P, Q = [], [], []
     for label, p_feas, q_feas in feasible:
-        out.append((label, StrategyProfile.from_vectors(p_feas, q_feas, tol)))
+        labels.append(label)
+        P.append(p_feas)
+        Q.append(q_feas)
         for r_idx in range(len(base.equilibria)):
-            p_far = _farthest(next(sweeps), p_feas)
-            q_far = _farthest(next(sweeps), q_feas)
-            out.append((f"{label}:ref:{r_idx}", StrategyProfile.from_vectors(p_far, q_far, tol)))
-    return out
+            labels.append(f"{label}:ref:{r_idx}")
+            P.append(_farthest(next(sweeps), p_feas))
+            Q.append(_farthest(next(sweeps), q_feas))
+    return _profiles(labels, P, Q, game.shape, tol)
+
+
+def _profiles(
+    labels: list[str],
+    P: list[np.ndarray],
+    Q: list[np.ndarray],
+    shape: tuple[int, int],
+    tol: Tolerances,
+) -> list[tuple[str, StrategyProfile]]:
+    """The labelled profiles of the row pairs (P[i], Q[i]), built by one
+    :meth:`StrategyProfile.from_rows` call, bitwise ``from_vectors`` of each
+    pair."""
+    rows, cols = shape
+    built = StrategyProfile.from_rows(
+        np.array(P).reshape(-1, rows), np.array(Q).reshape(-1, cols), tol
+    )
+    return list(zip(labels, built))
 
 
 def _farthest(

@@ -356,6 +356,79 @@ def scalar_admit(game, found, p, q, tol=DEFAULT_TOLS):
     return True
 
 
+def side_pass(payoffs, own, opp, tol=DEFAULT_TOLS):
+    """Reference side of a stack of size-k support pairs in each game of a
+    stack, one player's tie systems solved and checked as a stack of their
+    own.
+
+    Member (g, m), at g * len(own) + m, solves ``payoffs[g][opp[m]][:,
+    own[m]] x = u``, ``sum(x) = 1``. Returns the solutions x, a mask of
+    those that are positive and leave no opponent action above u, and a
+    mask of the degeneracy witnesses.
+    """
+    games, n_opp = payoffs.shape[:2]
+    m, k = own.shape
+    sol, singular, consistent = oracle._solve_ties(oracle._tie_systems(payoffs, own, opp), m, tol)
+    x, u = sol[:, :k], sol[:, k]
+    cols = np.take(payoffs, own, axis=2).transpose(1, 0, 2, 3).reshape(n_opp, games * m, k)
+    pay = np.einsum("amj,mj->ma", cols, x)
+    ok = ~singular & (x.min(axis=1) > tol.zero)
+    ok &= pay.max(axis=1) <= u + tol.lp
+    ties = (pay >= (u - tol.lp)[:, None]).sum(axis=1)
+    return x, ok, consistent | (ok & (ties > k))
+
+
+def side_pass_reference(games, max_support, budget=DEFAULT_ENUM_BUDGET, tol=DEFAULT_TOLS):
+    """Reference batched pass: two :func:`side_pass` stacks per chunk, one
+    per player.
+
+    Returns, per game, its equilibria on equal-size supports in visit
+    order, admitted one at a time by :func:`scalar_admit`, or None once a
+    degeneracy witness shows among its pairs, as ``oracle._batched_pass``
+    does.
+    """
+    rows, cols = games[0].shape
+    found = [[] for _ in games]  # candidate rows per game, None once it falls back
+    live = list(range(len(games)))
+    R = np.array([game.R for game in games])
+    CT = np.array([game.C.T for game in games])
+    sizes = [(k, k) for k in range(1, max_support + 1)]
+    for _, P, Q, ip, iq in oracle._pair_chunks((rows, cols), sizes, budget):
+        S_p, S_q = P[ip], Q[iq]
+        step = max(1, oracle._CHUNK // len(ip))
+        for start in range(0, len(live), step):
+            batch = slice(start, start + step)
+            q_x, q_ok, q_witness = side_pass(R[batch], S_q, S_p, tol)
+            p_x, p_ok, p_witness = side_pass(CT[batch], S_p, S_q, tol)
+            ok = q_ok & p_ok
+            fell = (q_witness | p_witness).reshape(-1, len(ip)).any(axis=1)
+            for b in np.flatnonzero(fell):
+                found[live[start + b]] = None
+            ok &= ~np.repeat(fell, len(ip))
+            for i in np.flatnonzero(ok):
+                b, pair = divmod(int(i), len(ip))
+                p = np.zeros(rows)
+                p[S_p[pair]] = p_x[i]
+                q = np.zeros(cols)
+                q[S_q[pair]] = q_x[i]
+                found[live[start + b]].append((p, q))
+        kept = [i for i, g in enumerate(live) if found[g] is not None]
+        if not kept:
+            break
+        live = [live[i] for i in kept]
+        R, CT = R[kept], CT[kept]
+    out = []
+    for game, rows_found in zip(games, found):
+        if rows_found is None:
+            out.append(None)
+            continue
+        listed = []
+        for p, q in rows_found:
+            scalar_admit(game, listed, p, q, tol)
+        out.append(listed)
+    return out
+
+
 def unscreened_lp_pass(game, max_support, tol=DEFAULT_TOLS):
     """Reference LP loop: both LPs on every support pair, no screen.
 

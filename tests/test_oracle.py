@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -9,11 +12,19 @@ from scipy.optimize import linprog
 
 import stablenash as sn
 from stablenash import oracle, stability, support
-from stablenash.config import DEFAULT_ENUM_BUDGET, DEFAULT_TOLS
+from stablenash.config import DEFAULT_ENUM_BUDGET, DEFAULT_TOLS, STACK_FLOATS
+from stablenash.core import _clean
 from stablenash.errors import DomainError, ResourceBudgetError
 from stablenash.stability import perturbation_battery
 
-from conftest import loop_midpoint_component, profile_bytes, scalar_admit, unscreened_lp_pass
+from conftest import (
+    loop_midpoint_component,
+    profile_bytes,
+    scalar_admit,
+    side_pass,
+    side_pass_reference,
+    unscreened_lp_pass,
+)
 
 
 def test_matching_pennies_unique(matching_pennies):
@@ -444,12 +455,12 @@ def test_batched_admission_matches_scalar_loop(shape, seed, listed):
     start = list(sn.enumerate_equilibria(game).equilibria[:1]) if listed else []
     want_found = list(start)
     want = [scalar_admit(game, want_found, p, q) for p, q in zip(P, Q)]
-    candidates = sn.StrategyProfile.from_rows(P, Q)
+    clean_P, clean_Q = (_clean(V, DEFAULT_TOLS, True) for V in (P, Q))
     with pytest.MonkeyPatch.context() as mp:
         for floats in (oracle.STACK_FLOATS, 1):
             mp.setattr(oracle, "STACK_FLOATS", floats)
             found = list(start)
-            admitted = oracle._admit(game, found, candidates, DEFAULT_TOLS)
+            admitted = oracle._admit(game, found, clean_P, clean_Q, DEFAULT_TOLS)
             assert admitted.tolist() == np.flatnonzero(want).tolist()
             assert [profile_bytes(e) for e in found] == [profile_bytes(e) for e in want_found]
 
@@ -464,15 +475,15 @@ def test_admission_merges_candidates_within_dedup_in_order():
     up = np.array([1.0, -1.0])
     Q = np.array([[0.5, 0.5], 0.5 + 8e-7 * up, 0.5 + 1.6e-6 * up, [0.9, 0.1], [0.5, 0.5]])
     found, want_found = [], []
-    candidates = sn.StrategyProfile.from_rows(P, Q)
-    admitted = oracle._admit(game, found, candidates, DEFAULT_TOLS)
+    clean_P, clean_Q = (_clean(V, DEFAULT_TOLS, True) for V in (P, Q))
+    admitted = oracle._admit(game, found, clean_P, clean_Q, DEFAULT_TOLS)
     want = [scalar_admit(game, want_found, p, q) for p, q in zip(P, Q)]
     assert want == [True, False, True, True, False]
     assert admitted.tolist() == [0, 2, 3]
     assert [profile_bytes(e) for e in found] == [profile_bytes(e) for e in want_found]
     # the first two alone, and the second alone after the first is listed
-    assert oracle._admit(game, [], candidates[:2], DEFAULT_TOLS).tolist() == [0]
-    assert oracle._admit(game, found[:1], candidates[1:2], DEFAULT_TOLS).size == 0
+    assert oracle._admit(game, [], clean_P[:2], clean_Q[:2], DEFAULT_TOLS).tolist() == [0]
+    assert oracle._admit(game, found[:1], clean_P[1:2], clean_Q[1:2], DEFAULT_TOLS).size == 0
 
 
 def _assert_same_lp_pass(game):
@@ -584,7 +595,7 @@ def _kernel_calls(monkeypatch):
         monkeypatch.setattr(module, "solve_lp", counted(module.solve_lp))
     real_stack = oracle.solve_stack
     monkeypatch.setattr(oracle, "solve_stack", stacked)
-    monkeypatch.setattr(oracle, "_side_pass", counted(oracle._side_pass))
+    monkeypatch.setattr(oracle, "_tie_pass", counted(oracle._tie_pass))
     return calls
 
 
@@ -682,9 +693,10 @@ def test_stack_mixing_singular_and_regular_chunks_matches_per_game():
 
 
 def test_stack_packs_whole_chunks():
-    # with 7 pairs per chunk, the size-1 and size-2 pairs of a 3x3 game come
-    # in chunks of 7 and 2, and a stack holds one or three of them, the size-3
-    # pair seven; the LP loop's groups are cut into stacks of 7 members
+    # with _CHUNK 7 the batched pass walks 3 pairs at a time: the size-1 and
+    # size-2 pairs of a 3x3 game come in chunks of 3, and a stack holds one
+    # game's chunk (6 tie systems), the size-3 pair three games'; the LP
+    # loop's groups are cut into stacks of 7 members
     games = _battery_games(sn.random_game(3, 3, 1), 0.02)
     games += _battery_games(sn.meeting_game(3), 0.02)
     with mock.patch.object(oracle, "_CHUNK", 7):
@@ -708,5 +720,160 @@ def test_battery_over_budget_raises_before_any_lp(monkeypatch):
     calls = _kernel_calls(monkeypatch)
     with pytest.raises(ResourceBudgetError, match=message):
         oracle.enumerate_stack(games, budget=30)
-    assert "_side_pass" in calls
+    assert "_tie_pass" in calls
     assert calls.count("solve_lp") + calls.count("solve_stack") == 0
+
+
+# --- the batched pass on pair plans -------------------------------------------
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    st.integers(0, 20_000),
+    st.lists(st.booleans(), min_size=1, max_size=4),
+    st.integers(1, 5),
+    st.booleans(),
+)
+def test_batched_pass_matches_side_pass_reference(shape, seed, half, cap, small_chunk):
+    # a stack of random and half-integer games, which are often degenerate,
+    # under a support cap, with _CHUNK at its default or 7 (the pass walks 3
+    # pairs at a time, the reference 7): both players' systems in one solve
+    # give every game the bytes, supports and fallback a stack per player
+    # gives
+    rng = np.random.default_rng(seed)
+    games = []
+    for integer in half:
+        R, C = rng.integers(0, 3, size=(2, *shape)) / 2.0 if integer else rng.random((2, *shape))
+        games.append(sn.BimatrixGame(R, C))
+    max_support = min(cap, *shape)
+    with mock.patch.object(oracle, "_CHUNK", 7 if small_chunk else oracle._CHUNK):
+        got = oracle._batched_pass(games, max_support, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS)
+        want = side_pass_reference(games, max_support)
+    assert [None if eqs is None else [profile_bytes(e) for e in eqs] for eqs in got] == [
+        None if eqs is None else [profile_bytes(e) for e in eqs] for eqs in want
+    ]
+
+
+def test_tie_pass_matches_side_passes_bitwise():
+    # public goods' size-2 tie systems are exactly singular but
+    # inconsistent, and its battery's are regular; a half-integer game adds
+    # consistent singular ones. Every member of one solve for both players
+    # gets the bits, masks and witnesses of a stack per player
+    rng = np.random.default_rng(11)
+    games = [sn.public_goods(3)] + _battery_games(sn.public_goods(3), 0.02)
+    games += [sn.BimatrixGame(*(rng.integers(0, 3, size=(2, 3, 3)) / 2.0)) for _ in range(4)]
+    tables = oracle._tables(games)
+    R = np.array([game.R for game in games])
+    CT = np.array([game.C.T for game in games])
+    sizes = [(k, k) for k in range(1, 4)]
+    for visited, P, Q, ip, iq in oracle._pair_chunks((3, 3), sizes, DEFAULT_ENUM_BUDGET):
+        plan = oracle._pair_plan(3, 3, visited, P, Q, ip, iq)
+        x, ok, witness = oracle._tie_pass(tables, plan, DEFAULT_TOLS)
+        q_x, q_ok, q_witness = side_pass(R, Q[iq], P[ip])
+        p_x, p_ok, p_witness = side_pass(CT, P[ip], Q[iq])
+        shape = (len(games), len(ip))
+        assert x[:, 0].tobytes() == q_x.reshape(*shape, -1).tobytes()
+        assert x[:, 1].tobytes() == p_x.reshape(*shape, -1).tobytes()
+        assert (ok == (q_ok & p_ok).reshape(shape)).all()
+        assert (witness == (q_witness | p_witness).reshape(shape).any(axis=1)).all()
+
+
+def _digest_corpus():
+    games = [sn.random_game(n, n, s) for n in range(2, 7) for s in range(4)]
+    games += [sn.random_game(*shape, 7) for shape in ((2, 5), (5, 3), (3, 6), (6, 4))]
+    rng = np.random.default_rng(27)
+    for shape in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 3)] * 4:
+        R, C = rng.integers(0, 3, size=(2, *shape)) / 2.0
+        games.append(sn.BimatrixGame(R, C))
+    games += [sn.meeting_game(n) for n in (3, 4, 5)]
+    games += [sn.public_goods(n) for n in (3, 4, 5)]
+    games.append(_DOMINANT_ROW)
+    return games
+
+
+def test_enumeration_digest_is_pinned():
+    # every equilibrium byte, support and completeness flag of a fixed
+    # corpus, pinned before the pass moved to pair plans. The bytes come
+    # from numpy's LAPACK; a different build may need the pin retaken from
+    # a commit whose outputs are known good
+    digest = hashlib.sha256()
+    for game in _digest_corpus():
+        eqs = sn.enumerate_equilibria(game)
+        digest.update(repr((eqs.complete, len(eqs))).encode())
+        for e in eqs.equilibria:
+            digest.update(repr((e.row.support, e.col.support)).encode())
+            digest.update(e.row.probs.tobytes() + e.col.probs.tobytes())
+    assert digest.hexdigest() == (
+        "17f13b4822c961de48741f835b2e79547626ee0e86831b3e2b7fe7bd6ad8c774"
+    )
+
+
+def test_pair_plans_are_read_only_and_bounded():
+    sn.enumerate_equilibria(sn.random_game(4, 4, 1))
+    sn.enumerate_equilibria(sn.random_game(2, 5, 1))  # padded checks
+    kept = [a for arrays in oracle._MEMO.values() for a in arrays if a is not None]
+    assert kept
+    for a in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    # a chunk of the 9x9 game's size-4 pairs nearly fills the bound alone
+    assert sn.enumerate_equilibria(sn.random_game(9, 9, 3)).complete
+    kept = [a for arrays in oracle._MEMO.values() for a in arrays if a is not None]
+    assert sum(a.size for a in kept) <= STACK_FLOATS
+
+
+def test_patched_chunk_never_reuses_a_stale_plan(monkeypatch):
+    # the plans of the default chunk are kept first; with _CHUNK 7 the pass
+    # walks 3 pairs at a time, so each kernel call gets a plan of at most 3
+    # pairs (6 tie systems), and back at the default one plan per size
+    game = sn.random_game(4, 4, 2)
+    whole = sn.enumerate_equilibria(game)
+    pairs = []
+    real = oracle._tie_pass
+
+    def spied(payload, plan, tol):
+        pairs.append(len(plan[0]))
+        return real(payload, plan, tol)
+
+    monkeypatch.setattr(oracle, "_tie_pass", spied)
+    with mock.patch.object(oracle, "_CHUNK", 7):
+        chunked = sn.enumerate_equilibria(game)
+    assert pairs == [3] * 5 + [1] + [3] * 12 + [3] * 5 + [1] + [1]
+    pairs.clear()
+    again = sn.enumerate_equilibria(game)
+    assert pairs == [16, 36, 16, 1]
+    for eqs in (chunked, again):
+        assert eqs.complete == whole.complete
+        assert [profile_bytes(e) for e in eqs.equilibria] == [
+            profile_bytes(e) for e in whole.equilibria
+        ]
+
+
+def test_pair_plans_hold_under_threads(monkeypatch):
+    # four threads enumerate games of several shapes while a small bound
+    # makes plans be built, kept and dropped all the time: every result is
+    # the serial one, and the kept entries stay within the bound
+    monkeypatch.setattr(oracle, "_MEMO", {})
+    monkeypatch.setattr(oracle, "STACK_FLOATS", 4096)
+    shapes = ((3, 3), (4, 4), (3, 5), (5, 4), (5, 5), (2, 6), (6, 3), (4, 6))
+    games = [sn.random_game(r, c, 5) for r, c in shapes]
+
+    def census():
+        return [
+            [profile_bytes(e) for e in sn.enumerate_equilibria(game).equilibria]
+            for game in games
+        ]
+
+    want = census()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            runs = [pool.submit(lambda: [census() for _ in range(3)]) for _ in range(4)]
+            got = [run.result(timeout=60) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result == want for rounds in got for result in rounds)
+    kept = [a for arrays in oracle._MEMO.values() for a in arrays if a is not None]
+    assert sum(a.size for a in kept) <= 4096

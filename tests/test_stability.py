@@ -11,7 +11,12 @@ from stablenash.errors import (
     ResourceBudgetError,
 )
 from stablenash import lp, oracle, stability
-from stablenash.config import DEFAULT_ENUM_BUDGET, DEFAULT_PARTITION_BUDGET, SPLIT_RETRY_LIMIT
+from stablenash.config import (
+    DEFAULT_ENUM_BUDGET,
+    DEFAULT_PARTITION_BUDGET,
+    DEFAULT_TOLS,
+    SPLIT_RETRY_LIMIT,
+)
 from stablenash.serialize import canonical_dumps
 from stablenash.embedding import embed
 from stablenash.lp import INFEASIBLE, OPTIMAL, LpOutcome, _solve_stack, solve_lp
@@ -141,6 +146,41 @@ class TestApproximationStability:
             got = [(w.distance, w.label, profile_bytes(w.profile)) for w in rep.witnesses]
             assert got == ([] if want is None else [(*want[:2], profile_bytes(want[2]))])
             assert rep.delta_hat == (0.0 if want is None else want[0])
+
+    @pytest.mark.parametrize(
+        "game",
+        [
+            sn.meeting_game(3),
+            sn.dominance_gap_game(0.1),
+            sn.random_game(3, 3, 1),
+            sn.random_game(3, 3, 2),
+            sn.BimatrixGame([[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]]),
+        ],
+        ids=["meeting3", "dominance_gap", "random3_1", "random3_2", "dominant_row"],
+    )
+    def test_candidates_match_per_vector_build(self, game, monkeypatch):
+        # the audit's approx and ws games at its eps: the candidates built by
+        # one from_rows call per list are bitwise those of one from_vectors
+        # call per candidate, labels and order included
+        base = sn.enumerate_equilibria(game)
+
+        def candidates():
+            return (
+                stability._plain_candidates(game, 0.05, base, DEFAULT_TOLS),
+                stability._ws_candidates(game, 0.05, base, DEFAULT_ENUM_BUDGET, DEFAULT_TOLS),
+            )
+
+        def per_vector(labels, P, Q, shape, tol):
+            return [(a, sn.StrategyProfile.from_vectors(p, q, tol)) for a, p, q in zip(labels, P, Q)]
+
+        got = candidates()
+        monkeypatch.setattr(stability, "_profiles", per_vector)
+        want = candidates()
+        assert all(got) and len(got) == len(want)
+        for mine, theirs in zip(got, want):
+            assert [(label, profile_bytes(c)) for label, c in mine] == [
+                (label, profile_bytes(c)) for label, c in theirs
+            ]
 
     def test_gap_game_separation(self, gap_game):
         ws = sn.estimate_approximation_stability(
